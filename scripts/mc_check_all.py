@@ -20,7 +20,7 @@ for sid in sorted(BUILTIN_IDS):
     sc = build_scenario(sid, cfg, p=Fraction(13, 27))
     start = time.monotonic()
     rep = agreement_check(
-        cfg, sc.kernel, sc.canonical_statement, sc.canonical_query,
+        sc.kernel, sc.canonical_statement, sc.canonical_query,
         args.trials, args.seed,
     )
     elapsed = time.monotonic() - start

@@ -53,6 +53,16 @@ def _parse_day(text: str, cfg: WorldConfig) -> int:
     raise CliError(f"invalid day {text!r} for a {cfg.week_length}-day week", EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -191,7 +201,7 @@ def cmd_mc(args, out):
     cfg = _world(args)
     kernel, statement, event = _mc_target(args, cfg)
     report = mc.agreement_check(
-        cfg, kernel, statement, event, args.trials, args.seed, shards=args.shards
+        kernel, statement, event, args.trials, args.seed, shards=args.shards
     )
     r = report.result
     verdict = "PASS" if report.passed else "FAIL"
@@ -283,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("target", help="scenario id or .proc file")
     p_mc.add_argument("--say", help="statement (required for .proc targets)")
     p_mc.add_argument("--event", help="event predicate (required for .proc targets)")
-    p_mc.add_argument("--trials", type=int, default=1_000_000)
+    p_mc.add_argument("--trials", type=_positive_int, default=1_000_000)
     p_mc.add_argument("--seed", type=int, default=42)
-    p_mc.add_argument("--shards", type=int, default=1)
+    p_mc.add_argument("--shards", type=_positive_int, default=1)
     common(p_mc)
     p_mc.set_defaults(func=cmd_mc)
 

@@ -35,7 +35,7 @@ from .engine import (
     TwoOfAKind,
     YesNo,
 )
-from .errors import DslSyntaxError, EmptyPick, InvalidProbability, UnboundVariable
+from .errors import DslSyntaxError, EmptyPick, InvalidFlipProbability, UnboundVariable
 from .model import (
     AllMatch,
     And,
@@ -357,6 +357,8 @@ class _Parser:
         if tok.text == "flip":
             self.advance()
             prob = self.rational()
+            if not 0 <= prob <= 1:
+                raise InvalidFlipProbability(f"flip probability {prob} outside [0, 1]", tok.span)
             then = self.block()
             self.expect("else")
             els = self.block()
@@ -386,10 +388,7 @@ class _Parser:
             den = int(self.advance().text)
         if den == 0:
             raise DslSyntaxError("zero denominator", span)
-        value = Fraction(num, den)
-        if not 0 <= value <= 1:
-            raise InvalidProbability(f"probability {value} outside [0, 1]")
-        return value
+        return Fraction(num, den)
 
     def sex_or_day(self) -> tuple[Sex | None, DayLit | None]:
         tok = self.cur

@@ -47,6 +47,10 @@ class UnboundVariable(DslError):
     """A child variable used before any `pick` bound it."""
 
 
+class InvalidFlipProbability(DslError, InvalidProbability):
+    """A `flip` whose probability lies outside [0, 1]."""
+
+
 class EmptyPick(DslError):
     """A `pick` whose filter matches no child in some reachable family."""
 

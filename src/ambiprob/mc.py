@@ -7,6 +7,11 @@ bit-identical for identical (seed, config, protocol, trial count, shards).
 
 Emission probabilities are exact rationals; sampling scales them to a common
 integer denominator, so no floating-point comparison enters the draw itself.
+Each draw is a family index and an integer u below that denominator, classified
+against three per-family thresholds (see `_compile_tables`), so a draw costs
+O(1) time and memory whatever the number of distinct statements. The common
+denominator must fit in int64; a kernel whose denominators have a larger LCM
+raises `OverflowError`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .engine import ProtocolKernel, Statement, posterior
 from .errors import DegenerateProtocol
-from .model import QueryPredicate, WorldConfig, enumerate_families, eval_query
+from .model import QueryPredicate, enumerate_families, eval_query
 
 _CHUNK = 1 << 18
 
@@ -46,8 +51,14 @@ class AgreementReport:
 
 
 def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
-    """Integer sampling tables: per-family cumulative thresholds over a common
-    denominator, plus pre-filter and event lookup arrays."""
+    """Integer sampling tables over a common denominator: per family, the
+    pre-filter verdict, the event, and the thresholds `lo`/`hi`/`tot`.
+
+    With statements ordered by first appearance over `enumerate_families`,
+    `lo` is the emitted mass of the statements before the target, `hi` adds
+    the target's mass and `tot` is the total emitted mass; a draw u in
+    [lo, hi) emits the target and u >= tot rejects in-run.
+    """
     fams = enumerate_families(k.config)
     passes = np.array(
         [k.pre_filter is None or eval_query(k.pre_filter, f) for f in fams],
@@ -55,37 +66,39 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     )
     event = np.array([eval_query(q, f) for f in fams], dtype=bool)
 
-    alphabet: list[Statement] = []
-    index: dict[Statement, int] = {}
-    for f in fams:
-        for st in k.rows.get(f, {}):
-            if st not in index:
-                index[st] = len(alphabet)
-                alphabet.append(st)
-    if s not in index:
+    earlier: set[Statement] = set()  # statements ordered before the target
+    for st in (st for f in fams for st in k.rows.get(f, {})):
+        if st == s:
+            break
+        earlier.add(st)
+    else:
         raise DegenerateProtocol(f"statement {s!r} is never emitted (zero mass)")
 
     denom = 1
     for f in fams:
         for w in k.rows.get(f, {}).values():
             denom = math.lcm(denom, w.denominator)
+    if denom > np.iinfo(np.int64).max:
+        raise OverflowError(f"common denominator {denom} does not fit in int64")
 
-    n_stmt = len(alphabet)
-    cum = np.zeros((len(fams), n_stmt), dtype=np.int64)
+    lo = np.zeros(len(fams), dtype=np.int64)
+    hi = np.zeros(len(fams), dtype=np.int64)
+    tot = np.zeros(len(fams), dtype=np.int64)
     for fi, f in enumerate(fams):
-        acc = 0
-        scaled = [0] * n_stmt
+        before = target = total = 0
         for st, w in k.rows.get(f, {}).items():
-            scaled[index[st]] = int(w * denom)
-        for si in range(n_stmt):
-            acc += scaled[si]
-            cum[fi, si] = acc
-    return passes, event, cum, index[s], denom
+            mass = int(w * denom)
+            total += mass
+            if st in earlier:
+                before += mass
+            elif st == s:
+                target = mass
+        lo[fi], hi[fi], tot[fi] = before, before + target, total
+    return passes, event, lo, hi, tot, denom
 
 
-def _run_shard(rng, passes, event, cum, target, denom, n_matches, cap):
+def _run_shard(rng, passes, event, lo, hi, tot, denom, n_matches, cap):
     n_fam = passes.shape[0]
-    n_stmt = cum.shape[1]
     counters = dict(
         trials=0, rejected_families=0, rejected_runs=0, hits=0,
         statement_matches=0,
@@ -94,45 +107,43 @@ def _run_shard(rng, passes, event, cum, target, denom, n_matches, cap):
     while counters["statement_matches"] < n_matches:
         fam = rng.integers(0, n_fam, size=_CHUNK)
         u = rng.integers(0, denom, size=_CHUNK)
-        ok = passes[fam]
-        # statement index per draw; n_stmt = in-run reject, n_stmt+1 = sent home
-        idx = np.full(_CHUNK, n_stmt + 1, dtype=np.int64)
-        sel = np.nonzero(ok)[0]
-        idx[sel] = (cum[fam[sel]] <= u[sel, None]).sum(axis=1)
+        ok = passes[fam]  # False: sent home before the procedure runs
+        emitted = ok & (u < tot[fam])  # ok and not emitted: in-run reject
+        match = ok & (lo[fam] <= u) & (u < hi[fam])
 
-        match = idx == target
-        n_new = int(match.sum())
+        n_new = int(np.count_nonzero(match))
         needed = n_matches - counters["statement_matches"]
         if n_new >= needed:
             cutoff = int(np.nonzero(match)[0][needed - 1]) + 1
-            fam, idx, match = fam[:cutoff], idx[:cutoff], match[:cutoff]
+            fam, ok, emitted, match = fam[:cutoff], ok[:cutoff], emitted[:cutoff], match[:cutoff]
             n_new = needed
 
         if n_new == 0:
-            consecutive_misses += len(idx)
+            consecutive_misses += len(fam)
             longest_gap = consecutive_misses
         else:
             positions = np.nonzero(match)[0]
             leading = consecutive_misses + int(positions[0])
             internal = int(np.diff(positions).max() - 1) if n_new > 1 else 0
             longest_gap = max(leading, internal)
-            consecutive_misses = len(idx) - 1 - int(positions[-1])
+            consecutive_misses = len(fam) - 1 - int(positions[-1])
         if longest_gap > cap:
             raise DegenerateProtocol(
                 f"{longest_gap} consecutive draws without a statement match "
                 "(cap exceeded); statement mass is zero or vanishingly small"
             )
 
-        counters["rejected_families"] += int((idx == n_stmt + 1).sum())
-        counters["rejected_runs"] += int((idx == n_stmt).sum())
-        counters["trials"] += int((idx < n_stmt).sum())
+        n_ok = int(np.count_nonzero(ok))
+        n_emitted = int(np.count_nonzero(emitted))
+        counters["rejected_families"] += len(fam) - n_ok
+        counters["rejected_runs"] += n_ok - n_emitted
+        counters["trials"] += n_emitted
         counters["statement_matches"] += n_new
-        counters["hits"] += int((match & event[fam]).sum())
+        counters["hits"] += int(np.count_nonzero(match & event[fam]))
     return counters
 
 
 def sample_posterior(
-    cfg: WorldConfig,
     kernel: ProtocolKernel,
     s: Statement,
     q: QueryPredicate,
@@ -141,7 +152,12 @@ def sample_posterior(
     shards: int = 1,
     redraw_cap: int = 10_000_000,
 ) -> McResult:
-    """Empirical posterior from n_trials statement-matching runs."""
+    """Empirical posterior from n_trials statement-matching runs.
+
+    Raises ValueError if n_trials or shards is below 1, DegenerateProtocol if
+    the statement is never emitted or `redraw_cap` draws in a row miss it, and
+    OverflowError if the kernel's common denominator does not fit in int64.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if shards < 1:
@@ -179,7 +195,6 @@ def sample_posterior(
 
 
 def agreement_check(
-    cfg: WorldConfig,
     kernel: ProtocolKernel,
     s: Statement,
     q: QueryPredicate,
@@ -191,7 +206,7 @@ def agreement_check(
     """Pass iff |estimate - exact| <= max(0.005, 5 * stderr)."""
     if exact is None:
         exact = posterior(kernel, s, q).posterior
-    result = sample_posterior(cfg, kernel, s, q, n_trials, seed, shards=shards)
+    result = sample_posterior(kernel, s, q, n_trials, seed, shards=shards)
     tolerance = max(0.005, 5.0 * result.stderr)
     passed = abs(result.estimate - float(exact)) <= tolerance
     return AgreementReport(result, exact, tolerance, passed)

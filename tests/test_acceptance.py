@@ -182,7 +182,7 @@ def test_criterion_10_monte_carlo_agreement():
         sc = build_scenario(sid, CFG, p=Fraction(13, 27))
         start = time.monotonic()
         rep = agreement_check(
-            CFG, sc.kernel, sc.canonical_statement, sc.canonical_query,
+            sc.kernel, sc.canonical_statement, sc.canonical_query,
             n_trials=10**6, seed=42,
         )
         elapsed = time.monotonic() - start
@@ -192,7 +192,7 @@ def test_criterion_10_monte_carlo_agreement():
         )
         assert elapsed <= 10.0, (sid, elapsed)
         rerun = sample_posterior(
-            CFG, sc.kernel, sc.canonical_statement, sc.canonical_query,
+            sc.kernel, sc.canonical_statement, sc.canonical_query,
             n_trials=10**6, seed=42,
         )
         assert rerun == rep.result, sid

@@ -125,6 +125,23 @@ def test_mc_proc_target_requires_specs(tmp_path):
     assert code2 == 0
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"), ("--shards", "0")])
+def test_mc_non_positive_trials_or_shards_exit_2(flag, value, capsys):
+    code, text = run_cli("mc", "bc-tc", flag, value)
+    assert code == 2
+    assert text == ""
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "mc"])
+def test_flip_probability_out_of_range_exits_4(command, tmp_path, capsys):
+    proc = tmp_path / "p.proc"
+    proc.write_text("procedure p {\n  flip 3/2 { say yes; } else { say no; }\n}\n")
+    code, _ = run_cli(command, str(proc), "--say", "yes", "--event", "all(boy)")
+    assert code == 4
+    assert "2:3: flip probability 3/2 outside [0, 1]" in capsys.readouterr().err
+
+
 def test_sweep():
     code, text = run_cli("sweep", "1", "30")
     assert code == 0

@@ -14,7 +14,13 @@ from ambiprob.dsl import (
     render,
 )
 from ambiprob.engine import AtLeastOne, Claim, REJECT, Text, marginal, posterior
-from ambiprob.errors import DslSyntaxError, EmptyPick, InvalidProbability, UnboundVariable
+from ambiprob.errors import (
+    DslError,
+    DslSyntaxError,
+    EmptyPick,
+    InvalidProbability,
+    UnboundVariable,
+)
 from ambiprob.model import AllMatch, And, CountAtLeast, Exists, Not, Sex, WorldConfig
 from ambiprob.scenarios import build_scenario
 
@@ -119,6 +125,13 @@ def test_require_rejects_child_tests():
 def test_flip_probability_range():
     with pytest.raises(InvalidProbability):
         parse("procedure p { flip 3/2 { say yes; } else { say no; } }")
+
+
+def test_flip_probability_error_carries_span():
+    with pytest.raises(DslError) as info:
+        parse("procedure p {\n  say yes;\n  flip 2 { say yes; } else { say no; }\n}")
+    assert isinstance(info.value, InvalidProbability)
+    assert (info.value.span.line, info.value.span.column) == (3, 3)
 
 
 def test_fall_through_is_reject_with_warning():

@@ -1,35 +1,38 @@
+import os
 from fractions import Fraction
 
 import pytest
 
+from ambiprob.dsl import load_protocol, parse_event_text, parse_statement_text
 from ambiprob.engine import AtLeastOne, Claim, Text, YesNo
 from ambiprob.errors import DegenerateProtocol
-from ambiprob.mc import agreement_check, sample_posterior
+from ambiprob.mc import McResult, agreement_check, sample_posterior
 from ambiprob.model import AllMatch, Always, Sex, WorldConfig
 from ambiprob.scenarios import bc_tc, brag, build_scenario, classic_selection, yesno_question
 
 TUE = 1
 CFG = WorldConfig(7, 2)
 BOTH_BOYS = AllMatch(sex=Sex.BOY)
+PROC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ambiprob", "procs")
 
 
 def test_determinism_same_seed():
     sc = bc_tc(CFG, TUE)
-    a = sample_posterior(CFG, sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=7)
-    b = sample_posterior(CFG, sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=7)
+    a = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=7)
+    b = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=7)
     assert a == b
 
 
 def test_different_seeds_differ():
     sc = bc_tc(CFG, TUE)
-    a = sample_posterior(CFG, sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=1)
-    b = sample_posterior(CFG, sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=2)
+    a = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=1)
+    b = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=2)
     assert a.hits != b.hits
 
 
 def test_estimate_near_exact():
     sc = bc_tc(CFG, TUE)
-    r = sample_posterior(CFG, sc.kernel, sc.canonical_statement, BOTH_BOYS, 10**6, seed=42)
+    r = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 10**6, seed=42)
     assert abs(r.estimate - 13 / 27) < 0.005
     assert r.statement_matches == 10**6
     assert r.hits <= r.statement_matches <= r.trials
@@ -37,30 +40,30 @@ def test_estimate_near_exact():
 
 def test_brag_estimate_exactly_zero():
     sc = brag(CFG)
-    r = sample_posterior(CFG, sc.kernel, AtLeastOne(Sex.BOY), BOTH_BOYS, 50000, seed=3)
+    r = sample_posterior(sc.kernel, AtLeastOne(Sex.BOY), BOTH_BOYS, 50000, seed=3)
     assert r.hits == 0
     assert r.estimate == 0.0
 
 
 def test_certain_event_estimate_exactly_one():
     sc = classic_selection(CFG)
-    r = sample_posterior(CFG, sc.kernel, AtLeastOne(Sex.BOY), Always(), 50000, seed=5)
+    r = sample_posterior(sc.kernel, AtLeastOne(Sex.BOY), Always(), 50000, seed=5)
     assert r.estimate == 1.0
 
 
 def test_rejection_counters():
     filtered = bc_tc(CFG, TUE)
-    r = sample_posterior(CFG, filtered.kernel, Claim(Sex.BOY, TUE), BOTH_BOYS, 10000, seed=11)
+    r = sample_posterior(filtered.kernel, Claim(Sex.BOY, TUE), BOTH_BOYS, 10000, seed=11)
     assert r.rejected_families > 0  # pre-filter "sent home" loop
     assert r.rejected_runs == 0
 
     noisy = brag(CFG)  # no pre-filter; two-girl families reject in-run
-    r2 = sample_posterior(CFG, noisy.kernel, AtLeastOne(Sex.BOY), BOTH_BOYS, 10000, seed=11)
+    r2 = sample_posterior(noisy.kernel, AtLeastOne(Sex.BOY), BOTH_BOYS, 10000, seed=11)
     assert r2.rejected_families == 0
     assert r2.rejected_runs > 0
 
     unfiltered = yesno_question(CFG, TUE)
-    r3 = sample_posterior(CFG, unfiltered.kernel, YesNo(True), BOTH_BOYS, 10000, seed=11)
+    r3 = sample_posterior(unfiltered.kernel, YesNo(True), BOTH_BOYS, 10000, seed=11)
     assert r3.rejected_families == 0
     assert r3.rejected_runs == 0
 
@@ -68,18 +71,26 @@ def test_rejection_counters():
 def test_degenerate_protocol_raises():
     sc = bc_tc(CFG, TUE)
     with pytest.raises(DegenerateProtocol):
-        sample_posterior(CFG, sc.kernel, Text("never"), BOTH_BOYS, 100, seed=1)
+        sample_posterior(sc.kernel, Text("never"), BOTH_BOYS, 100, seed=1)
     with pytest.raises(DegenerateProtocol):
         sample_posterior(
-            CFG, sc.kernel, Claim(Sex.BOY, TUE), BOTH_BOYS, 10**6, seed=1,
+            sc.kernel, Claim(Sex.BOY, TUE), BOTH_BOYS, 10**6, seed=1,
             redraw_cap=1,
         )
 
 
+def test_non_positive_trials_or_shards_raise_value_error():
+    sc = bc_tc(CFG, TUE)
+    with pytest.raises(ValueError):
+        sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 0, seed=1)
+    with pytest.raises(ValueError):
+        sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 100, seed=1, shards=0)
+
+
 def test_sharding_is_deterministic_and_counts_add_up():
     sc = bc_tc(CFG, TUE)
-    a = sample_posterior(CFG, sc.kernel, sc.canonical_statement, BOTH_BOYS, 30000, seed=9, shards=3)
-    b = sample_posterior(CFG, sc.kernel, sc.canonical_statement, BOTH_BOYS, 30000, seed=9, shards=3)
+    a = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 30000, seed=9, shards=3)
+    b = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 30000, seed=9, shards=3)
     assert a == b
     assert a.statement_matches == 30000
     assert a.shards == 3
@@ -89,7 +100,7 @@ def test_agreement_check_passes_builtins_small():
     for sid in ("classic-selection", "gn-dn", "yesno"):
         sc = build_scenario(sid, CFG)
         rep = agreement_check(
-            CFG, sc.kernel, sc.canonical_statement, sc.canonical_query, 200000, seed=42
+            sc.kernel, sc.canonical_statement, sc.canonical_query, 200000, seed=42
         )
         assert rep.passed, sid
 
@@ -97,7 +108,7 @@ def test_agreement_check_passes_builtins_small():
 def test_agreement_check_negative_control():
     sc = bc_tc(CFG, TUE)
     rep = agreement_check(
-        CFG, sc.kernel, sc.canonical_statement, BOTH_BOYS, 200000, seed=42,
+        sc.kernel, sc.canonical_statement, BOTH_BOYS, 200000, seed=42,
         exact=Fraction(13, 27) + Fraction(1, 10),
     )
     assert not rep.passed
@@ -105,6 +116,73 @@ def test_agreement_check_negative_control():
 
 def test_yesno_empirical_yes_rate():
     sc = yesno_question(CFG, TUE)
-    r = sample_posterior(CFG, sc.kernel, YesNo(True), Always(), 100000, seed=42)
+    r = sample_posterior(sc.kernel, YesNo(True), Always(), 100000, seed=42)
     # matches over all emitting runs approximates the exact yes mass 27/196
     assert abs(r.statement_matches / r.trials - 27 / 196) < 0.01
+
+
+def _builtin(sid, d, trials, seed, shards=1):
+    sc = build_scenario(sid, WorldConfig(d, 2))
+    return sample_posterior(
+        sc.kernel, sc.canonical_statement, sc.canonical_query, trials, seed, shards=shards
+    )
+
+
+def _proc(name, n, say, event, trials, seed):
+    cfg = WorldConfig(7, n)
+    kernel = load_protocol(os.path.join(PROC_DIR, name + ".proc"), cfg)
+    return sample_posterior(
+        kernel, parse_statement_text(say, cfg), parse_event_text(event, cfg), trials, seed
+    )
+
+
+# Full results recorded with the sampler that compared every draw against the
+# whole statement alphabet; any sampler change must reproduce them bit for bit.
+GOLDEN = [
+    pytest.param(
+        lambda: _builtin("gn-dn", 7, 40000, 7),
+        McResult(trials=560978, rejected_families=0, rejected_runs=0, hits=20153,
+                 statement_matches=40000, estimate=0.503825,
+                 stderr=0.0024999268458046927, seed=7, shards=1),
+        id="gn-dn-d7",
+    ),
+    pytest.param(
+        lambda: _builtin("gn-dn", 30, 20000, 30),
+        McResult(trials=1205607, rejected_families=0, rejected_runs=0, hits=10149,
+                 statement_matches=20000, estimate=0.50745,
+                 stderr=0.0035351414222064724, seed=30, shards=1),
+        id="gn-dn-d30",
+    ),
+    pytest.param(
+        lambda: _builtin("bc-dn", 7, 30000, 11, shards=2),
+        McResult(trials=210363, rejected_families=69632, rejected_runs=0, hits=9974,
+                 statement_matches=30000, estimate=0.3324666666666667,
+                 stderr=0.00271988101591609, seed=11, shards=2),
+        id="bc-dn-shards2",
+    ),
+    pytest.param(
+        lambda: _builtin("brag", 7, 30000, 3),
+        McResult(trials=45011, rejected_families=0, rejected_runs=15183, hits=0,
+                 statement_matches=30000, estimate=0.0, stderr=0.0, seed=3, shards=1),
+        id="brag-in-run-reject",
+    ),
+    pytest.param(
+        lambda: _builtin("classic-selection", 7, 30000, 5),
+        McResult(trials=30000, rejected_families=10010, rejected_runs=0, hits=9983,
+                 statement_matches=30000, estimate=0.33276666666666666,
+                 stderr=0.002720496353132532, seed=5, shards=1),
+        id="classic-selection-pre-filter",
+    ),
+    pytest.param(
+        lambda: _proc("gn_dn", 3, "claim(boy,tue)", "all(boy)", 20000, 13),
+        McResult(trials=278199, rejected_families=0, rejected_runs=0, hits=4985,
+                 statement_matches=20000, estimate=0.24925,
+                 stderr=0.0030587941864401403, seed=13, shards=1),
+        id="gn_dn-proc-n3",
+    ),
+]
+
+
+@pytest.mark.parametrize("run, expected", GOLDEN)
+def test_golden_results_are_bit_identical(run, expected):
+    assert run() == expected
