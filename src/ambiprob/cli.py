@@ -35,6 +35,10 @@ EXIT_DSL = 4
 EXIT_MC_FAIL = 5
 EXIT_DEGENERATE = 6
 
+# Largest (2d)^n that run/eval/mc enumerate: gn-dn at d=365 (532,900 families)
+# and n=5 at d=7 (537,824) fit, with room to spare.
+MAX_FAMILIES = 2_000_000
+
 
 class CliError(Exception):
     def __init__(self, message, code):
@@ -138,9 +142,19 @@ def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
 
 def _world(args) -> WorldConfig:
     try:
-        return WorldConfig(week_length=args.week_days, family_size=args.children)
+        cfg = WorldConfig(week_length=args.week_days, family_size=args.children)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
+    families = 1
+    for _ in range(cfg.family_size):  # stops early, so huge n costs nothing
+        families *= 2 * cfg.week_length
+        if families > MAX_FAMILIES:
+            raise CliError(
+                f"the outcome space (2d)^n = ({2 * cfg.week_length})^{cfg.family_size} "
+                f"exceeds {MAX_FAMILIES:,} families; lower --week-days or --children",
+                EXIT_USAGE,
+            )
+    return cfg
 
 
 def _scenario(args, cfg: WorldConfig, target: str):

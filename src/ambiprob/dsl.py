@@ -15,12 +15,19 @@ Grammar (informally)::
 Compilation is exact: every flip branch and uniform pick is expanded
 symbolically into rational path weights; nothing is sampled. A path that falls
 off the end of the procedure is an implicit reject (with a warning).
+
+Lowering happens once per compile: the body becomes nested closures in which
+variable-free predicates are already engine queries, day literals are resolved
+and constant statements are built. Each family then runs that closure chain.
+Because of this, a day literal that does not fit the week is an error even in
+a branch no family reaches.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +37,7 @@ from .engine import (
     Claim,
     ProtocolKernel,
     ProudOf,
+    Row,
     Statement,
     Text,
     TwoOfAKind,
@@ -75,6 +83,7 @@ class DayLit:
 
     value: int
     named: bool = False
+    span: SourceSpan | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -177,6 +186,7 @@ class If:
     pred: Pred
     then: tuple["Stmt", ...]
     els: tuple["Stmt", ...] | None = None
+    span: SourceSpan | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -345,7 +355,7 @@ class _Parser:
             pred = self.pred()
             then = self.block()
             els = self.block() if self.accept("else") else None
-            return If(pred, then, els)
+            return If(pred, then, els, span=tok.span)
         if tok.text == "pick":
             self.advance()
             var = self.expect_ident("variable name").text
@@ -406,11 +416,11 @@ class _Parser:
             return None
         if tok.text in DAY_BY_NAME:
             self.advance()
-            return DayLit(DAY_BY_NAME[tok.text], named=True)
+            return DayLit(DAY_BY_NAME[tok.text], named=True, span=tok.span)
         m = re.fullmatch(r"d(\d+)", tok.text)
         if m:
             self.advance()
-            return DayLit(int(m.group(1)), named=False)
+            return DayLit(int(m.group(1)), named=False, span=tok.span)
         return None
 
     def child_test(self, expect_var: str | None = None) -> PChildTest:
@@ -562,16 +572,6 @@ def _check_bindings(stmts: tuple[Stmt, ...], bound: frozenset[str]) -> None:
             if isinstance(expr.day, VarDay):
                 yield expr.day.var
 
-    def pred_vars(p: Pred):
-        match p:
-            case PChildTest(var=v):
-                yield v
-            case PAnd(left=a, right=b) | POr(left=a, right=b):
-                yield from pred_vars(a)
-                yield from pred_vars(b)
-            case PNot(inner=i):
-                yield from pred_vars(i)
-
     for st in stmts:
         match st:
             case Pick(var=v):
@@ -580,10 +580,12 @@ def _check_bindings(stmts: tuple[Stmt, ...], bound: frozenset[str]) -> None:
                 for v in used_vars(e):
                     if v not in bound:
                         raise UnboundVariable(f"variable '{v}' is not bound by a pick", sp)
-            case If(pred=p, then=t, els=e):
-                for v in pred_vars(p):
-                    if v not in bound:
-                        raise UnboundVariable(f"variable '{v}' is not bound by a pick")
+            case If(pred=p, then=t, els=e, span=sp):
+                for test in _child_tests(p):
+                    if test.var not in bound:
+                        raise UnboundVariable(
+                            f"variable '{test.var}' is not bound by a pick", sp
+                        )
                 _check_bindings(t, bound)
                 if e is not None:
                     _check_bindings(e, bound)
@@ -598,7 +600,7 @@ def parse(source: str) -> ProtocolAst:
     """Parse a procedure; raises DslSyntaxError / UnboundVariable on bad input."""
     ast = _Parser(tokenize(source)).protocol()
     for pred in ast.requires:
-        for _ in _pred_requires_no_vars(pred):
+        for _ in _child_tests(pred):
             raise UnboundVariable(
                 "child-variable tests are not allowed in 'require'"
             )
@@ -606,15 +608,15 @@ def parse(source: str) -> ProtocolAst:
     return ast
 
 
-def _pred_requires_no_vars(p: Pred):
+def _child_tests(p: Pred):
     match p:
         case PChildTest():
             yield p
         case PAnd(left=a, right=b) | POr(left=a, right=b):
-            yield from _pred_requires_no_vars(a)
-            yield from _pred_requires_no_vars(b)
+            yield from _child_tests(a)
+            yield from _child_tests(b)
         case PNot(inner=i):
-            yield from _pred_requires_no_vars(i)
+            yield from _child_tests(i)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +627,11 @@ def _day_value(day: DayLit, cfg: WorldConfig) -> int:
     if day.named and cfg.week_length != 7:
         raise DslSyntaxError(
             f"named day '{model.DAY_NAMES[day.value]}' requires a 7-day week; "
-            f"use d<N> for week_length={cfg.week_length}"
+            f"use d<N> for week_length={cfg.week_length}",
+            day.span,
         )
     if not 0 <= day.value < cfg.week_length:
-        raise DslSyntaxError(f"day {day.value} out of range for d={cfg.week_length}")
+        raise DslSyntaxError(f"day {day.value} out of range for d={cfg.week_length}", day.span)
     return day.value
 
 
@@ -662,34 +665,11 @@ def pred_to_query(p: Pred, cfg: WorldConfig) -> QueryPredicate:
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def _eval_pred(p: Pred, f: Family, env: dict[str, int], cfg: WorldConfig) -> bool:
-    match p:
-        case PChildTest(var=v, kind=kind, sex=s, day=d):
-            c = f[env[v]]
-            if kind == "sex":
-                return c.sex == s
-            return c.day == _day_value(d, cfg)
-        case PAnd(left=a, right=b):
-            return _eval_pred(a, f, env, cfg) and _eval_pred(b, f, env, cfg)
-        case POr(left=a, right=b):
-            return _eval_pred(a, f, env, cfg) or _eval_pred(b, f, env, cfg)
-        case PNot(inner=i):
-            return not _eval_pred(i, f, env, cfg)
-        case _:
-            return eval_query(pred_to_query(p, cfg), f)
-
-
-def _resolve_stmt(expr: StmtExpr, f: Family, env: dict[str, int], cfg: WorldConfig) -> Statement:
+def _const_statement(expr: StmtExpr, cfg: WorldConfig) -> Statement:
+    """The statement a `say` without child variables always makes."""
     match expr:
         case EClaim(sex=s, day=d):
-            sex = f[env[s.var]].sex if isinstance(s, VarSex) else s
-            if d is None:
-                day = None
-            elif isinstance(d, VarDay):
-                day = f[env[d.var]].day
-            else:
-                day = _day_value(d, cfg)
-            return Claim(sex, day)
+            return Claim(s, None if d is None else _day_value(d, cfg))
         case EAtLeastOne(sex=s):
             return AtLeastOne(s)
         case ETwoOfAKind(sex=s):
@@ -703,80 +683,183 @@ def _resolve_stmt(expr: StmtExpr, f: Family, env: dict[str, int], cfg: WorldConf
     raise TypeError(f"not a statement expression: {expr!r}")
 
 
-_REJECT = object()
-_FALLTHROUGH = object()
+# A lowered statement runs every path of one family from that statement on:
+# step(family, env, weight, row) adds each path's weight to `row` under the
+# statement the path says. `env` holds the child index bound by each pick, in
+# a slot fixed while lowering, so an inner pick never overwrites a variable
+# that code after its block reads.
+_Step = Callable[[Family, list[int], Fraction, Row], None]
+
+_ONE = Fraction(1)
+
+
+def _scale(w: Fraction, p: Fraction) -> Fraction:
+    return p if w is _ONE else w * p
+
+
+def _emit(row: Row, st: Statement, w: Fraction) -> None:
+    old = row.get(st)
+    row[st] = w if old is None else old + w
+
+
+def _reject(f, env, w, row) -> None:
+    pass
+
+
+class _Lowering:
+    """Turns a procedure body into nested closures, once per compile.
+
+    Variable-free predicates become queries, day literals are resolved,
+    constant statements are built and flips carry ``1 - p`` here, so nothing
+    is lowered again per family. Paths run depth-first in source order (a
+    flip's first branch first, picked children in birth order); that order
+    fixes the order of the statements in each row.
+    """
+
+    def __init__(self, cfg: WorldConfig):
+        self.cfg = cfg
+        self.slots = 0
+        self.empty_picks: list[tuple[Family, Pick]] = []
+        self.fell_through = False
+        # shares[m]: each child's share of a pick among m matching children
+        self.shares = [None] + [Fraction(1, m) for m in range(1, cfg.family_size + 1)]
+
+    def fall_through(self, f, env, w, row) -> None:
+        self.fell_through = True
+
+    def block(self, stmts: tuple[Stmt, ...], scope: dict[str, int], after: _Step) -> _Step:
+        """Lower a block; `after` runs for paths that reach its end."""
+        placed = []
+        for st in stmts:
+            slot = None
+            if isinstance(st, Pick):
+                slot = self.slots
+                self.slots += 1
+            placed.append((st, scope, slot))
+            if slot is not None:
+                scope = {**scope, st.var: slot}
+        step = after
+        for st, scope, slot in reversed(placed):
+            step = self.stmt(st, scope, slot, step)
+        return step
+
+    def stmt(self, st: Stmt, scope: dict[str, int], slot: int | None, nxt: _Step) -> _Step:
+        match st:
+            case Say(expr=e):
+                return self.say(e, scope)
+            case Reject():
+                return _reject
+            case Pick():
+                return self.pick(st, slot, nxt)
+            case If(pred=p, then=t, els=e):
+                then = self.block(t, scope, nxt)
+                els = nxt if e is None else self.block(e, scope, nxt)
+                test = self.pred(p, scope)
+
+                def branch(f, env, w, row):
+                    (then if test(f, env) else els)(f, env, w, row)
+                return branch
+            case Flip(prob=p, then=t, els=e):
+                q = 1 - p
+                then = self.block(t, scope, nxt)
+                els = self.block(e, scope, nxt)
+
+                def flip(f, env, w, row):
+                    if p:
+                        then(f, env, _scale(w, p), row)
+                    if q:
+                        els(f, env, _scale(w, q), row)
+                return flip
+        raise TypeError(f"not a statement: {st!r}")
+
+    def pick(self, st: Pick, slot: int, nxt: _Step) -> _Step:
+        shares, empty = self.shares, self.empty_picks
+        everyone = range(self.cfg.family_size)
+        ok = None if st.where is None else self.child_test(st.where)
+
+        def pick(f, env, w, row):
+            matching = everyone if ok is None else [j for j, c in enumerate(f) if ok(c)]
+            if not matching:
+                empty.append((f, st))
+                return
+            w = _scale(w, shares[len(matching)])
+            for j in matching:
+                env[slot] = j
+                nxt(f, env, w, row)
+        return pick
+
+    def child_test(self, p: PChildTest) -> Callable[[model.Child], bool]:
+        if p.kind == "sex":
+            sex = p.sex
+            return lambda c: c.sex is sex
+        day = _day_value(p.day, self.cfg)
+        return lambda c: c.day == day
+
+    def pred(self, p: Pred, scope: dict[str, int]) -> Callable[[Family, list[int]], bool]:
+        """A test of (family, env); variable-free parts are lowered to queries."""
+        if next(_child_tests(p), None) is None:
+            q = pred_to_query(p, self.cfg)
+            return lambda f, env: eval_query(q, f)
+        match p:
+            case PChildTest(var=v):
+                slot = scope[v]
+                ok = self.child_test(p)
+                return lambda f, env: ok(f[env[slot]])
+            case PAnd(left=a, right=b):
+                ta, tb = self.pred(a, scope), self.pred(b, scope)
+                return lambda f, env: ta(f, env) and tb(f, env)
+            case POr(left=a, right=b):
+                ta, tb = self.pred(a, scope), self.pred(b, scope)
+                return lambda f, env: ta(f, env) or tb(f, env)
+            case PNot(inner=i):
+                ti = self.pred(i, scope)
+                return lambda f, env: not ti(f, env)
+        raise TypeError(f"not a predicate: {p!r}")
+
+    def say(self, e: StmtExpr, scope: dict[str, int]) -> _Step:
+        if not (isinstance(e, EClaim) and (isinstance(e.sex, VarSex) or isinstance(e.day, VarDay))):
+            st = _const_statement(e, self.cfg)
+            return lambda f, env, w, row: _emit(row, st, w)
+        sex, day = e.sex, e.day
+        sex_slot = scope[sex.var] if isinstance(sex, VarSex) else None
+        day_slot = scope[day.var] if isinstance(day, VarDay) else None
+        if isinstance(day, DayLit):
+            day = _day_value(day, self.cfg)
+        claims: dict[tuple, Claim] = {}
+
+        def say_claim(f, env, w, row):
+            key = (sex if sex_slot is None else f[env[sex_slot]].sex,
+                   day if day_slot is None else f[env[day_slot]].day)
+            st = claims.get(key)
+            if st is None:
+                st = claims[key] = Claim(*key)
+            _emit(row, st, w)
+        return say_claim
 
 
 def compile_protocol(ast: ProtocolAst, cfg: WorldConfig) -> ProtocolKernel:
-    """Exact lowering: expand every flip and pick into rational path weights."""
+    """Exact lowering: expand every flip and pick into rational path weights.
+
+    The body is lowered to closures once (`_Lowering`); each support family
+    then runs that closure chain to build its row.
+    """
     pre_filter: QueryPredicate | None = None
     for p in ast.requires:
         q = pred_to_query(p, cfg)
         pre_filter = q if pre_filter is None else And(pre_filter, q)
 
-    empty_pick_families: list[tuple[Family, Pick]] = []
-    fell_through = False
-
-    def run(f, stmts, i, env, weight):
-        """Yield (outcome, weight) pairs; outcome is a Statement, _REJECT, or
-        _FALLTHROUGH (end of block reached; the caller decides what that means)."""
-        if i == len(stmts):
-            yield _FALLTHROUGH, weight
-            return
-        st = stmts[i]
-        match st:
-            case Say(expr=e):
-                yield _resolve_stmt(e, f, env, cfg), weight
-            case Reject():
-                yield _REJECT, weight
-            case Pick(var=v, where=w):
-                if w is None:
-                    matching = list(range(len(f)))
-                else:
-                    matching = [
-                        j for j in range(len(f))
-                        if _eval_pred(w, f, {**env, v: j}, cfg)
-                    ]
-                if not matching:
-                    empty_pick_families.append((f, st))
-                    yield _REJECT, weight
-                    return
-                share = weight / len(matching)
-                for j in matching:
-                    yield from run(f, stmts, i + 1, {**env, v: j}, share)
-            case If(pred=p, then=t, els=e):
-                branch = t if _eval_pred(p, f, env, cfg) else e
-                if branch is None:
-                    yield from run(f, stmts, i + 1, env, weight)
-                    return
-                for outcome, w in run(f, branch, 0, env, weight):
-                    if outcome is _FALLTHROUGH:
-                        yield from run(f, stmts, i + 1, env, w)
-                    else:
-                        yield outcome, w
-            case Flip(prob=p, then=t, els=e):
-                for branch, bw in ((t, weight * p), (e, weight * (1 - p))):
-                    if bw == 0:
-                        continue
-                    for outcome, w in run(f, branch, 0, env, bw):
-                        if outcome is _FALLTHROUGH:
-                            yield from run(f, stmts, i + 1, env, w)
-                        else:
-                            yield outcome, w
-
-    rows: dict[Family, dict[Statement, Fraction]] = {}
+    lowering = _Lowering(cfg)
+    body = lowering.block(ast.body, {}, lowering.fall_through)
+    env = [0] * lowering.slots
+    rows: dict[Family, Row] = {}
     for f in enumerate_families(cfg):
         if pre_filter is not None and not eval_query(pre_filter, f):
             continue
-        row: dict[Statement, Fraction] = {}
-        for outcome, w in run(f, ast.body, 0, {}, Fraction(1)):
-            if outcome is _FALLTHROUGH and w > 0:
-                fell_through = True
-            if outcome is _REJECT or outcome is _FALLTHROUGH or w == 0:
-                continue
-            row[outcome] = row.get(outcome, Fraction(0)) + w
+        row: Row = {}
+        body(f, env, _ONE, row)
         rows[f] = row
 
+    empty_pick_families = lowering.empty_picks
     if empty_pick_families:
         shown = ", ".join(family_str(f) for f, _ in empty_pick_families[:5])
         raise EmptyPick(
@@ -785,7 +868,7 @@ def compile_protocol(ast: ProtocolAst, cfg: WorldConfig) -> ProtocolKernel:
             families=[f for f, _ in empty_pick_families],
             span=empty_pick_families[0][1].span,
         )
-    if fell_through:
+    if lowering.fell_through:
         warnings.warn(
             f"procedure '{ast.name}': some execution paths end without "
             "say/reject; treating them as reject",
@@ -915,7 +998,7 @@ def parse_statement_text(text: str, cfg: WorldConfig) -> Statement:
         isinstance(expr.sex, VarSex) or isinstance(expr.day, VarDay)
     ):
         raise UnboundVariable("child variables are not available here")
-    return _resolve_stmt(expr, (), {}, cfg)
+    return _const_statement(expr, cfg)
 
 
 def parse_event_text(text: str, cfg: WorldConfig) -> QueryPredicate:

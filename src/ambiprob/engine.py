@@ -3,25 +3,32 @@
 A protocol is a per-family distribution over structured statements; weight not
 assigned to any statement is reject mass. Posteriors are exact Bayes quotients
 over the (pre-filter renormalized) uniform prior.
+
+Conditioning counts: under the uniform prior every support family weighs
+``1/|support|``, so `posterior`, `statement_mass` and `marginal` sum the
+emission weights exactly (grouped by denominator, in integers) and multiply by
+that weight once. No prior dict is built, and the case table comes out in
+`family_str` order because families are generated in that order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ZeroStatementMass
+from .errors import EmptySupport, ZeroStatementMass
 from .model import (
+    Child,
     Family,
     QueryPredicate,
     Sex,
     WorldConfig,
+    count_families,
     day_name,
     enumerate_families,
     eval_query,
     family_str,
-    restrict_prior,
-    uniform_prior,
 )
 
 
@@ -127,18 +134,13 @@ class ProtocolKernel:
             return fams
         return [f for f in fams if eval_query(self.pre_filter, f)]
 
-    def filtered_prior(self) -> dict[Family, Fraction]:
-        prior = uniform_prior(self.config)
-        if self.pre_filter is None:
-            return prior
-        return restrict_prior(prior, self.pre_filter)
-
 
 def validate_kernel(k: ProtocolKernel) -> list[str]:
     """Invariant check; returns one message per violation, empty iff valid."""
     violations = []
-    support = set(k.support())
-    for f in support:
+    in_order = k.support()
+    support = set(in_order)
+    for f in in_order:  # list order: the messages must not depend on hashing
         if f not in k.rows:
             violations.append(f"{family_str(f)}: no row for support family")
     for f, row in k.rows.items():
@@ -176,49 +178,101 @@ class PosteriorReport:
     case_table: tuple[CaseRow, ...] = field(repr=False)
 
 
-def statement_mass(k: ProtocolKernel, s: Statement) -> Fraction:
-    prior = k.filtered_prior()
-    return sum(
-        (w * k.rows.get(f, {}).get(s, Fraction(0)) for f, w in prior.items()),
-        Fraction(0),
+def _case_order(cfg: WorldConfig):
+    """All families in `family_str` order, generated without sorting.
+
+    `family_str` joins per-child keys ``<sex letter>@<day>`` with ``,``, which
+    sorts below every digit, so ordering each child by (sex letter, day as
+    text) and taking the product orders the joined strings too.
+    """
+    children = sorted(
+        (Child(sex, day) for sex in Sex for day in range(cfg.week_length)),
+        key=lambda c: (c.sex.value, str(c.day)),
     )
+    return itertools.product(children, repeat=cfg.family_size)
+
+
+def _support_size(k: ProtocolKernel) -> int:
+    if k.pre_filter is None:
+        return k.config.n_outcomes
+    size = count_families(k.config, k.pre_filter)
+    if size == 0:
+        raise EmptySupport("no family in the support satisfies the predicate")
+    return size
+
+
+def _add(acc: dict[int, int], w: Fraction) -> None:
+    """Add w to an exact sum kept as numerator totals per denominator."""
+    acc[w.denominator] = acc.get(w.denominator, 0) + w.numerator
+
+
+def _total(acc: dict[int, int]) -> Fraction:
+    return sum((Fraction(n, d) for d, n in acc.items()), Fraction(0))
+
+
+def statement_mass(k: ProtocolKernel, s: Statement) -> Fraction:
+    size = _support_size(k)
+    rows, pre = k.rows, k.pre_filter
+    acc: dict[int, int] = {}
+    for f in enumerate_families(k.config):
+        row = rows.get(f)
+        emission = row and row.get(s)
+        if emission and (pre is None or eval_query(pre, f)):
+            _add(acc, emission)
+    return _total(acc) / size
 
 
 def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorReport:
     """Exact Bayes quotient P(q | s emitted) with the full per-family case table."""
-    prior = k.filtered_prior()
-    rows = []
-    s_mass = Fraction(0)
-    joint = Fraction(0)
-    for f in sorted(prior, key=family_str):
-        w = prior[f]
-        emission = k.rows.get(f, {}).get(s, Fraction(0))
-        if emission == 0:
+    size = _support_size(k)
+    rows, pre = k.rows, k.pre_filter
+    cases = []
+    s_acc: dict[int, int] = {}
+    joint_acc: dict[int, int] = {}
+    for f in _case_order(k.config):
+        row = rows.get(f)
+        emission = row and row.get(s)
+        if not emission or (pre is not None and not eval_query(pre, f)):
             continue
         holds = eval_query(q, f)
-        rows.append(CaseRow(f, w, emission, holds))
-        s_mass += w * emission
+        cases.append((f, emission, holds))
+        _add(s_acc, emission)
         if holds:
-            joint += w * emission
+            _add(joint_acc, emission)
+    prior = Fraction(1, size)
+    s_mass = _total(s_acc) * prior
     if s_mass == 0:
         raise ZeroStatementMass(
             f"statement {s!r} is never emitted under this protocol"
         )
-    return PosteriorReport(s, s_mass, joint, joint / s_mass, tuple(rows))
+    joint = _total(joint_acc) * prior
+    table = tuple(CaseRow(f, prior, e, holds) for f, e, holds in cases)
+    return PosteriorReport(s, s_mass, joint, joint / s_mass, table)
 
 
 def marginal(k: ProtocolKernel) -> dict:
-    """Masses over every emitted statement plus a REJECT entry; sums to 1 exactly."""
-    prior = k.filtered_prior()
-    out: dict = {}
-    reject = Fraction(0)
-    for f, w in prior.items():
-        row = k.rows.get(f, {})
-        emitted = Fraction(0)
-        for s, ew in row.items():
+    """Masses over every emitted statement plus a REJECT entry; sums to 1 exactly.
+
+    Statements appear in order of first emission over `enumerate_families`.
+    """
+    rows, pre = k.rows, k.pre_filter
+    size = 0
+    accs: dict = {}
+    emitted: dict[int, int] = {}
+    for f in enumerate_families(k.config):
+        if pre is not None and not eval_query(pre, f):
+            continue
+        size += 1
+        for s, ew in rows.get(f, {}).items():
             if ew > 0:
-                out[s] = out.get(s, Fraction(0)) + w * ew
-                emitted += ew
-        reject += w * (1 - emitted)
-    out[REJECT] = reject
+                acc = accs.get(s)
+                if acc is None:
+                    acc = accs[s] = {}
+                _add(acc, ew)
+                _add(emitted, ew)
+    if size == 0:
+        raise EmptySupport("no family in the support satisfies the predicate")
+    prior = Fraction(1, size)
+    out: dict = {s: _total(acc) * prior for s, acc in accs.items()}
+    out[REJECT] = (size - _total(emitted)) * prior
     return out

@@ -65,29 +65,27 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
         dtype=bool,
     )
     event = np.array([eval_query(q, f) for f in fams], dtype=bool)
+    rows = [k.rows.get(f, {}) for f in fams]
 
     earlier: set[Statement] = set()  # statements ordered before the target
-    for st in (st for f in fams for st in k.rows.get(f, {})):
+    for st in (st for row in rows for st in row):
         if st == s:
             break
         earlier.add(st)
     else:
         raise DegenerateProtocol(f"statement {s!r} is never emitted (zero mass)")
 
-    denom = 1
-    for f in fams:
-        for w in k.rows.get(f, {}).values():
-            denom = math.lcm(denom, w.denominator)
+    denom = math.lcm(*{w.denominator for row in rows for w in row.values()})
     if denom > np.iinfo(np.int64).max:
         raise OverflowError(f"common denominator {denom} does not fit in int64")
 
     lo = np.zeros(len(fams), dtype=np.int64)
     hi = np.zeros(len(fams), dtype=np.int64)
     tot = np.zeros(len(fams), dtype=np.int64)
-    for fi, f in enumerate(fams):
+    for fi, row in enumerate(rows):
         before = target = total = 0
-        for st, w in k.rows.get(f, {}).items():
-            mass = int(w * denom)
+        for st, w in row.items():
+            mass = w.numerator * (denom // w.denominator)
             total += mass
             if st in earlier:
                 before += mass

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EmptySupport
 
@@ -21,9 +22,14 @@ class Sex(Enum):
     BOY = "B"
     GIRL = "G"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality and much cheaper than Enum's name hash.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class Child:
+
+class Child(NamedTuple):
+    """A tuple, so families hash and compare in C; equal to ``(sex, day)``."""
+
     sex: Sex
     day: int  # 0-based day-of-week index; 0=Monday when week_length == 7
 

@@ -142,6 +142,43 @@ def test_flip_probability_out_of_range_exits_4(command, tmp_path, capsys):
     assert "2:3: flip probability 3/2 outside [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "gn-dn", "--week-days", "100000"),
+    ("eval", os.path.join(PROC_DIR, "gn_dn.proc"), "--say", "yes", "--event", "all(boy)",
+     "--children", "12"),
+    ("mc", "gn-dn", "--children", "1000000000"),
+])
+def test_outcome_space_budget_exits_2(argv, capsys):
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text == ""
+    assert "exceeds 2,000,000 families" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d, n, admitted", [
+    (365, 2, True), (7, 5, True), (1_000_000, 1, True), (1_000_001, 1, False), (7, 6, False),
+])
+def test_outcome_space_budget_boundary(d, n, admitted):
+    from argparse import Namespace
+
+    from ambiprob.cli import CliError, _world
+
+    args = Namespace(week_days=d, children=n)
+    if admitted:
+        assert _world(args).n_outcomes <= 2_000_000
+    else:
+        with pytest.raises(CliError):
+            _world(args)
+
+
+def test_day_out_of_range_exits_4_with_span(tmp_path, capsys):
+    proc = tmp_path / "p.proc"
+    proc.write_text("procedure p {\n  if all(girl) { say claim(boy, d40); } else { say yes; }\n}\n")
+    code, _ = run_cli("eval", str(proc), "--say", "yes", "--event", "all(boy)")
+    assert code == 4
+    assert "2:33: day 40 out of range for d=7" in capsys.readouterr().err
+
+
 def test_sweep():
     code, text = run_cli("sweep", "1", "30")
     assert code == 0

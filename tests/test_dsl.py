@@ -8,6 +8,7 @@ import pytest
 from ambiprob.dsl import (
     DslWarning,
     compile_protocol,
+    load_protocol,
     parse,
     parse_event_text,
     parse_statement_text,
@@ -110,6 +111,51 @@ def test_variable_scope_does_not_escape_block():
     """
     with pytest.raises(UnboundVariable):
         parse(src)
+
+
+def test_unbound_variable_in_if_carries_span():
+    with pytest.raises(UnboundVariable) as info:
+        parse("procedure p {\n  if sex(c) = boy { say yes; } else { say no; }\n}")
+    assert "2:3: variable 'c' is not bound by a pick" in str(info.value)
+    assert (info.value.span.line, info.value.span.column) == (2, 3)
+
+
+def test_day_out_of_range_carries_span():
+    ast = parse("procedure p {\n  require exists(boy, d40);\n  say yes;\n}")
+    with pytest.raises(DslSyntaxError) as info:
+        compile_protocol(ast, CFG)
+    assert "2:23: day 40 out of range for d=7" in str(info.value)
+
+
+def test_named_day_on_other_week_carries_span():
+    ast = parse("procedure p {\n  pick c;\n  say claim(sex(c), tue);\n}")
+    with pytest.raises(DslSyntaxError) as info:
+        compile_protocol(ast, WorldConfig(3, 2))
+    assert (info.value.span.line, info.value.span.column) == (3, 21)
+    assert "named day 'tue' requires a 7-day week" in str(info.value)
+
+
+def test_bad_day_in_unreached_branch_is_an_error():
+    # every day literal is resolved while lowering, reached or not
+    ast = parse("procedure p { if count(boy) > 5 { say claim(boy, d40); } else { say yes; } }")
+    with pytest.raises(DslSyntaxError, match="day 40 out of range"):
+        compile_protocol(ast, CFG)
+
+
+def test_inner_pick_does_not_clobber_outer_variable():
+    src = """
+    procedure p {
+      pick c;
+      if exists(girl) {
+        pick c where sex(c)=girl;
+        if sex(c)=boy { reject; }
+      }
+      say claim(sex(c), day(c));
+    }
+    """
+    cfg = WorldConfig(2, 2)
+    gn_dn = load_protocol(os.path.join(PROC_DIR, "gn_dn.proc"), cfg)
+    assert compile_protocol(parse(src), cfg).rows == gn_dn.rows
 
 
 def test_require_must_come_first():

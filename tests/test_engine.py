@@ -9,19 +9,22 @@ from ambiprob.engine import (
     REJECT,
     Text,
     YesNo,
+    _case_order,
     marginal,
     posterior,
     statement_mass,
     validate_kernel,
 )
-from ambiprob.errors import ZeroStatementMass
+from ambiprob.errors import EmptySupport, ZeroStatementMass
 from ambiprob.model import (
     AllMatch,
+    And,
     Child,
     Exists,
     Sex,
     WorldConfig,
     enumerate_families,
+    family_str,
 )
 from ambiprob.scenarios import bc_dn, bc_tc, brag, classic_coinflip, deemphasize, gn_dn, gn_tc, yesno_question
 
@@ -181,3 +184,19 @@ def test_pre_filter_constant_statement_reduces_to_counting():
     k = ProtocolKernel(CFG, rows, pre_filter=pre)
     rep = posterior(k, Text("spoken"), AllMatch(sex=Sex.BOY))
     assert rep.posterior == Fraction(49, 147) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (7, 2), (11, 2), (100, 2), (12, 3), (7, 4)])
+def test_case_order_is_family_str_order(d, n):
+    cfg = WorldConfig(d, n)
+    assert list(_case_order(cfg)) == sorted(enumerate_families(cfg), key=family_str)
+
+
+def test_empty_support_is_undefined():
+    nobody = And(Exists(Sex.BOY), AllMatch(sex=Sex.GIRL))
+    k = ProtocolKernel(CFG, {}, pre_filter=nobody)
+    for condition in (lambda: posterior(k, YesNo(True), Exists(Sex.BOY)),
+                      lambda: statement_mass(k, YesNo(True)),
+                      lambda: marginal(k)):
+        with pytest.raises(EmptySupport):
+            condition()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ambiprob.engine import (
     AtLeastOne,
+    CaseRow,
     Claim,
     ProtocolKernel,
     REJECT,
@@ -24,6 +25,8 @@ from ambiprob.model import (
     WorldConfig,
     count_families,
     enumerate_families,
+    eval_query,
+    family_str,
     restrict_prior,
     uniform_prior,
 )
@@ -134,3 +137,48 @@ def test_restrict_prior_idempotent(cfg, q):
 def test_count_complement_property(cfg, q):
     total = cfg.n_outcomes
     assert count_families(cfg, q) + count_families(cfg, Not(q)) == total
+
+
+def _reference(k, s, q):
+    """Conditioning over an explicit Fraction prior: the loop the engine's
+    counting replaced, kept as the reference."""
+    prior = uniform_prior(k.config)
+    if k.pre_filter is not None:
+        prior = restrict_prior(prior, k.pre_filter)
+    cases, s_mass, joint = [], Fraction(0), Fraction(0)
+    for f in sorted(prior, key=family_str):
+        emission = k.rows.get(f, {}).get(s, Fraction(0))
+        if emission != 0:
+            cases.append(CaseRow(f, prior[f], emission, eval_query(q, f)))
+            s_mass += prior[f] * emission
+            joint += prior[f] * emission if cases[-1].event else 0
+    out, reject = {}, Fraction(0)
+    for f, w in prior.items():
+        emitted = Fraction(0)
+        for st_, ew in k.rows.get(f, {}).items():
+            if ew > 0:
+                out[st_] = out.get(st_, Fraction(0)) + w * ew
+                emitted += ew
+        reject += w * (1 - emitted)
+    out[REJECT] = reject
+    return s_mass, joint, tuple(cases), out
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernels(), st.sampled_from([None, Exists(Sex.BOY), Not(AllMatch(sex=Sex.BOY))]), queries,
+       st.randoms(use_true_random=False))
+def test_counting_matches_explicit_prior(k, pre, q, rnd):
+    # rows for every family, also those the pre-filter sends home
+    k = ProtocolKernel(k.config, k.rows, pre_filter=pre)
+    stmts = emitted_statements(k)
+    if not stmts:
+        return
+    s = rnd.choice(stmts)
+    s_mass, joint, cases, out = _reference(k, s, q)
+    assert list(marginal(k).items()) == list(out.items())
+    assert statement_mass(k, s) == s_mass
+    if s_mass == 0:
+        return
+    rep = posterior(k, s, q)
+    assert (rep.statement_mass, rep.joint_mass, rep.case_table) == (s_mass, joint, cases)
+    assert rep.posterior == joint / s_mass
