@@ -6,6 +6,12 @@ files before lowering to closures, and with conditioning over an explicit
 the per-row statement order of every compiled kernel (the Monte Carlo's
 `lo`/`hi` thresholds depend on it) and the key order of `marginal`.
 
+The `builtin:` digests were recorded from the hand-built kernels that
+`scenarios.py` held before the builtins were compiled from their `.proc`
+files. Each pins the ordered rows and the `pre_filter` of one builtin at one
+week length, for every target day in {0, 1 % d, d - 1} and every p in
+`BUILTIN_PS`.
+
 To see what changed after a failure, print `_outputs()` on both trees and diff.
 """
 
@@ -13,6 +19,7 @@ import hashlib
 import io
 import os
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +34,8 @@ PROC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ambiprob", "pro
 SIZES = (1, 2, 3)
 WEEKS = (1, 7, 12)
 EVENT = "all(boy)"
+BUILTIN_WEEKS = (1, 2, 7, 30)
+BUILTIN_PS = (Fraction(0), Fraction(1, 12), Fraction(13, 27), Fraction(1))
 
 
 def _statements(proc: str, d: int) -> tuple[str, str]:
@@ -62,6 +71,13 @@ def _marginal_text(kernel, cfg) -> str:
     ])
 
 
+def _rows_text(kernel, cfg) -> str:
+    return repr([
+        (family_str(f), [(render_statement(s, cfg), str(w)) for s, w in row.items()])
+        for f, row in kernel.rows.items()
+    ])
+
+
 def _kernel_texts(path: str, cfg: WorldConfig) -> tuple[str, str]:
     try:
         with warnings.catch_warnings():
@@ -69,11 +85,19 @@ def _kernel_texts(path: str, cfg: WorldConfig) -> tuple[str, str]:
             kernel = load_protocol(path, cfg)
     except AmbiprobError as exc:
         return type(exc).__name__, type(exc).__name__
-    rows = repr([
-        (family_str(f), [(render_statement(s, cfg), str(w)) for s, w in row.items()])
-        for f, row in kernel.rows.items()
-    ])
-    return rows, _marginal_text(kernel, cfg)
+    return _rows_text(kernel, cfg), _marginal_text(kernel, cfg)
+
+
+def _builtin_text(sid: str, d: int) -> str:
+    """Ordered rows and pre-filter of builtin `sid` for every target day and p."""
+    cfg = WorldConfig(d, 2)
+    parts = []
+    for day in sorted({0, 1 % d, d - 1}):
+        for p in BUILTIN_PS:
+            kernel = build_scenario(sid, cfg, day=day, p=p).kernel
+            parts.append(f"day={day} p={p} pre_filter={kernel.pre_filter!r}\n")
+            parts.append(_rows_text(kernel, cfg) + "\n")
+    return "".join(parts)
 
 
 def _outputs() -> dict[str, str]:
@@ -101,6 +125,8 @@ def _outputs() -> dict[str, str]:
             out[f"marginal:{sid}:d{d}"] = _marginal_text(
                 build_scenario(sid, cfg, day=1).kernel, cfg
             )
+        for d in BUILTIN_WEEKS:
+            out[f"builtin:{sid}:d{d}"] = _builtin_text(sid, d)
     return out
 
 
@@ -109,6 +135,86 @@ def _digest(text: str) -> str:
 
 
 GOLDEN = {
+    "builtin:any-answer:d1":
+        "91226fb71c9a60af3e873b69d68768c2299d483d1655fb03a30865fcea158a72",
+    "builtin:any-answer:d2":
+        "a98d68af94bd5d640114df6f3898f37f06917a313d796bc76bcfb9d5d9778182",
+    "builtin:any-answer:d30":
+        "3bbf512e2c8217550a3c935f8a78577613de033cedb71a53ae13bbf8c49d4561",
+    "builtin:any-answer:d7":
+        "dd865ac092db61efb0595f8ec6d46145d104d1d1f51ada3b79000d340f01c65b",
+    "builtin:bc-dn:d1":
+        "7f82c7ad87700771a78f407eadfbcf55d506ac3d2e443ddee119eea03bafedfc",
+    "builtin:bc-dn:d2":
+        "6f3cca0e426aca7bb55551f942b6eb353026cc58f78fa75ff4bf171d95e5a658",
+    "builtin:bc-dn:d30":
+        "be961c0d7088013fbfb3d13ada139cbd59b0025ef606f580abf9e17f3db0bbd7",
+    "builtin:bc-dn:d7":
+        "c8cdae66bb5e5e90477c1dd27282b524402231dc08384a08678e8298dc9bb2a5",
+    "builtin:bc-tc:d1":
+        "99465a4c3c8ed7ff3cf66f82c4c560fd789f47051e5455b0f10e3fa84ba6c522",
+    "builtin:bc-tc:d2":
+        "a63369efdb0491c1933603b01ee22da9fc075400d9a4fbe6a0ef226676918444",
+    "builtin:bc-tc:d30":
+        "fa529bf3da83c81c0bcc3de67b9f3c3489d8f37ffacdf1f514ba5c4a8a3c40f5",
+    "builtin:bc-tc:d7":
+        "65b9800319ef29a84a1a9c5fe55af228abfcb3f3d039dd2b7019fce209bbf209",
+    "builtin:brag:d1":
+        "94338b24cf5924d1423441186c9b04c6031e01cb6e9f862c1714b29e47224b23",
+    "builtin:brag:d2":
+        "e01aae4e3b685265d68e0a3b0141ab7eea3954ffd6226cfaf9977311730ed730",
+    "builtin:brag:d30":
+        "3f7b9cdc243dd5423703678a4c877899d9095cc07e653d132eb08d794fb62ef5",
+    "builtin:brag:d7":
+        "8d157bfa1229e1bb2ba6c127106cbb5b2df6fb8416662b16b2f2596f4a090fea",
+    "builtin:classic-coinflip:d1":
+        "8e4a77552b47c24b5a00763b70ff39b12620d6fa75feaeac23ceb2126dfca048",
+    "builtin:classic-coinflip:d2":
+        "fe4d322416b89dd79a60b3acc2b68ce6ef35a1d9a97c5ad96e9fa8d6ef5d0d58",
+    "builtin:classic-coinflip:d30":
+        "4328004b684ff21611efe0eff4dea1a850fe51032e510b1c05e75dfce69843d9",
+    "builtin:classic-coinflip:d7":
+        "a89a4dfea1147fa173a31e5472717a280a15ac7dcca78c618bf55a9d5855c096",
+    "builtin:classic-selection:d1":
+        "2e41b72f4d9e86386d43b58ea434de7ac47c2c6f6396dc7b9bb68d30111c1601",
+    "builtin:classic-selection:d2":
+        "7d2414fe5af572e76d65c5e19c15f6612475396b5ac0db1ef4dd51a82b3e9639",
+    "builtin:classic-selection:d30":
+        "8d291170a3622acaa1948724db254cefd4f17e76d2d2b3ba0bb0f658515f5c3e",
+    "builtin:classic-selection:d7":
+        "43fa9a47160709b72a5d3f64e8848278699e92c12817e184e8514436207914e1",
+    "builtin:deemphasize:d1":
+        "4466630ed14aefb272eaca5b6ef1b2b53e563105cc73884e1535dd262501a876",
+    "builtin:deemphasize:d2":
+        "69c737fd1e71a661eadf65ebe050a7a3fd6e9d4e9ab17d52f2e97d7a3ba6ab72",
+    "builtin:deemphasize:d30":
+        "d4e854f93790bd663c7dde046c1848a049ee37f2910c61b1d7c155d317b156d2",
+    "builtin:deemphasize:d7":
+        "3ba32a0ebc4028f77532b4ed51f5253519b0be97bf0b4251a82e0854bb5774c6",
+    "builtin:gn-dn:d1":
+        "c649abb63e4271c87e3016ea6c9a5b839cc8f9ea9ed24d7fc785237ca40b4052",
+    "builtin:gn-dn:d2":
+        "13e198a9aac526fbc38a1fe78ab8c56fb9ed4f944e01fa726032332dd4d5049e",
+    "builtin:gn-dn:d30":
+        "d884c54f90a5c1ce33338d238753af081c895546522225d809405c8379e9abbd",
+    "builtin:gn-dn:d7":
+        "c5182ee46af7c47ff484a810e2a12df674b99234698a64efde60365cecb9a8e0",
+    "builtin:gn-tc:d1":
+        "9decd67a45161643a56192a87adcd9546c47e16c37c4d46934e3faa1f1f368e0",
+    "builtin:gn-tc:d2":
+        "b654182bbe0952ac830044d1b1eb4a7d62e3b2cf5fb3ea0caa2064a18e1ef781",
+    "builtin:gn-tc:d30":
+        "798953cbd5727ef162539dfb62885ec18629091f76542ec1347793f92fa708e3",
+    "builtin:gn-tc:d7":
+        "328733abe866037fcdb5634a21b0cb7f29445b4576aaac3706d5b0b866943ac4",
+    "builtin:yesno:d1":
+        "e53ce709785a8068c8e583f00356d90922b6e63ca4961532dae682ed78be5639",
+    "builtin:yesno:d2":
+        "415fbaa0af6e9b5d5a0227ec1007db61c28f9a965886d43f0e2e7a112a336260",
+    "builtin:yesno:d30":
+        "aacdcd0a09129d8eaa092cf538f108ed3ab822b1aced6341af9155c719e2fd2a",
+    "builtin:yesno:d7":
+        "c6ab1230130c6374b2a4206fb518c35c322f4b691d766c45753526df4755887d",
     "eval:any_answer:n1:d1":
         "f446505d529b735a482e892579e9618bba4bb8caee53a8592fdec1ef741e8b18",
     "eval:any_answer:n1:d12":
@@ -721,7 +827,7 @@ def test_golden_keys_cover_every_case(digests):
     assert sorted(digests) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("kind", ["eval", "run", "kernel", "marginal"])
+@pytest.mark.parametrize("kind", ["eval", "run", "kernel", "marginal", "builtin"])
 def test_golden_digests(digests, kind):
     changed = [
         key for key in GOLDEN
