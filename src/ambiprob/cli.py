@@ -35,9 +35,18 @@ EXIT_DSL = 4
 EXIT_MC_FAIL = 5
 EXIT_DEGENERATE = 6
 
-# Largest (2d)^n that run/eval/mc enumerate: gn-dn at d=365 (532,900 families)
-# and n=5 at d=7 (537,824) fit, with room to spare.
+# Largest (2d)^n that run/eval/mc/sweep enumerate: gn-dn at d=365 (532,900
+# families) and n=5 at d=7 (537,824) fit, with room to spare.
 MAX_FAMILIES = 2_000_000
+
+# Library errors the CLI reports as an exit code; the first match wins.
+EXIT_CODES = {
+    ZeroStatementMass: EXIT_UNDEFINED,
+    EmptySupport: EXIT_UNDEFINED,
+    DslError: EXIT_DSL,
+    DegenerateProtocol: EXIT_DEGENERATE,
+    FileNotFoundError: EXIT_USAGE,
+}
 
 
 class CliError(Exception):
@@ -140,20 +149,25 @@ def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
         out.write(f"posterior = {_frac_str(rep.posterior, args.decimal)}\n")
 
 
+def _check_outcome_space(d: int, n: int, remedy: str) -> None:
+    """Exit 2 before enumerating when (2d)^n exceeds MAX_FAMILIES."""
+    families = 1
+    for _ in range(n):  # stops early, so huge n costs nothing
+        families *= 2 * d
+        if families > MAX_FAMILIES:
+            raise CliError(
+                f"the outcome space (2d)^n = ({2 * d})^{n} "
+                f"exceeds {MAX_FAMILIES:,} families; {remedy}",
+                EXIT_USAGE,
+            )
+
+
 def _world(args) -> WorldConfig:
     try:
         cfg = WorldConfig(week_length=args.week_days, family_size=args.children)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    families = 1
-    for _ in range(cfg.family_size):  # stops early, so huge n costs nothing
-        families *= 2 * cfg.week_length
-        if families > MAX_FAMILIES:
-            raise CliError(
-                f"the outcome space (2d)^n = ({2 * cfg.week_length})^{cfg.family_size} "
-                f"exceeds {MAX_FAMILIES:,} families; lower --week-days or --children",
-                EXIT_USAGE,
-            )
+    _check_outcome_space(cfg.week_length, cfg.family_size, "lower --week-days or --children")
     return cfg
 
 
@@ -259,6 +273,7 @@ def cmd_mc(args, out):
 def cmd_sweep(args, out):
     if not 1 <= args.d_min <= args.d_max:
         raise CliError("need 1 <= d_min <= d_max", EXIT_USAGE)
+    _check_outcome_space(args.d_max, 2, "lower d_max")
     rows = []
     all_match = True
     for d, exact in week_sweep(range(args.d_min, args.d_max + 1)):
@@ -331,21 +346,11 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except CliError as exc:
+    except (CliError, *EXIT_CODES) as exc:
         print(f"ambiprob: {exc}", file=sys.stderr)
-        return exc.code
-    except (ZeroStatementMass, EmptySupport) as exc:
-        print(f"ambiprob: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
-    except DslError as exc:
-        print(f"ambiprob: {exc}", file=sys.stderr)
-        return EXIT_DSL
-    except DegenerateProtocol as exc:
-        print(f"ambiprob: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except FileNotFoundError as exc:
-        print(f"ambiprob: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, CliError):
+            return exc.code
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

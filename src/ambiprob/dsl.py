@@ -2,7 +2,7 @@
 
 Grammar (informally)::
 
-    procedure NAME {
+    procedure NAME [(day D = tue, prob P = 1/3, ...)] {
       require <pred>;            # optional, leading only; lowered to pre-filter
       if <pred> { ... } else { ... }
       pick VAR [where sex(VAR)=boy | day(VAR)=tue];
@@ -11,6 +11,10 @@ Grammar (informally)::
           | proudof(girl) | yes | no | text("...");
       reject;
     }
+
+Parameters are typed and carry a default. A `day` parameter may stand wherever
+a day literal may, a `prob` parameter wherever a flip probability may.
+`compile_protocol` binds the values it is given and the defaults for the rest.
 
 Compilation is exact: every flip branch and uniform pick is expanded
 symbolically into rational path weights; nothing is sampled. A path that falls
@@ -27,9 +31,10 @@ from __future__ import annotations
 
 import re
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import model
 from .engine import (
@@ -43,7 +48,13 @@ from .engine import (
     TwoOfAKind,
     YesNo,
 )
-from .errors import DslSyntaxError, EmptyPick, InvalidFlipProbability, UnboundVariable
+from .errors import (
+    DayOutOfRange,
+    DslSyntaxError,
+    EmptyPick,
+    InvalidFlipProbability,
+    UnboundVariable,
+)
 from .model import (
     AllMatch,
     And,
@@ -87,9 +98,20 @@ class DayLit:
 
 
 @dataclass(frozen=True)
+class ParamRef:
+    """A use of a procedure parameter, as a day or as a flip probability."""
+
+    name: str
+    span: SourceSpan | None = field(default=None, compare=False)
+
+
+Day = DayLit | ParamRef
+
+
+@dataclass(frozen=True)
 class PExists:
     sex: Sex | None = None
-    day: DayLit | None = None
+    day: Day | None = None
 
 
 @dataclass(frozen=True)
@@ -102,7 +124,7 @@ class PCount:
 @dataclass(frozen=True)
 class PAll:
     sex: Sex | None = None
-    day: DayLit | None = None
+    day: Day | None = None
 
 
 @dataclass(frozen=True)
@@ -110,7 +132,7 @@ class PChildTest:
     var: str
     kind: str  # "sex" or "day"
     sex: Sex | None = None
-    day: DayLit | None = None
+    day: Day | None = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +166,7 @@ class VarDay:
 
 
 SexArg = Sex | VarSex
-DayArg = DayLit | VarDay
+DayArg = Day | VarDay
 
 
 @dataclass(frozen=True)
@@ -198,7 +220,7 @@ class Pick:
 
 @dataclass(frozen=True)
 class Flip:
-    prob: Fraction
+    prob: Fraction | ParamRef
     then: tuple["Stmt", ...]
     els: tuple["Stmt", ...]
 
@@ -218,10 +240,21 @@ Stmt = If | Pick | Flip | Say | Reject
 
 
 @dataclass(frozen=True)
+class Param:
+    """A typed parameter with its default: `day D = tue` or `prob P = 1/3`."""
+
+    kind: str  # "day" or "prob"
+    name: str
+    default: DayLit | Fraction
+    span: SourceSpan | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
 class ProtocolAst:
     name: str
     requires: tuple[Pred, ...]
     body: tuple[Stmt, ...]
+    params: tuple[Param, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +313,17 @@ def tokenize(source: str) -> list[Token]:
 _SEXES = {"boy": Sex.BOY, "girl": Sex.GIRL}
 
 
+def _check_probability(p: Fraction, what: str, span: SourceSpan | None) -> Fraction:
+    if not 0 <= p <= 1:
+        raise InvalidFlipProbability(f"{what} {p} outside [0, 1]", span)
+    return p
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.params: dict[str, Param] = {}
 
     @property
     def cur(self) -> Token:
@@ -321,6 +361,11 @@ class _Parser:
     def protocol(self) -> ProtocolAst:
         self.expect("procedure")
         name = self.expect_ident("procedure name").text
+        if self.accept("("):
+            self.param()
+            while self.accept(","):
+                self.param()
+            self.expect(")")
         self.expect("{")
         requires = []
         while self.cur.text == "require":
@@ -338,7 +383,34 @@ class _Parser:
         self.expect("}")
         if self.cur.kind != "eof":
             self.fail("end of input")
-        return ProtocolAst(name, tuple(requires), tuple(body))
+        return ProtocolAst(name, tuple(requires), tuple(body), tuple(self.params.values()))
+
+    def param(self) -> None:
+        tok = self.cur
+        if tok.text not in ("day", "prob"):
+            self.fail("a parameter kind ('day' or 'prob')")
+        kind = self.advance().text
+        name = self.expect_ident("parameter name")
+        if name.text in self.params:
+            raise DslSyntaxError(f"duplicate parameter '{name.text}'", name.span)
+        if name.text in (*_SEXES, *DAY_BY_NAME, "sex", "day") or re.fullmatch(r"d\d+", name.text):
+            raise DslSyntaxError(f"'{name.text}' cannot name a parameter", name.span)
+        self.expect("=")
+        at = self.cur
+        if kind == "day":
+            default = self.try_day()
+            if not isinstance(default, DayLit):
+                raise DslSyntaxError("a day parameter's default must be a day literal", at.span)
+        else:
+            default = _check_probability(self.rational(), "probability", at.span)
+        self.params[name.text] = Param(kind, name.text, default, span=tok.span)
+
+    def param_ref(self, kind: str) -> ParamRef:
+        tok = self.advance()
+        declared = self.params[tok.text].kind
+        if declared != kind:
+            raise DslSyntaxError(f"parameter '{tok.text}' is a {declared}, not a {kind}", tok.span)
+        return ParamRef(tok.text, span=tok.span)
 
     def block(self) -> tuple[Stmt, ...]:
         self.expect("{")
@@ -366,9 +438,10 @@ class _Parser:
             return Pick(var, where, span=tok.span)
         if tok.text == "flip":
             self.advance()
-            prob = self.rational()
-            if not 0 <= prob <= 1:
-                raise InvalidFlipProbability(f"flip probability {prob} outside [0, 1]", tok.span)
+            if self.cur.text in self.params:
+                prob = self.param_ref("prob")
+            else:
+                prob = _check_probability(self.rational(), "flip probability", tok.span)
             then = self.block()
             self.expect("else")
             els = self.block()
@@ -400,7 +473,7 @@ class _Parser:
             raise DslSyntaxError("zero denominator", span)
         return Fraction(num, den)
 
-    def sex_or_day(self) -> tuple[Sex | None, DayLit | None]:
+    def sex_or_day(self) -> tuple[Sex | None, Day | None]:
         tok = self.cur
         if tok.kind == "ident" and tok.text in _SEXES:
             self.advance()
@@ -410,10 +483,12 @@ class _Parser:
             return None, day
         self.fail("'boy', 'girl', or a day")
 
-    def try_day(self) -> DayLit | None:
+    def try_day(self) -> Day | None:
         tok = self.cur
         if tok.kind != "ident":
             return None
+        if tok.text in self.params:
+            return self.param_ref("day")
         if tok.text in DAY_BY_NAME:
             self.advance()
             return DayLit(DAY_BY_NAME[tok.text], named=True, span=tok.span)
@@ -623,7 +698,14 @@ def _child_tests(p: Pred):
 # Compiler
 # ---------------------------------------------------------------------------
 
-def _day_value(day: DayLit, cfg: WorldConfig) -> int:
+# Bound parameters: a day index for each `day`, a Fraction for each `prob`.
+Bound = Mapping[str, int | Fraction]
+_UNBOUND: Bound = MappingProxyType({})
+
+
+def _day_value(day: Day, cfg: WorldConfig, bound: Bound) -> int:
+    if isinstance(day, ParamRef):
+        return bound[day.name]
     if day.named and cfg.week_length != 7:
         raise DslSyntaxError(
             f"named day '{model.DAY_NAMES[day.value]}' requires a 7-day week; "
@@ -635,13 +717,13 @@ def _day_value(day: DayLit, cfg: WorldConfig) -> int:
     return day.value
 
 
-def pred_to_query(p: Pred, cfg: WorldConfig) -> QueryPredicate:
+def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND) -> QueryPredicate:
     """Lower a variable-free DSL predicate to an engine event predicate."""
     match p:
         case PExists(sex=s, day=d):
-            return Exists(s, None if d is None else _day_value(d, cfg))
+            return Exists(s, None if d is None else _day_value(d, cfg, bound))
         case PAll(sex=s, day=d):
-            return AllMatch(s, None if d is None else _day_value(d, cfg))
+            return AllMatch(s, None if d is None else _day_value(d, cfg, bound))
         case PCount(sex=s, op=op, n=n):
             match op:
                 case ">=":
@@ -655,21 +737,21 @@ def pred_to_query(p: Pred, cfg: WorldConfig) -> QueryPredicate:
                 case "=":
                     return And(CountAtLeast(n, s), Not(CountAtLeast(n + 1, s)))
         case PAnd(left=a, right=b):
-            return And(pred_to_query(a, cfg), pred_to_query(b, cfg))
+            return And(pred_to_query(a, cfg, bound), pred_to_query(b, cfg, bound))
         case POr(left=a, right=b):
-            return model.Or(pred_to_query(a, cfg), pred_to_query(b, cfg))
+            return model.Or(pred_to_query(a, cfg, bound), pred_to_query(b, cfg, bound))
         case PNot(inner=i):
-            return Not(pred_to_query(i, cfg))
+            return Not(pred_to_query(i, cfg, bound))
         case PChildTest():
             raise UnboundVariable("child-variable tests need a bound pick variable")
     raise TypeError(f"not a predicate: {p!r}")
 
 
-def _const_statement(expr: StmtExpr, cfg: WorldConfig) -> Statement:
+def _const_statement(expr: StmtExpr, cfg: WorldConfig, bound: Bound) -> Statement:
     """The statement a `say` without child variables always makes."""
     match expr:
         case EClaim(sex=s, day=d):
-            return Claim(s, None if d is None else _day_value(d, cfg))
+            return Claim(s, None if d is None else _day_value(d, cfg, bound))
         case EAtLeastOne(sex=s):
             return AtLeastOne(s)
         case ETwoOfAKind(sex=s):
@@ -716,8 +798,9 @@ class _Lowering:
     fixes the order of the statements in each row.
     """
 
-    def __init__(self, cfg: WorldConfig):
+    def __init__(self, cfg: WorldConfig, bound: Bound):
         self.cfg = cfg
+        self.bound = bound
         self.slots = 0
         self.empty_picks: list[tuple[Family, Pick]] = []
         self.fell_through = False
@@ -726,6 +809,9 @@ class _Lowering:
 
     def fall_through(self, f, env, w, row) -> None:
         self.fell_through = True
+
+    def day(self, day: Day) -> int:
+        return _day_value(day, self.cfg, self.bound)
 
     def block(self, stmts: tuple[Stmt, ...], scope: dict[str, int], after: _Step) -> _Step:
         """Lower a block; `after` runs for paths that reach its end."""
@@ -760,6 +846,8 @@ class _Lowering:
                     (then if test(f, env) else els)(f, env, w, row)
                 return branch
             case Flip(prob=p, then=t, els=e):
+                if isinstance(p, ParamRef):
+                    p = self.bound[p.name]
                 q = 1 - p
                 then = self.block(t, scope, nxt)
                 els = self.block(e, scope, nxt)
@@ -792,13 +880,13 @@ class _Lowering:
         if p.kind == "sex":
             sex = p.sex
             return lambda c: c.sex is sex
-        day = _day_value(p.day, self.cfg)
+        day = self.day(p.day)
         return lambda c: c.day == day
 
     def pred(self, p: Pred, scope: dict[str, int]) -> Callable[[Family, list[int]], bool]:
         """A test of (family, env); variable-free parts are lowered to queries."""
         if next(_child_tests(p), None) is None:
-            q = pred_to_query(p, self.cfg)
+            q = pred_to_query(p, self.cfg, self.bound)
             return lambda f, env: eval_query(q, f)
         match p:
             case PChildTest(var=v):
@@ -818,13 +906,13 @@ class _Lowering:
 
     def say(self, e: StmtExpr, scope: dict[str, int]) -> _Step:
         if not (isinstance(e, EClaim) and (isinstance(e.sex, VarSex) or isinstance(e.day, VarDay))):
-            st = _const_statement(e, self.cfg)
+            st = _const_statement(e, self.cfg, self.bound)
             return lambda f, env, w, row: _emit(row, st, w)
         sex, day = e.sex, e.day
         sex_slot = scope[sex.var] if isinstance(sex, VarSex) else None
         day_slot = scope[day.var] if isinstance(day, VarDay) else None
-        if isinstance(day, DayLit):
-            day = _day_value(day, self.cfg)
+        if day is not None and day_slot is None:
+            day = self.day(day)
         claims: dict[tuple, Claim] = {}
 
         def say_claim(f, env, w, row):
@@ -837,18 +925,42 @@ class _Lowering:
         return say_claim
 
 
-def compile_protocol(ast: ProtocolAst, cfg: WorldConfig) -> ProtocolKernel:
+def _bind(ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fraction]) -> Bound:
+    """Each parameter's value: the one in `values`, else its default."""
+    unknown = sorted(set(values) - {prm.name for prm in ast.params})
+    if unknown:
+        raise TypeError(f"procedure '{ast.name}' has no parameter '{unknown[0]}'")
+    bound: dict[str, int | Fraction] = {}
+    for prm in ast.params:
+        if prm.name not in values:
+            value = prm.default if prm.kind == "prob" else _day_value(prm.default, cfg, _UNBOUND)
+        elif prm.kind == "prob":
+            value = _check_probability(Fraction(values[prm.name]), f"parameter {prm.name} =", None)
+        else:
+            value = values[prm.name]
+            if not 0 <= value < cfg.week_length:
+                raise DayOutOfRange(f"day {value} out of range for d={cfg.week_length}")
+        bound[prm.name] = value
+    return bound
+
+
+def compile_protocol(
+    ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fraction] = _UNBOUND
+) -> ProtocolKernel:
     """Exact lowering: expand every flip and pick into rational path weights.
 
-    The body is lowered to closures once (`_Lowering`); each support family
-    then runs that closure chain to build its row.
+    `values` binds parameters by name (a day index or a probability); the
+    others take their defaults. The body is lowered to closures once
+    (`_Lowering`); each support family then runs that closure chain to build
+    its row.
     """
+    bound = _bind(ast, cfg, values)
     pre_filter: QueryPredicate | None = None
     for p in ast.requires:
-        q = pred_to_query(p, cfg)
+        q = pred_to_query(p, cfg, bound)
         pre_filter = q if pre_filter is None else And(pre_filter, q)
 
-    lowering = _Lowering(cfg)
+    lowering = _Lowering(cfg, bound)
     body = lowering.block(ast.body, {}, lowering.fall_through)
     env = [0] * lowering.slots
     rows: dict[Family, Row] = {}
@@ -887,7 +999,9 @@ def load_protocol(path, cfg: WorldConfig) -> ProtocolKernel:
 # Renderer
 # ---------------------------------------------------------------------------
 
-def _render_day(day: DayLit) -> str:
+def _render_day(day: Day) -> str:
+    if isinstance(day, ParamRef):
+        return day.name
     return model.DAY_NAMES[day.value] if day.named else f"d{day.value}"
 
 
@@ -964,7 +1078,8 @@ def _render_block(stmts, indent: int, lines: list[str]) -> None:
                     _render_block(e, indent + 1, lines)
                     lines.append(f"{pad}}}")
             case Flip(prob=p, then=t, els=e):
-                lines.append(f"{pad}flip {p} {{")
+                prob = p.name if isinstance(p, ParamRef) else p
+                lines.append(f"{pad}flip {prob} {{")
                 _render_block(t, indent + 1, lines)
                 lines.append(f"{pad}}} else {{")
                 _render_block(e, indent + 1, lines)
@@ -978,7 +1093,12 @@ def _render_where(w: PChildTest) -> str:
 
 def render(ast: ProtocolAst) -> str:
     """Canonical source text; parse(render(ast)) == ast."""
-    lines = [f"procedure {ast.name} {{"]
+    params = ", ".join(
+        f"{prm.kind} {prm.name} = "
+        + (_render_day(prm.default) if prm.kind == "day" else str(prm.default))
+        for prm in ast.params
+    )
+    lines = [f"procedure {ast.name}{f'({params})' if params else ''} {{"]
     for pred in ast.requires:
         lines.append(f"  require {_render_pred(pred)};")
     _render_block(ast.body, 1, lines)
@@ -998,7 +1118,7 @@ def parse_statement_text(text: str, cfg: WorldConfig) -> Statement:
         isinstance(expr.sex, VarSex) or isinstance(expr.day, VarDay)
     ):
         raise UnboundVariable("child variables are not available here")
-    return _const_statement(expr, cfg)
+    return _const_statement(expr, cfg, _UNBOUND)
 
 
 def parse_event_text(text: str, cfg: WorldConfig) -> QueryPredicate:

@@ -14,11 +14,12 @@ class ZeroStatementMass(AmbiprobError):
 
 
 class UnsupportedConfig(AmbiprobError):
-    """A scenario constructor was given a world it does not model (e.g. n != 2)."""
+    """A builtin scenario was asked for a world its closed-form answer does not
+    cover (family size n != 2)."""
 
 
 class DayOutOfRange(AmbiprobError):
-    """A day literal >= week_length."""
+    """A day bound to a procedure parameter lies outside 0..week_length-1."""
 
 
 class InvalidProbability(AmbiprobError):

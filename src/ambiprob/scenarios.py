@@ -1,26 +1,25 @@
-"""Builtin disclosure procedures as validated kernels, with their known answers.
+"""Builtin disclosure procedures with their known answers.
 
-Every constructor is two-children specific and raises UnsupportedConfig
-otherwise; week length is free so the week-length sweep can generalize d=7.
+Each builtin is one `.proc` file in `procs/` plus one row of `_BUILTINS`: its
+description, canonical statement and query, and the closed form of its answer.
+`build_scenario` compiles the file with the target day bound to its `day`
+parameter and p to its `prob` parameter. The closed forms are for two-children
+families, so any other family size raises UnsupportedConfig; the week length is
+free, so the week-length sweep can generalize d=7.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 
-from .engine import AtLeastOne, Claim, ProtocolKernel, ProudOf, Statement, TwoOfAKind, YesNo
-from .errors import DayOutOfRange, InvalidProbability, UnsupportedConfig
-from .model import (
-    AllMatch,
-    Exists,
-    Family,
-    QueryPredicate,
-    Sex,
-    WorldConfig,
-    enumerate_families,
-    eval_query,
-)
+from . import dsl
+from .engine import ProtocolKernel, Statement, posterior
+from .errors import UnsupportedConfig
+from .model import QueryPredicate, WorldConfig
 
 
 @dataclass(frozen=True)
@@ -33,261 +32,15 @@ class Scenario:
     expected_answer: Fraction | None = None
 
 
-def _require_two_children(cfg: WorldConfig) -> None:
-    if cfg.family_size != 2:
-        raise UnsupportedConfig(
-            f"builtin scenarios model two-children families, got n={cfg.family_size}"
-        )
-
-
-def _check_day(cfg: WorldConfig, day: int) -> None:
-    if not 0 <= day < cfg.week_length:
-        raise DayOutOfRange(f"day {day} out of range for d={cfg.week_length}")
-
-
-def _boys(f: Family) -> list[int]:
-    return [i for i, c in enumerate(f) if c.sex == Sex.BOY]
-
-
-def classic_selection(cfg: WorldConfig) -> Scenario:
-    """Families with at least one boy are selected; all say the same sentence."""
-    _require_two_children(cfg)
-    pre = Exists(sex=Sex.BOY)
-    rows = {
-        f: {AtLeastOne(Sex.BOY): Fraction(1)}
-        for f in enumerate_families(cfg)
-        if eval_query(pre, f)
-    }
-    kernel = ProtocolKernel(cfg, rows, pre_filter=pre)
-    return Scenario(
-        "classic-selection",
-        "pick a family known to have a boy; it reports 'at least one is a boy'",
-        kernel,
-        AtLeastOne(Sex.BOY),
-        AllMatch(sex=Sex.BOY),
-        Fraction(1, 3),
-    )
-
-
-def classic_coinflip(cfg: WorldConfig) -> Scenario:
-    """Random family; mixed families flip a fair coin between the two sentences."""
-    _require_two_children(cfg)
-    rows: dict[Family, dict[Statement, Fraction]] = {}
-    for f in enumerate_families(cfg):
-        nb = len(_boys(f))
-        if nb == 2:
-            rows[f] = {AtLeastOne(Sex.BOY): Fraction(1)}
-        elif nb == 0:
-            rows[f] = {AtLeastOne(Sex.GIRL): Fraction(1)}
-        else:
-            rows[f] = {
-                AtLeastOne(Sex.BOY): Fraction(1, 2),
-                AtLeastOne(Sex.GIRL): Fraction(1, 2),
-            }
-    kernel = ProtocolKernel(cfg, rows)
-    return Scenario(
-        "classic-coinflip",
-        "random family; a coin decides which sex gets the 'at least one' sentence",
-        kernel,
-        AtLeastOne(Sex.BOY),
-        AllMatch(sex=Sex.BOY),
-        Fraction(1, 2),
-    )
-
-
-def brag(cfg: WorldConfig) -> Scenario:
-    """Mentions as many boys as possible; two-girl families stay silent."""
-    _require_two_children(cfg)
-    rows: dict[Family, dict[Statement, Fraction]] = {}
-    for f in enumerate_families(cfg):
-        nb = len(_boys(f))
-        if nb == 2:
-            rows[f] = {TwoOfAKind(Sex.BOY): Fraction(1)}
-        elif nb == 1:
-            rows[f] = {AtLeastOne(Sex.BOY): Fraction(1)}
-        else:
-            rows[f] = {}
-    kernel = ProtocolKernel(cfg, rows)
-    return Scenario(
-        "brag",
-        "always mentions as many boys as he can",
-        kernel,
-        AtLeastOne(Sex.BOY),
-        AllMatch(sex=Sex.BOY),
-        Fraction(0),
-    )
-
-
-def deemphasize(cfg: WorldConfig) -> Scenario:
-    """Understates the number of boys; two-girl families stay silent."""
-    _require_two_children(cfg)
-    rows: dict[Family, dict[Statement, Fraction]] = {}
-    for f in enumerate_families(cfg):
-        nb = len(_boys(f))
-        if nb == 2:
-            rows[f] = {AtLeastOne(Sex.BOY): Fraction(1)}
-        elif nb == 1:
-            rows[f] = {ProudOf(Sex.GIRL): Fraction(1)}
-        else:
-            rows[f] = {}
-    kernel = ProtocolKernel(cfg, rows)
-    return Scenario(
-        "deemphasize",
-        "plays down the number of boys",
-        kernel,
-        AtLeastOne(Sex.BOY),
-        AllMatch(sex=Sex.BOY),
-        Fraction(1),
-    )
-
-
-def gn_dn(cfg: WorldConfig) -> Scenario:
-    """Coin-flip a child, state its sex and birth day."""
-    _require_two_children(cfg)
-    rows: dict[Family, dict[Statement, Fraction]] = {}
-    for f in enumerate_families(cfg):
-        row: dict[Statement, Fraction] = {}
-        for c in f:
-            s = Claim(c.sex, c.day)
-            row[s] = row.get(s, Fraction(0)) + Fraction(1, 2)
-        rows[f] = row
-    kernel = ProtocolKernel(cfg, rows)
-    return Scenario(
-        "gn-dn",
-        "gender-neutral, day-neutral: a coin picks the child described",
-        kernel,
-        Claim(Sex.BOY, _default_day(cfg)),
-        AllMatch(sex=Sex.BOY),
-        Fraction(1, 2),
-    )
-
-
-def bc_dn(cfg: WorldConfig) -> Scenario:
-    """All-girl families are sent home; a (random) son's birth day is stated."""
-    _require_two_children(cfg)
-    pre = Exists(sex=Sex.BOY)
-    rows: dict[Family, dict[Statement, Fraction]] = {}
-    for f in enumerate_families(cfg):
-        boys = _boys(f)
-        if not boys:
-            continue
-        row: dict[Statement, Fraction] = {}
-        share = Fraction(1, len(boys))
-        for i in boys:
-            s = Claim(Sex.BOY, f[i].day)
-            row[s] = row.get(s, Fraction(0)) + share
-        rows[f] = row
-    kernel = ProtocolKernel(cfg, rows, pre_filter=pre)
-    return Scenario(
-        "bc-dn",
-        "boy-centered, day-neutral: no-son families sent home; a son's day is stated",
-        kernel,
-        Claim(Sex.BOY, _default_day(cfg)),
-        AllMatch(sex=Sex.BOY),
-        Fraction(1, 3),
-    )
-
-
-def bc_tc(cfg: WorldConfig, day: int) -> Scenario:
-    """Families without a son born on the target day are sent home."""
-    _require_two_children(cfg)
-    _check_day(cfg, day)
-    pre = Exists(sex=Sex.BOY, day=day)
-    rows = {
-        f: {Claim(Sex.BOY, day): Fraction(1)}
-        for f in enumerate_families(cfg)
-        if eval_query(pre, f)
-    }
-    kernel = ProtocolKernel(cfg, rows, pre_filter=pre)
-    d = cfg.week_length
-    return Scenario(
-        "bc-tc",
-        "boy-centered, day-centered: kept only if a son was born on the target day",
-        kernel,
-        Claim(Sex.BOY, day),
-        AllMatch(sex=Sex.BOY),
-        Fraction(2 * d - 1, 4 * d - 1),
-    )
-
-
-def gn_tc(cfg: WorldConfig, day: int) -> Scenario:
-    """Families without a child born on the target day are sent home; a
-    matching child (random if both match) is described."""
-    _require_two_children(cfg)
-    _check_day(cfg, day)
-    pre = Exists(day=day)
-    rows: dict[Family, dict[Statement, Fraction]] = {}
-    for f in enumerate_families(cfg):
-        matching = [c for c in f if c.day == day]
-        if not matching:
-            continue
-        row: dict[Statement, Fraction] = {}
-        share = Fraction(1, len(matching))
-        for c in matching:
-            s = Claim(c.sex, day)
-            row[s] = row.get(s, Fraction(0)) + share
-        rows[f] = row
-    kernel = ProtocolKernel(cfg, rows, pre_filter=pre)
-    return Scenario(
-        "gn-tc",
-        "gender-neutral, day-centered: kept only if a child was born on the target day",
-        kernel,
-        Claim(Sex.BOY, day),
-        AllMatch(sex=Sex.BOY),
-        Fraction(1, 2),
-    )
-
-
-def yesno_question(cfg: WorldConfig, day: int) -> Scenario:
-    """Every family truthfully answers 'do you have a son born on <day>?'."""
-    _require_two_children(cfg)
-    _check_day(cfg, day)
-    target = Exists(sex=Sex.BOY, day=day)
-    rows = {
-        f: {YesNo(eval_query(target, f)): Fraction(1)}
-        for f in enumerate_families(cfg)
-    }
-    kernel = ProtocolKernel(cfg, rows)
-    d = cfg.week_length
-    return Scenario(
-        "yesno",
-        "unambiguous yes/no question about a son born on the target day",
-        kernel,
-        YesNo(True),
-        AllMatch(sex=Sex.BOY),
-        Fraction(2 * d - 1, 4 * d - 1),
-    )
-
-
-def any_answer(cfg: WorldConfig, p: Fraction) -> Scenario:
-    """A procedure whose 'both boys' posterior is exactly p.
-
-    Two-boy families speak with weight p, mixed families with weight (1-p)/2,
-    two-girl families never; the Bayes quotient then collapses to p.
-    """
-    _require_two_children(cfg)
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise InvalidProbability(f"p must be in [0, 1], got {p}")
-    rows: dict[Family, dict[Statement, Fraction]] = {}
-    for f in enumerate_families(cfg):
-        nb = len(_boys(f))
-        if nb == 2:
-            rows[f] = {AtLeastOne(Sex.BOY): p} if p > 0 else {}
-        elif nb == 1:
-            w = (1 - p) / 2
-            rows[f] = {AtLeastOne(Sex.BOY): w} if w > 0 else {}
-        else:
-            rows[f] = {}
-    kernel = ProtocolKernel(cfg, rows)
-    return Scenario(
-        "any-answer",
-        "tunable procedure hitting any posterior in [0, 1]",
-        kernel,
-        AtLeastOne(Sex.BOY),
-        AllMatch(sex=Sex.BOY),
-        p,
-    )
+@dataclass(frozen=True)
+class _Builtin:
+    file: str
+    # canonical statement in the protocol language; {day} is the target day,
+    # {default_day} the week's default day
+    statement: str
+    answer: Callable[[int, Fraction], Fraction]  # (week length d, p) -> posterior
+    description: str
+    query: str = "all(boy)"
 
 
 def _default_day(cfg: WorldConfig) -> int:
@@ -299,31 +52,56 @@ def sweep_formula(d: int) -> Fraction:
     return Fraction(2 * d - 1, 4 * d - 1)
 
 
-def week_sweep(d_range) -> list[tuple[int, Fraction]]:
-    """Exact day-centered posterior for each week length d (target day 0)."""
-    from .engine import posterior
+# Stable ids, in order; part of the CLI contract.
+_BUILTINS = {
+    "any-answer": _Builtin(
+        "any_answer.proc", "atleastone(boy)", lambda d, p: p,
+        "tunable procedure hitting any posterior in [0, 1]",
+    ),
+    "bc-dn": _Builtin(
+        "bc_dn.proc", "claim(boy,d{default_day})", lambda d, p: Fraction(1, 3),
+        "boy-centered, day-neutral: no-son families sent home; a son's day is stated",
+    ),
+    "bc-tc": _Builtin(
+        "bc_tc.proc", "claim(boy,d{day})", lambda d, p: sweep_formula(d),
+        "boy-centered, day-centered: kept only if a son was born on the target day",
+    ),
+    "brag": _Builtin(
+        "brag.proc", "atleastone(boy)", lambda d, p: Fraction(0),
+        "always mentions as many boys as he can",
+    ),
+    "classic-coinflip": _Builtin(
+        "classic_coinflip.proc", "atleastone(boy)", lambda d, p: Fraction(1, 2),
+        "random family; a coin decides which sex gets the 'at least one' sentence",
+    ),
+    "classic-selection": _Builtin(
+        "classic_selection.proc", "atleastone(boy)", lambda d, p: Fraction(1, 3),
+        "pick a family known to have a boy; it reports 'at least one is a boy'",
+    ),
+    "deemphasize": _Builtin(
+        "deemphasize.proc", "atleastone(boy)", lambda d, p: Fraction(1),
+        "plays down the number of boys",
+    ),
+    "gn-dn": _Builtin(
+        "gn_dn.proc", "claim(boy,d{default_day})", lambda d, p: Fraction(1, 2),
+        "gender-neutral, day-neutral: a coin picks the child described",
+    ),
+    "gn-tc": _Builtin(
+        "gn_tc.proc", "claim(boy,d{day})", lambda d, p: Fraction(1, 2),
+        "gender-neutral, day-centered: kept only if a child was born on the target day",
+    ),
+    "yesno": _Builtin(
+        "yesno.proc", "yes", lambda d, p: sweep_formula(d),
+        "unambiguous yes/no question about a son born on the target day",
+    ),
+}
+BUILTIN_IDS = tuple(_BUILTINS)
 
-    out = []
-    for d in d_range:
-        sc = bc_tc(WorldConfig(week_length=d, family_size=2), day=0)
-        rep = posterior(sc.kernel, Claim(Sex.BOY, 0), AllMatch(sex=Sex.BOY))
-        out.append((d, rep.posterior))
-    return out
 
-
-# Stable ids; part of the CLI contract.
-BUILTIN_IDS = (
-    "any-answer",
-    "bc-dn",
-    "bc-tc",
-    "brag",
-    "classic-coinflip",
-    "classic-selection",
-    "deemphasize",
-    "gn-dn",
-    "gn-tc",
-    "yesno",
-)
+@functools.cache
+def _builtin_ast(file: str) -> dsl.ProtocolAst:
+    source = resources.files(__package__).joinpath("procs", file).read_text(encoding="utf-8")
+    return dsl.parse(source)
 
 
 def build_scenario(
@@ -332,27 +110,36 @@ def build_scenario(
     day: int | None = None,
     p: Fraction = Fraction(1, 2),
 ) -> Scenario:
+    """Compile builtin `scenario_id`, binding `day` to its day parameter and
+    `p` to its probability parameter, where it has them."""
+    builtin = _BUILTINS.get(scenario_id)
+    if builtin is None:
+        raise KeyError(f"unknown scenario id: {scenario_id}")
+    if cfg.family_size != 2:
+        raise UnsupportedConfig(
+            f"builtin scenarios model two-children families, got n={cfg.family_size}"
+        )
     if day is None:
         day = _default_day(cfg)
-    match scenario_id:
-        case "classic-selection":
-            return classic_selection(cfg)
-        case "classic-coinflip":
-            return classic_coinflip(cfg)
-        case "brag":
-            return brag(cfg)
-        case "deemphasize":
-            return deemphasize(cfg)
-        case "gn-dn":
-            return gn_dn(cfg)
-        case "bc-dn":
-            return bc_dn(cfg)
-        case "bc-tc":
-            return bc_tc(cfg, day)
-        case "gn-tc":
-            return gn_tc(cfg, day)
-        case "yesno":
-            return yesno_question(cfg, day)
-        case "any-answer":
-            return any_answer(cfg, p)
-    raise KeyError(f"unknown scenario id: {scenario_id}")
+    ast = _builtin_ast(builtin.file)
+    values = {prm.name: day if prm.kind == "day" else p for prm in ast.params}
+    kernel = dsl.compile_protocol(ast, cfg, values)
+    statement = builtin.statement.format(day=day, default_day=_default_day(cfg))
+    return Scenario(
+        scenario_id,
+        builtin.description,
+        kernel,
+        dsl.parse_statement_text(statement, cfg),
+        dsl.parse_event_text(builtin.query, cfg),
+        builtin.answer(cfg.week_length, Fraction(p)),
+    )
+
+
+def week_sweep(d_range) -> list[tuple[int, Fraction]]:
+    """Exact day-centered posterior for each week length d (target day 0)."""
+    out = []
+    for d in d_range:
+        sc = build_scenario("bc-tc", WorldConfig(week_length=d, family_size=2), day=0)
+        rep = posterior(sc.kernel, sc.canonical_statement, sc.canonical_query)
+        out.append((d, rep.posterior))
+    return out

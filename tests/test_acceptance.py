@@ -36,6 +36,7 @@ from ambiprob.model import (
     uniform_prior,
 )
 from ambiprob.scenarios import build_scenario, sweep_formula, week_sweep
+from test_golden import builtin_digest_matches
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -171,10 +172,12 @@ def test_criterion_9_dsl_equivalence():
         with open(path) as fh:
             ast = parse(fh.read())
         assert parse(render(ast)) == ast, name
+        sid = PROC_TO_ID[name]
         kernel = compile_protocol(ast, CFG)
-        sc = build_scenario(PROC_TO_ID[name], CFG, p=Fraction(13, 27))
-        assert kernel == sc.kernel, name
-    report(9, "ten .proc files round-trip and compile to identical kernels")
+        assert kernel == build_scenario(sid, CFG, day=TUE, p=Fraction(13, 27)).kernel, name
+        # the kernels of the removed hand-built constructors, as golden digests
+        assert builtin_digest_matches(sid, 7), name
+    report(9, "ten .proc files round-trip and compile to the recorded builtin kernels")
 
 
 def test_criterion_10_monte_carlo_agreement():

@@ -201,3 +201,42 @@ def test_sweep_csv_round_trip():
     assert lines[0] == "d,posterior,formula,match"
     d7 = dict(line.split(",")[0:2] for line in lines[1:])
     assert d7["3"] == "5/11"
+
+
+def test_sweep_over_budget_exits_2_before_enumerating(capsys):
+    code, text = run_cli("sweep", "1", "708")
+    assert code == 2
+    assert text == ""
+    assert "exceeds 2,000,000 families" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d_max, admitted", [(707, True), (708, False)])
+def test_sweep_budget_boundary(d_max, admitted):
+    from ambiprob.cli import CliError, _check_outcome_space
+
+    if admitted:
+        _check_outcome_space(d_max, 2, "lower d_max")  # 1414^2 = 1,999,396
+    else:
+        with pytest.raises(CliError, match=r"\(1416\)\^2 exceeds"):
+            _check_outcome_space(d_max, 2, "lower d_max")
+
+
+def test_default_named_day_on_other_week_exits_4(capsys):
+    path = os.path.join(PROC_DIR, "bc_tc.proc")
+    code, text = run_cli("eval", path, "--say", "claim(boy,d0)", "--event", "all(boy)",
+                         "--week-days", "12")
+    assert code == 4
+    assert text == ""
+    assert "1:25: named day 'tue' requires a 7-day week" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "any-answer", "--p", "3/2"),
+    ("run", "bc-dn", "--children", "3"),
+    ("mc", "any-answer", "--p=-1/2", "--trials", "10"),
+])
+def test_bad_builtin_arguments_exit_2(argv, capsys):
+    code, text = run_cli(*argv)
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err.startswith("ambiprob: ")

@@ -16,14 +16,17 @@ from ambiprob.dsl import (
 )
 from ambiprob.engine import AtLeastOne, Claim, REJECT, Text, marginal, posterior
 from ambiprob.errors import (
+    DayOutOfRange,
     DslError,
     DslSyntaxError,
     EmptyPick,
+    InvalidFlipProbability,
     InvalidProbability,
     UnboundVariable,
 )
 from ambiprob.model import AllMatch, And, CountAtLeast, Exists, Not, Sex, WorldConfig
 from ambiprob.scenarios import build_scenario
+from test_golden import builtin_digest_matches
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -69,11 +72,13 @@ def test_round_trip_builtin_files(path):
 
 @pytest.mark.parametrize("path", proc_files(), ids=os.path.basename)
 def test_builtin_files_compile_to_constructor_kernels(path):
-    name = os.path.splitext(os.path.basename(path))[0]
+    # The hand-built constructors are gone; their kernels live on as the
+    # `builtin:` golden digests, which include (d=7, day=1, p=13/27).
+    sid = PROC_TO_ID[os.path.splitext(os.path.basename(path))[0]]
     with open(path) as fh:
         kernel = compile_protocol(parse(fh.read()), CFG)
-    sc = build_scenario(PROC_TO_ID[name], CFG, p=Fraction(13, 27))
-    assert kernel == sc.kernel
+    assert kernel == build_scenario(sid, CFG, day=TUE, p=Fraction(13, 27)).kernel
+    assert builtin_digest_matches(sid, 7)
 
 
 def test_compiled_bc_tc_posterior():
@@ -322,3 +327,95 @@ def test_count_comparison_lowering():
     assert count_families(CFG, parse_event_text("count(boy) < 1", CFG)) == 49
     assert count_families(CFG, parse_event_text("count(boy) > 1", CFG)) == 49
     assert count_families(CFG, parse_event_text("count(boy) <= 1", CFG)) == 147
+
+
+PARAMS_SRC = """\
+procedure p(day D = d2, prob P = 1/3) {
+  require exists(D) or all(girl);
+  if all(D) or exists(boy, D) {
+    flip P {
+      pick c where day(c)=D;
+      if day(c) = D and sex(c) = boy {
+        say claim(sex(c), D);
+      } else {
+        reject;
+      }
+    } else {
+      say yes;
+    }
+  } else {
+    say claim(girl, D);
+  }
+}
+"""
+
+
+def _literal(day: str, prob: str):
+    """PARAMS_SRC with the parameters written out as literals."""
+    body = PARAMS_SRC.split("\n", 1)[1].replace("D", day).replace("P", prob)
+    return parse("procedure p {\n" + body)
+
+
+def test_parameters_round_trip():
+    ast = parse(PARAMS_SRC)
+    assert [(prm.kind, prm.name) for prm in ast.params] == [("day", "D"), ("prob", "P")]
+    assert render(ast) == PARAMS_SRC
+    assert parse(render(ast)) == ast
+
+
+def test_parameters_bind_like_literals():
+    cfg = WorldConfig(3, 2)
+    ast = parse(PARAMS_SRC)
+    assert compile_protocol(ast, cfg) == compile_protocol(_literal("d2", "1/3"), cfg)
+    bound = compile_protocol(ast, cfg, {"D": 0, "P": Fraction(3, 4)})
+    assert bound == compile_protocol(_literal("d0", "3/4"), cfg)
+    assert compile_protocol(ast, cfg, {"P": 1}) == compile_protocol(_literal("d2", "1"), cfg)
+
+
+def test_duplicate_parameter_is_a_syntax_error():
+    with pytest.raises(DslSyntaxError) as info:
+        parse("procedure p(day D = tue, prob D = 1/2) { say yes; }")
+    assert "1:31: duplicate parameter 'D'" in str(info.value)
+
+
+@pytest.mark.parametrize("src, use", [
+    ("procedure p(day D = tue) { flip D { say yes; } else { say no; } }", "D {"),
+    ("procedure p(prob P = 1/2) { say claim(boy, P); }", "P)"),
+    ("procedure p(prob P = 1/2) { require exists(P); say yes; }", "P)"),
+])
+def test_parameter_of_the_wrong_kind_is_a_syntax_error(src, use):
+    with pytest.raises(DslSyntaxError, match="not a") as info:
+        parse(src)
+    assert (info.value.span.line, info.value.span.column) == (1, src.index(use) + 1)
+
+
+@pytest.mark.parametrize("name", ["tue", "d3", "boy", "day"])
+def test_parameter_may_not_shadow_a_word_of_the_language(name):
+    with pytest.raises(DslSyntaxError, match="cannot name a parameter"):
+        parse(f"procedure p(day {name} = wed) {{ say yes; }}")
+
+
+def test_probability_parameter_range():
+    with pytest.raises(InvalidFlipProbability) as info:
+        parse("procedure p(prob P = 3/2) { say yes; }")
+    assert (info.value.span.line, info.value.span.column) == (1, 22)
+    ast = parse(PARAMS_SRC)
+    for bad in (Fraction(3, 2), Fraction(-1, 5)):
+        with pytest.raises(InvalidFlipProbability, match="outside"):
+            compile_protocol(ast, CFG, {"P": bad})
+
+
+def test_bound_day_out_of_range_and_unknown_names():
+    ast = parse(PARAMS_SRC)
+    with pytest.raises(DayOutOfRange):
+        compile_protocol(ast, CFG, {"D": 7})
+    with pytest.raises(TypeError, match="no parameter 'Q'"):
+        compile_protocol(ast, CFG, {"Q": 1})
+
+
+def test_default_day_must_fit_the_week():
+    ast = parse(PARAMS_SRC)
+    with pytest.raises(DslSyntaxError, match="day 2 out of range for d=2") as info:
+        compile_protocol(ast, WorldConfig(2, 2))
+    assert (info.value.span.line, info.value.span.column) == (1, 21)
+    compile_protocol(ast, WorldConfig(2, 2), {"D": 1})

@@ -26,7 +26,7 @@ from ambiprob.model import (
     enumerate_families,
     family_str,
 )
-from ambiprob.scenarios import bc_dn, bc_tc, brag, classic_coinflip, deemphasize, gn_dn, gn_tc, yesno_question
+from ambiprob.scenarios import build_scenario
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -37,7 +37,12 @@ def two_boys(f):
 
 
 def test_builtin_kernels_validate():
-    for sc in (bc_tc(CFG, TUE), gn_dn(CFG), classic_coinflip(CFG), brag(CFG)):
+    for sc in (
+        build_scenario("bc-tc", CFG, day=TUE),
+        build_scenario("gn-dn", CFG),
+        build_scenario("classic-coinflip", CFG),
+        build_scenario("brag", CFG),
+    ):
         assert validate_kernel(sc.kernel) == []
 
 
@@ -70,27 +75,27 @@ def test_statement_mass_per_family_contributions():
     # mixed family says claim(boy, tue) with weight 1/14 under the symmetric
     # procedure, 1/7 under the boy-centered one
     s = Claim(Sex.BOY, TUE)
-    sym = gn_dn(CFG).kernel
+    sym = build_scenario("gn-dn", CFG).kernel
     mixed = (Child(Sex.BOY, TUE), Child(Sex.GIRL, 3))
     assert sym.rows[mixed][s] == Fraction(1, 2)  # times 1/14 prior contribution
     assert statement_mass(sym, s) == Fraction(1, 14)
-    boyc = bc_dn(CFG).kernel
+    boyc = build_scenario("bc-dn", CFG).kernel
     assert boyc.rows[mixed][s] == Fraction(1)
     assert statement_mass(boyc, s) == Fraction(1, 7)
 
 
 def test_statement_mass_absent_statement_is_zero():
-    k = gn_dn(CFG).kernel
+    k = build_scenario("gn-dn", CFG).kernel
     assert statement_mass(k, Text("never")) == 0
 
 
 @pytest.mark.parametrize(
     "scenario,expected",
     [
-        (lambda: bc_tc(CFG, TUE), Fraction(13, 27)),
-        (lambda: gn_dn(CFG), Fraction(1, 2)),
-        (lambda: bc_dn(CFG), Fraction(1, 3)),
-        (lambda: gn_tc(CFG, TUE), Fraction(1, 2)),
+        (lambda: build_scenario("bc-tc", CFG, day=TUE), Fraction(13, 27)),
+        (lambda: build_scenario("gn-dn", CFG), Fraction(1, 2)),
+        (lambda: build_scenario("bc-dn", CFG), Fraction(1, 3)),
+        (lambda: build_scenario("gn-tc", CFG, day=TUE), Fraction(1, 2)),
     ],
 )
 def test_tuesday_posteriors(scenario, expected):
@@ -100,8 +105,8 @@ def test_tuesday_posteriors(scenario, expected):
 
 
 def test_extreme_posteriors():
-    assert posterior(brag(CFG).kernel, AtLeastOne(Sex.BOY), AllMatch(sex=Sex.BOY)).posterior == 0
-    assert posterior(deemphasize(CFG).kernel, AtLeastOne(Sex.BOY), AllMatch(sex=Sex.BOY)).posterior == 1
+    assert posterior(build_scenario("brag", CFG).kernel, AtLeastOne(Sex.BOY), AllMatch(sex=Sex.BOY)).posterior == 0
+    assert posterior(build_scenario("deemphasize", CFG).kernel, AtLeastOne(Sex.BOY), AllMatch(sex=Sex.BOY)).posterior == 1
 
 
 def _brute_force_both_tuesday_fraction():
@@ -122,12 +127,12 @@ def _brute_force_both_tuesday_fraction():
 def test_both_tuesday_posterior_matches_brute_force():
     hit, support = _brute_force_both_tuesday_fraction()
     assert (hit, support) == (3, 27)
-    rep = posterior(bc_tc(CFG, TUE).kernel, Claim(Sex.BOY, TUE), AllMatch(day=TUE))
+    rep = posterior(build_scenario("bc-tc", CFG, day=TUE).kernel, Claim(Sex.BOY, TUE), AllMatch(day=TUE))
     assert rep.posterior == Fraction(hit, support) == Fraction(1, 9)
 
 
 def test_posterior_report_masses_explain_quotient():
-    rep = posterior(bc_tc(CFG, TUE).kernel, Claim(Sex.BOY, TUE), AllMatch(sex=Sex.BOY))
+    rep = posterior(build_scenario("bc-tc", CFG, day=TUE).kernel, Claim(Sex.BOY, TUE), AllMatch(sex=Sex.BOY))
     assert rep.posterior == rep.joint_mass / rep.statement_mass
     table_mass = sum((r.prior * r.emission for r in rep.case_table), Fraction(0))
     table_joint = sum(
@@ -140,11 +145,11 @@ def test_posterior_report_masses_explain_quotient():
 
 def test_zero_statement_mass_raises():
     with pytest.raises(ZeroStatementMass):
-        posterior(gn_dn(CFG).kernel, Text("never"), AllMatch(sex=Sex.BOY))
+        posterior(build_scenario("gn-dn", CFG).kernel, Text("never"), AllMatch(sex=Sex.BOY))
 
 
 def test_complement_law():
-    k = gn_tc(CFG, TUE).kernel
+    k = build_scenario("gn-tc", CFG, day=TUE).kernel
     s = Claim(Sex.BOY, TUE)
     q = AllMatch(sex=Sex.BOY)
     from ambiprob.model import Not
@@ -153,7 +158,7 @@ def test_complement_law():
 
 
 def test_marginal_coinflip():
-    m = marginal(classic_coinflip(CFG).kernel)
+    m = marginal(build_scenario("classic-coinflip", CFG).kernel)
     assert m[AtLeastOne(Sex.BOY)] == Fraction(1, 2)
     assert m[AtLeastOne(Sex.GIRL)] == Fraction(1, 2)
     assert m[REJECT] == 0
@@ -161,7 +166,7 @@ def test_marginal_coinflip():
 
 
 def test_marginal_yesno():
-    m = marginal(yesno_question(CFG, TUE).kernel)
+    m = marginal(build_scenario("yesno", CFG, day=TUE).kernel)
     assert m[YesNo(True)] == Fraction(27, 196)
     assert m[YesNo(False)] == Fraction(169, 196)
     assert sum(m.values()) == 1

@@ -134,6 +134,11 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def builtin_digest_matches(sid: str, d: int) -> bool:
+    """Whether builtin `sid` at week length d still builds the recorded kernels."""
+    return _digest(_builtin_text(sid, d)) == GOLDEN[f"builtin:{sid}:d{d}"]
+
+
 GOLDEN = {
     "builtin:any-answer:d1":
         "91226fb71c9a60af3e873b69d68768c2299d483d1655fb03a30865fcea158a72",

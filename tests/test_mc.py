@@ -8,7 +8,7 @@ from ambiprob.engine import AtLeastOne, Claim, Text, YesNo
 from ambiprob.errors import DegenerateProtocol
 from ambiprob.mc import McResult, agreement_check, sample_posterior
 from ambiprob.model import AllMatch, Always, Sex, WorldConfig
-from ambiprob.scenarios import bc_tc, brag, build_scenario, classic_selection, yesno_question
+from ambiprob.scenarios import build_scenario
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -17,21 +17,21 @@ PROC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ambiprob", "pro
 
 
 def test_determinism_same_seed():
-    sc = bc_tc(CFG, TUE)
+    sc = build_scenario("bc-tc", CFG, day=TUE)
     a = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=7)
     b = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=7)
     assert a == b
 
 
 def test_different_seeds_differ():
-    sc = bc_tc(CFG, TUE)
+    sc = build_scenario("bc-tc", CFG, day=TUE)
     a = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=1)
     b = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 20000, seed=2)
     assert a.hits != b.hits
 
 
 def test_estimate_near_exact():
-    sc = bc_tc(CFG, TUE)
+    sc = build_scenario("bc-tc", CFG, day=TUE)
     r = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 10**6, seed=42)
     assert abs(r.estimate - 13 / 27) < 0.005
     assert r.statement_matches == 10**6
@@ -39,37 +39,37 @@ def test_estimate_near_exact():
 
 
 def test_brag_estimate_exactly_zero():
-    sc = brag(CFG)
+    sc = build_scenario("brag", CFG)
     r = sample_posterior(sc.kernel, AtLeastOne(Sex.BOY), BOTH_BOYS, 50000, seed=3)
     assert r.hits == 0
     assert r.estimate == 0.0
 
 
 def test_certain_event_estimate_exactly_one():
-    sc = classic_selection(CFG)
+    sc = build_scenario("classic-selection", CFG)
     r = sample_posterior(sc.kernel, AtLeastOne(Sex.BOY), Always(), 50000, seed=5)
     assert r.estimate == 1.0
 
 
 def test_rejection_counters():
-    filtered = bc_tc(CFG, TUE)
+    filtered = build_scenario("bc-tc", CFG, day=TUE)
     r = sample_posterior(filtered.kernel, Claim(Sex.BOY, TUE), BOTH_BOYS, 10000, seed=11)
     assert r.rejected_families > 0  # pre-filter "sent home" loop
     assert r.rejected_runs == 0
 
-    noisy = brag(CFG)  # no pre-filter; two-girl families reject in-run
+    noisy = build_scenario("brag", CFG)  # no pre-filter; two-girl families reject in-run
     r2 = sample_posterior(noisy.kernel, AtLeastOne(Sex.BOY), BOTH_BOYS, 10000, seed=11)
     assert r2.rejected_families == 0
     assert r2.rejected_runs > 0
 
-    unfiltered = yesno_question(CFG, TUE)
+    unfiltered = build_scenario("yesno", CFG, day=TUE)
     r3 = sample_posterior(unfiltered.kernel, YesNo(True), BOTH_BOYS, 10000, seed=11)
     assert r3.rejected_families == 0
     assert r3.rejected_runs == 0
 
 
 def test_degenerate_protocol_raises():
-    sc = bc_tc(CFG, TUE)
+    sc = build_scenario("bc-tc", CFG, day=TUE)
     with pytest.raises(DegenerateProtocol):
         sample_posterior(sc.kernel, Text("never"), BOTH_BOYS, 100, seed=1)
     with pytest.raises(DegenerateProtocol):
@@ -80,7 +80,7 @@ def test_degenerate_protocol_raises():
 
 
 def test_non_positive_trials_or_shards_raise_value_error():
-    sc = bc_tc(CFG, TUE)
+    sc = build_scenario("bc-tc", CFG, day=TUE)
     with pytest.raises(ValueError):
         sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 0, seed=1)
     with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ def test_non_positive_trials_or_shards_raise_value_error():
 
 
 def test_sharding_is_deterministic_and_counts_add_up():
-    sc = bc_tc(CFG, TUE)
+    sc = build_scenario("bc-tc", CFG, day=TUE)
     a = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 30000, seed=9, shards=3)
     b = sample_posterior(sc.kernel, sc.canonical_statement, BOTH_BOYS, 30000, seed=9, shards=3)
     assert a == b
@@ -106,7 +106,7 @@ def test_agreement_check_passes_builtins_small():
 
 
 def test_agreement_check_negative_control():
-    sc = bc_tc(CFG, TUE)
+    sc = build_scenario("bc-tc", CFG, day=TUE)
     rep = agreement_check(
         sc.kernel, sc.canonical_statement, BOTH_BOYS, 200000, seed=42,
         exact=Fraction(13, 27) + Fraction(1, 10),
@@ -115,7 +115,7 @@ def test_agreement_check_negative_control():
 
 
 def test_yesno_empirical_yes_rate():
-    sc = yesno_question(CFG, TUE)
+    sc = build_scenario("yesno", CFG, day=TUE)
     r = sample_posterior(sc.kernel, YesNo(True), Always(), 100000, seed=42)
     # matches over all emitting runs approximates the exact yes mass 27/196
     assert abs(r.statement_matches / r.trials - 27 / 196) < 0.01

@@ -5,22 +5,7 @@ import pytest
 from ambiprob.engine import AtLeastOne, Claim, TwoOfAKind, YesNo, marginal, posterior, validate_kernel
 from ambiprob.errors import DayOutOfRange, InvalidProbability, UnsupportedConfig
 from ambiprob.model import AllMatch, Child, Sex, WorldConfig
-from ambiprob.scenarios import (
-    BUILTIN_IDS,
-    any_answer,
-    bc_dn,
-    bc_tc,
-    brag,
-    build_scenario,
-    classic_coinflip,
-    classic_selection,
-    deemphasize,
-    gn_dn,
-    gn_tc,
-    sweep_formula,
-    week_sweep,
-    yesno_question,
-)
+from ambiprob.scenarios import BUILTIN_IDS, build_scenario, sweep_formula, week_sweep
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -39,16 +24,16 @@ def test_all_builtins_validate_and_hit_expected_answers():
 
 
 def test_classic_selection():
-    sc = classic_selection(CFG)
+    sc = build_scenario("classic-selection", CFG)
     assert answer(sc) == Fraction(1, 3)
     from ambiprob.engine import statement_mass
 
     assert statement_mass(sc.kernel, AtLeastOne(Sex.BOY)) == 1
-    assert answer(classic_selection(WorldConfig(1, 2))) == Fraction(1, 3)
+    assert answer(build_scenario("classic-selection", WorldConfig(1, 2))) == Fraction(1, 3)
 
 
 def test_classic_coinflip():
-    sc = classic_coinflip(CFG)
+    sc = build_scenario("classic-coinflip", CFG)
     assert answer(sc) == Fraction(1, 2)
     m = marginal(sc.kernel)
     assert m[AtLeastOne(Sex.BOY)] == m[AtLeastOne(Sex.GIRL)]
@@ -57,14 +42,14 @@ def test_classic_coinflip():
 
 
 def test_brag_and_deemphasize():
-    assert answer(brag(CFG)) == 0
-    assert answer(deemphasize(CFG)) == 1
-    two_boys = posterior(brag(CFG).kernel, TwoOfAKind(Sex.BOY), BOTH_BOYS)
+    assert answer(build_scenario("brag", CFG)) == 0
+    assert answer(build_scenario("deemphasize", CFG)) == 1
+    two_boys = posterior(build_scenario("brag", CFG).kernel, TwoOfAKind(Sex.BOY), BOTH_BOYS)
     assert two_boys.posterior == 1
 
 
 def test_gn_dn_details():
-    sc = gn_dn(CFG)
+    sc = build_scenario("gn-dn", CFG)
     assert answer(sc) == Fraction(1, 2)
     m = marginal(sc.kernel)
     from ambiprob.engine import REJECT
@@ -75,7 +60,7 @@ def test_gn_dn_details():
 
 
 def test_bc_dn_details():
-    sc = bc_dn(CFG)
+    sc = build_scenario("bc-dn", CFG)
     assert answer(sc) == Fraction(1, 3)
     sons_tue_wed = (Child(Sex.BOY, TUE), Child(Sex.BOY, 2))
     assert sc.kernel.rows[sons_tue_wed][Claim(Sex.BOY, TUE)] == Fraction(1, 2)
@@ -86,18 +71,18 @@ def test_bc_dn_details():
 
 
 def test_bc_tc_support_counts():
-    sc = bc_tc(CFG, TUE)
+    sc = build_scenario("bc-tc", CFG, day=TUE)
     support = sc.kernel.support()
     mixed = [f for f in support if {c.sex for c in f} == {Sex.BOY, Sex.GIRL}]
     two_sons = [f for f in support if all(c.sex == Sex.BOY for c in f)]
     assert len(mixed) == 14
     assert len(two_sons) == 13
     assert answer(sc) == Fraction(13, 27)
-    assert answer(bc_tc(WorldConfig(1, 2), 0)) == Fraction(1, 3)
+    assert answer(build_scenario("bc-tc", WorldConfig(1, 2), day=0)) == Fraction(1, 3)
 
 
 def test_gn_tc_support_counts_and_symmetry():
-    sc = gn_tc(CFG, TUE)
+    sc = build_scenario("gn-tc", CFG, day=TUE)
     support = sc.kernel.support()
     by_boys = {0: 0, 1: 0, 2: 0}
     for f in support:
@@ -109,7 +94,7 @@ def test_gn_tc_support_counts_and_symmetry():
 
 
 def test_gender_swap_symmetry_gn_dn():
-    sc = gn_dn(CFG)
+    sc = build_scenario("gn-dn", CFG)
     for day in range(7):
         boy = posterior(sc.kernel, Claim(Sex.BOY, day), AllMatch(sex=Sex.BOY))
         girl = posterior(sc.kernel, Claim(Sex.GIRL, day), AllMatch(sex=Sex.GIRL))
@@ -117,7 +102,7 @@ def test_gender_swap_symmetry_gn_dn():
 
 
 def test_yesno():
-    sc = yesno_question(CFG, TUE)
+    sc = build_scenario("yesno", CFG, day=TUE)
     assert answer(sc) == Fraction(13, 27)
     from ambiprob.engine import statement_mass
 
@@ -130,8 +115,8 @@ def test_yesno_equals_bc_tc_for_all_days_and_weeks():
     for d in (1, 2, 7):
         cfg = WorldConfig(d, 2)
         for day in range(d):
-            a = answer(bc_tc(cfg, day))
-            b = answer(yesno_question(cfg, day))
+            a = answer(build_scenario("bc-tc", cfg, day=day))
+            b = answer(build_scenario("yesno", cfg, day=day))
             assert a == b
 
 
@@ -140,26 +125,26 @@ def test_yesno_equals_bc_tc_for_all_days_and_weeks():
     [Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(13, 27), Fraction(1, 2), Fraction(9, 10), Fraction(1)],
 )
 def test_any_answer_is_exact(p):
-    sc = any_answer(CFG, p)
+    sc = build_scenario("any-answer", CFG, p=p)
     assert validate_kernel(sc.kernel) == []
     assert answer(sc) == p
 
 
 def test_any_answer_rejects_bad_p():
     with pytest.raises(InvalidProbability):
-        any_answer(CFG, Fraction(3, 2))
+        build_scenario("any-answer", CFG, p=Fraction(3, 2))
 
 
 def test_constructors_reject_other_family_sizes():
     three = WorldConfig(7, 3)
     with pytest.raises(UnsupportedConfig):
-        classic_selection(three)
+        build_scenario("classic-selection", three)
     with pytest.raises(UnsupportedConfig):
-        gn_dn(three)
+        build_scenario("gn-dn", three)
     with pytest.raises(DayOutOfRange):
-        bc_tc(CFG, 7)
+        build_scenario("bc-tc", CFG, day=7)
     with pytest.raises(DayOutOfRange):
-        gn_tc(CFG, -1)
+        build_scenario("gn-tc", CFG, day=-1)
 
 
 def _brute_force_day_centered(d):
