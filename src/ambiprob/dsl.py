@@ -246,7 +246,6 @@ class Param:
     kind: str  # "day" or "prob"
     name: str
     default: DayLit | Fraction
-    span: SourceSpan | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -386,8 +385,7 @@ class _Parser:
         return ProtocolAst(name, tuple(requires), tuple(body), tuple(self.params.values()))
 
     def param(self) -> None:
-        tok = self.cur
-        if tok.text not in ("day", "prob"):
+        if self.cur.text not in ("day", "prob"):
             self.fail("a parameter kind ('day' or 'prob')")
         kind = self.advance().text
         name = self.expect_ident("parameter name")
@@ -403,7 +401,7 @@ class _Parser:
                 raise DslSyntaxError("a day parameter's default must be a day literal", at.span)
         else:
             default = _check_probability(self.rational(), "probability", at.span)
-        self.params[name.text] = Param(kind, name.text, default, span=tok.span)
+        self.params[name.text] = Param(kind, name.text, default)
 
     def param_ref(self, kind: str) -> ParamRef:
         tok = self.advance()
@@ -810,9 +808,6 @@ class _Lowering:
     def fall_through(self, f, env, w, row) -> None:
         self.fell_through = True
 
-    def day(self, day: Day) -> int:
-        return _day_value(day, self.cfg, self.bound)
-
     def block(self, stmts: tuple[Stmt, ...], scope: dict[str, int], after: _Step) -> _Step:
         """Lower a block; `after` runs for paths that reach its end."""
         placed = []
@@ -851,11 +846,14 @@ class _Lowering:
                 q = 1 - p
                 then = self.block(t, scope, nxt)
                 els = self.block(e, scope, nxt)
+                # a branch that only rejects emits nothing, so its weight is not needed
+                take_then = p and then is not _reject
+                take_els = q and els is not _reject
 
                 def flip(f, env, w, row):
-                    if p:
+                    if take_then:
                         then(f, env, _scale(w, p), row)
-                    if q:
+                    if take_els:
                         els(f, env, _scale(w, q), row)
                 return flip
         raise TypeError(f"not a statement: {st!r}")
@@ -880,7 +878,7 @@ class _Lowering:
         if p.kind == "sex":
             sex = p.sex
             return lambda c: c.sex is sex
-        day = self.day(p.day)
+        day = _day_value(p.day, self.cfg, self.bound)
         return lambda c: c.day == day
 
     def pred(self, p: Pred, scope: dict[str, int]) -> Callable[[Family, list[int]], bool]:
@@ -912,7 +910,7 @@ class _Lowering:
         sex_slot = scope[sex.var] if isinstance(sex, VarSex) else None
         day_slot = scope[day.var] if isinstance(day, VarDay) else None
         if day is not None and day_slot is None:
-            day = self.day(day)
+            day = _day_value(day, self.cfg, self.bound)
         claims: dict[tuple, Claim] = {}
 
         def say_claim(f, env, w, row):

@@ -389,6 +389,13 @@ def test_parameter_of_the_wrong_kind_is_a_syntax_error(src, use):
     assert (info.value.span.line, info.value.span.column) == (1, src.index(use) + 1)
 
 
+@pytest.mark.parametrize("default", ["3", "D", "boy"])
+def test_day_default_must_be_a_day_literal(default):
+    with pytest.raises(DslSyntaxError) as info:
+        parse(f"procedure p(day D = tue, day E = {default}) {{ say yes; }}")
+    assert (info.value.span.line, info.value.span.column) == (1, 34)
+
+
 @pytest.mark.parametrize("name", ["tue", "d3", "boy", "day"])
 def test_parameter_may_not_shadow_a_word_of_the_language(name):
     with pytest.raises(DslSyntaxError, match="cannot name a parameter"):
