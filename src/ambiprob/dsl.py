@@ -20,9 +20,14 @@ Compilation is exact: every flip branch and uniform pick is expanded
 symbolically into rational path weights; nothing is sampled. A path that falls
 off the end of the procedure is an implicit reject (with a warning).
 
+A `say` holds the engine's statement (`AtLeastOne`, `YesNo`, `Text`, ...)
+from parsing on. Only a claim has a syntax node of its own, `EClaim`, because
+its day may be a parameter and its sex and day may read a picked child.
+
 Lowering happens once per compile: the body becomes nested closures in which
 variable-free predicates are already engine queries, day literals are resolved
-and constant statements are built. Each family then runs that closure chain.
+and claims without child variables are built. Each family then runs that
+closure chain.
 Because of this, a day literal that does not fit the week is an error even in
 a branch no family reaches.
 """
@@ -175,32 +180,9 @@ class EClaim:
     day: DayArg | None = None
 
 
-@dataclass(frozen=True)
-class EAtLeastOne:
-    sex: Sex
-
-
-@dataclass(frozen=True)
-class ETwoOfAKind:
-    sex: Sex
-
-
-@dataclass(frozen=True)
-class EProudOf:
-    sex: Sex
-
-
-@dataclass(frozen=True)
-class EYesNo:
-    answer: bool
-
-
-@dataclass(frozen=True)
-class EText:
-    label: str
-
-
-StmtExpr = EClaim | EAtLeastOne | ETwoOfAKind | EProudOf | EYesNo | EText
+# A `say` holds the engine's own statement, except a claim, whose day and
+# child variables are bound while lowering.
+StmtExpr = EClaim | AtLeastOne | TwoOfAKind | ProudOf | YesNo | Text
 
 
 @dataclass(frozen=True)
@@ -310,6 +292,8 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 _SEXES = {"boy": Sex.BOY, "girl": Sex.GIRL}
+# Statements about one sex, by keyword: atleastone(boy), twoofakind(girl), ...
+_SEX_STATEMENTS = {cls.__name__.lower(): cls for cls in (AtLeastOne, TwoOfAKind, ProudOf)}
 
 
 def _check_probability(p: Fraction, what: str, span: SourceSpan | None) -> Fraction:
@@ -471,6 +455,11 @@ class _Parser:
             raise DslSyntaxError("zero denominator", span)
         return Fraction(num, den)
 
+    def sex(self) -> Sex:
+        if self.cur.text not in _SEXES:
+            self.fail("'boy' or 'girl'")
+        return _SEXES[self.advance().text]
+
     def sex_or_day(self) -> tuple[Sex | None, Day | None]:
         tok = self.cur
         if tok.kind == "ident" and tok.text in _SEXES:
@@ -511,9 +500,7 @@ class _Parser:
                 tok.span,
             )
         if kind == "sex":
-            if self.cur.text not in _SEXES:
-                self.fail("'boy' or 'girl'")
-            return PChildTest(var, "sex", sex=_SEXES[self.advance().text])
+            return PChildTest(var, "sex", sex=self.sex())
         day = self.try_day()
         if day is None:
             self.fail("a day literal")
@@ -558,9 +545,7 @@ class _Parser:
         if tok.text == "count":
             self.advance()
             self.expect("(")
-            if self.cur.text not in _SEXES:
-                self.fail("'boy' or 'girl'")
-            sex = _SEXES[self.advance().text]
+            sex = self.sex()
             self.expect(")")
             op = self.cur.text
             if op not in (">=", "<=", ">", "<", "="):
@@ -585,21 +570,14 @@ class _Parser:
                 day = self.day_arg()
             self.expect(")")
             return EClaim(sex, day)
-        if tok.text in ("atleastone", "twoofakind", "proudof"):
-            kind = self.advance().text
+        if tok.text in _SEX_STATEMENTS:
+            cls = _SEX_STATEMENTS[self.advance().text]
             self.expect("(")
-            if self.cur.text not in _SEXES:
-                self.fail("'boy' or 'girl'")
-            sex = _SEXES[self.advance().text]
+            sex = self.sex()
             self.expect(")")
-            cls = {"atleastone": EAtLeastOne, "twoofakind": ETwoOfAKind, "proudof": EProudOf}
-            return cls[kind](sex)
-        if tok.text == "yes":
-            self.advance()
-            return EYesNo(True)
-        if tok.text == "no":
-            self.advance()
-            return EYesNo(False)
+            return cls(sex)
+        if tok.text in ("yes", "no"):
+            return YesNo(self.advance().text == "yes")
         if tok.text == "text":
             self.advance()
             self.expect("(")
@@ -608,7 +586,7 @@ class _Parser:
             raw = self.advance().text
             self.expect(")")
             label = raw[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-            return EText(label)
+            return Text(label)
         self.fail("a statement expression")
 
     def sex_arg(self) -> SexArg:
@@ -635,22 +613,21 @@ class _Parser:
         self.fail("a day or 'day(var)'")
 
 
+def _claim_vars(expr: StmtExpr) -> list[str]:
+    """The child variables a statement expression reads (only a claim has any)."""
+    if not isinstance(expr, EClaim):
+        return []
+    return [arg.var for arg in (expr.sex, expr.day) if isinstance(arg, VarSex | VarDay)]
+
+
 def _check_bindings(stmts: tuple[Stmt, ...], bound: frozenset[str]) -> None:
     """Static scope check: a pick binds to the end of its enclosing block."""
-
-    def used_vars(expr: StmtExpr):
-        if isinstance(expr, EClaim):
-            if isinstance(expr.sex, VarSex):
-                yield expr.sex.var
-            if isinstance(expr.day, VarDay):
-                yield expr.day.var
-
     for st in stmts:
         match st:
             case Pick(var=v):
                 bound = bound | {v}
             case Say(expr=e, span=sp):
-                for v in used_vars(e):
+                for v in _claim_vars(e):
                     if v not in bound:
                         raise UnboundVariable(f"variable '{v}' is not bound by a pick", sp)
             case If(pred=p, then=t, els=e, span=sp):
@@ -747,20 +724,9 @@ def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND) -> QueryPr
 
 def _const_statement(expr: StmtExpr, cfg: WorldConfig, bound: Bound) -> Statement:
     """The statement a `say` without child variables always makes."""
-    match expr:
-        case EClaim(sex=s, day=d):
-            return Claim(s, None if d is None else _day_value(d, cfg, bound))
-        case EAtLeastOne(sex=s):
-            return AtLeastOne(s)
-        case ETwoOfAKind(sex=s):
-            return TwoOfAKind(s)
-        case EProudOf(sex=s):
-            return ProudOf(s)
-        case EYesNo(answer=a):
-            return YesNo(a)
-        case EText(label=label):
-            return Text(label)
-    raise TypeError(f"not a statement expression: {expr!r}")
+    if isinstance(expr, EClaim):
+        return Claim(expr.sex, None if expr.day is None else _day_value(expr.day, cfg, bound))
+    return expr
 
 
 # A lowered statement runs every path of one family from that statement on:
@@ -903,7 +869,7 @@ class _Lowering:
         raise TypeError(f"not a predicate: {p!r}")
 
     def say(self, e: StmtExpr, scope: dict[str, int]) -> _Step:
-        if not (isinstance(e, EClaim) and (isinstance(e.sex, VarSex) or isinstance(e.day, VarDay))):
+        if not _claim_vars(e):
             st = _const_statement(e, self.cfg, self.bound)
             return lambda f, env, w, row: _emit(row, st, w)
         sex, day = e.sex, e.day
@@ -1041,15 +1007,11 @@ def _render_stmt_expr(e: StmtExpr) -> str:
                 return f"claim({sex})"
             day = f"day({d.var})" if isinstance(d, VarDay) else _render_day(d)
             return f"claim({sex}, {day})"
-        case EAtLeastOne(sex=s):
-            return f"atleastone({_render_sex(s)})"
-        case ETwoOfAKind(sex=s):
-            return f"twoofakind({_render_sex(s)})"
-        case EProudOf(sex=s):
-            return f"proudof({_render_sex(s)})"
-        case EYesNo(answer=a):
+        case AtLeastOne(sex=s) | TwoOfAKind(sex=s) | ProudOf(sex=s):
+            return f"{type(e).__name__.lower()}({_render_sex(s)})"
+        case YesNo(answer=a):
             return "yes" if a else "no"
-        case EText(label=label):
+        case Text(label=label):
             escaped = label.replace("\\", "\\\\").replace('"', '\\"')
             return f'text("{escaped}")'
     raise TypeError(f"not a statement expression: {e!r}")
@@ -1112,9 +1074,7 @@ def parse_statement_text(text: str, cfg: WorldConfig) -> Statement:
     expr = parser.stmt_expr()
     if parser.cur.kind != "eof":
         parser.fail("end of input")
-    if isinstance(expr, EClaim) and (
-        isinstance(expr.sex, VarSex) or isinstance(expr.day, VarDay)
-    ):
+    if _claim_vars(expr):
         raise UnboundVariable("child variables are not available here")
     return _const_statement(expr, cfg, _UNBOUND)
 

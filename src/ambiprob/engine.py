@@ -5,10 +5,12 @@ assigned to any statement is reject mass. Posteriors are exact Bayes quotients
 over the (pre-filter renormalized) uniform prior.
 
 Conditioning counts: under the uniform prior every support family weighs
-``1/|support|``, so `posterior`, `statement_mass` and `marginal` sum the
-emission weights exactly (grouped by denominator, in integers) and multiply by
-that weight once. No prior dict is built, and the case table comes out in
-`family_str` order because families are generated in that order.
+``1/|support|``, so `posterior` and `marginal` sum the emission weights exactly
+(grouped by denominator, in integers) and multiply by that weight once. Each
+makes one pass over the families: it tests the pre-filter once per family and
+counts the support in the same loop that sums the emissions. No prior dict is
+built, and the case table comes out in `family_str` order because families are
+generated in that order. `statement_mass` is one entry of `marginal`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import (
     QueryPredicate,
     Sex,
     WorldConfig,
-    count_families,
     day_name,
     enumerate_families,
     eval_query,
@@ -192,15 +193,6 @@ def _case_order(cfg: WorldConfig):
     return itertools.product(children, repeat=cfg.family_size)
 
 
-def _support_size(k: ProtocolKernel) -> int:
-    if k.pre_filter is None:
-        return k.config.n_outcomes
-    size = count_families(k.config, k.pre_filter)
-    if size == 0:
-        raise EmptySupport("no family in the support satisfies the predicate")
-    return size
-
-
 def _add(acc: dict[int, int], w: Fraction) -> None:
     """Add w to an exact sum kept as numerator totals per denominator."""
     acc[w.denominator] = acc.get(w.denominator, 0) + w.numerator
@@ -211,34 +203,32 @@ def _total(acc: dict[int, int]) -> Fraction:
 
 
 def statement_mass(k: ProtocolKernel, s: Statement) -> Fraction:
-    size = _support_size(k)
-    rows, pre = k.rows, k.pre_filter
-    acc: dict[int, int] = {}
-    for f in enumerate_families(k.config):
-        row = rows.get(f)
-        emission = row and row.get(s)
-        if emission and (pre is None or eval_query(pre, f)):
-            _add(acc, emission)
-    return _total(acc) / size
+    """P(s emitted): its `marginal` entry, or 0 if s is never emitted."""
+    return marginal(k).get(s, Fraction(0))
 
 
 def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorReport:
     """Exact Bayes quotient P(q | s emitted) with the full per-family case table."""
-    size = _support_size(k)
     rows, pre = k.rows, k.pre_filter
+    size = 0
     cases = []
     s_acc: dict[int, int] = {}
     joint_acc: dict[int, int] = {}
     for f in _case_order(k.config):
+        if pre is not None and not eval_query(pre, f):
+            continue
+        size += 1
         row = rows.get(f)
         emission = row and row.get(s)
-        if not emission or (pre is not None and not eval_query(pre, f)):
+        if not emission:
             continue
         holds = eval_query(q, f)
         cases.append((f, emission, holds))
         _add(s_acc, emission)
         if holds:
             _add(joint_acc, emission)
+    if size == 0:
+        raise EmptySupport("no family in the support satisfies the predicate")
     prior = Fraction(1, size)
     s_mass = _total(s_acc) * prior
     if s_mass == 0:

@@ -14,7 +14,9 @@ from ambiprob.dsl import (
     parse_statement_text,
     render,
 )
-from ambiprob.engine import AtLeastOne, Claim, REJECT, Text, marginal, posterior
+from ambiprob.engine import (
+    REJECT, AtLeastOne, Claim, ProudOf, Text, TwoOfAKind, YesNo, marginal, posterior,
+)
 from ambiprob.errors import (
     DayOutOfRange,
     DslError,
@@ -426,3 +428,17 @@ def test_default_day_must_fit_the_week():
         compile_protocol(ast, WorldConfig(2, 2))
     assert (info.value.span.line, info.value.span.column) == (1, 21)
     compile_protocol(ast, WorldConfig(2, 2), {"D": 1})
+
+
+@pytest.mark.parametrize("text, statement", [
+    ("atleastone(boy)", AtLeastOne(Sex.BOY)),
+    ("twoofakind(girl)", TwoOfAKind(Sex.GIRL)),
+    ("proudof(boy)", ProudOf(Sex.BOY)),
+    ("yes", YesNo(True)),
+    ("no", YesNo(False)),
+    ('text("x")', Text("x")),
+])
+def test_say_holds_the_engine_statement(text, statement):
+    (say,) = parse(f"procedure p {{ say {text}; }}").body
+    assert say.expr == statement  # dataclass equality compares the classes too
+    assert parse_statement_text(text, CFG) == statement

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ambiprob import engine, model
 from ambiprob.engine import (
     AtLeastOne,
     Claim,
@@ -205,3 +206,18 @@ def test_empty_support_is_undefined():
                       lambda: marginal(k)):
         with pytest.raises(EmptySupport):
             condition()
+
+
+@pytest.mark.parametrize("sid", ["bc-tc", "classic-selection", "gn-tc"])
+def test_posterior_tests_the_pre_filter_once_per_family(sid, monkeypatch):
+    sc = build_scenario(sid, CFG, day=TUE)
+    calls = []
+
+    def counting(q, f, real=model.eval_query):
+        calls.append(q is sc.kernel.pre_filter)
+        return real(q, f)
+
+    for module in (model, engine):
+        monkeypatch.setattr(module, "eval_query", counting)
+    posterior(sc.kernel, sc.canonical_statement, sc.canonical_query)
+    assert calls.count(True) == CFG.n_outcomes == 196
