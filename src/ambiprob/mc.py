@@ -27,6 +27,8 @@ from .errors import DegenerateProtocol
 from .model import QueryPredicate, enumerate_families, eval_query
 
 _CHUNK = 1 << 18
+# McResult's counters, summed over a shard's chunks and over the shards.
+_COUNTERS = ("trials", "rejected_families", "rejected_runs", "hits", "statement_matches")
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,7 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
 
 def _run_shard(rng, passes, event, lo, hi, tot, denom, n_matches, cap):
     n_fam = passes.shape[0]
-    counters = dict(
-        trials=0, rejected_families=0, rejected_runs=0, hits=0,
-        statement_matches=0,
-    )
+    counters = dict.fromkeys(_COUNTERS, 0)
     consecutive_misses = 0
     while counters["statement_matches"] < n_matches:
         fam = rng.integers(0, n_fam, size=_CHUNK)
@@ -162,16 +161,13 @@ def sample_posterior(
         raise ValueError("shards must be >= 1")
     tables = _compile_tables(kernel, s, q)
 
-    seqs = np.random.SeedSequence(seed).spawn(shards)
-    totals = dict(
-        trials=0, rejected_families=0, rejected_runs=0, hits=0,
-        statement_matches=0,
-    )
+    # A spawned stream depends only on its index, so shards beyond n_trials,
+    # which would get no trials, need no stream.
+    seqs = np.random.SeedSequence(seed).spawn(min(shards, n_trials))
+    totals = dict.fromkeys(_COUNTERS, 0)
     base, rem = divmod(n_trials, shards)
     for i, seq in enumerate(seqs):
         quota = base + (1 if i < rem else 0)
-        if quota == 0:
-            continue
         rng = np.random.Generator(np.random.PCG64(seq))
         part = _run_shard(rng, *tables, quota, redraw_cap)
         for key, value in part.items():
@@ -179,17 +175,7 @@ def sample_posterior(
 
     estimate = totals["hits"] / n_trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / n_trials)
-    return McResult(
-        trials=totals["trials"],
-        rejected_families=totals["rejected_families"],
-        rejected_runs=totals["rejected_runs"],
-        hits=totals["hits"],
-        statement_matches=totals["statement_matches"],
-        estimate=estimate,
-        stderr=stderr,
-        seed=seed,
-        shards=shards,
-    )
+    return McResult(**totals, estimate=estimate, stderr=stderr, seed=seed, shards=shards)
 
 
 def agreement_check(

@@ -40,7 +40,10 @@ class _Builtin:
     statement: str
     answer: Callable[[int, Fraction], Fraction]  # (week length d, p) -> posterior
     description: str
-    query: str = "all(boy)"
+
+
+# Every builtin asks the same question: are both children boys?
+_QUERY = "all(boy)"
 
 
 def _default_day(cfg: WorldConfig) -> int:
@@ -130,7 +133,7 @@ def build_scenario(
         builtin.description,
         kernel,
         dsl.parse_statement_text(statement, cfg),
-        dsl.parse_event_text(builtin.query, cfg),
+        dsl.parse_event_text(_QUERY, cfg),
         builtin.answer(cfg.week_length, Fraction(p)),
     )
 

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,15 @@ def test_yesno_empirical_yes_rate():
     r = sample_posterior(sc.kernel, YesNo(True), Always(), 100000, seed=42)
     # matches over all emitting runs approximates the exact yes mass 27/196
     assert abs(r.statement_matches / r.trials - 27 / 196) < 0.01
+
+
+def test_more_shards_than_trials_gives_the_same_result():
+    # shards past the trial count get no trials and need no seed stream
+    sc = build_scenario("bc-tc", CFG, day=TUE)
+    args = (sc.kernel, sc.canonical_statement, sc.canonical_query, 5, 11)
+    five = sample_posterior(*args, shards=5)
+    for shards in (50, 10**8):
+        assert sample_posterior(*args, shards=shards) == replace(five, shards=shards)
 
 
 def _builtin(sid, d, trials, seed, shards=1):
