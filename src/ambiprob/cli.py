@@ -45,7 +45,8 @@ EXIT_CODES = {
     EmptySupport: EXIT_UNDEFINED,
     DslError: EXIT_DSL,
     DegenerateProtocol: EXIT_DEGENERATE,
-    FileNotFoundError: EXIT_USAGE,
+    UnicodeDecodeError: EXIT_DSL,  # a .proc file that is not UTF-8
+    OSError: EXIT_USAGE,  # a .proc path that is missing, a directory, unreadable
 }
 
 
@@ -66,14 +67,18 @@ def _parse_day(text: str, cfg: WorldConfig) -> int:
     raise CliError(f"invalid day {text!r} for a {cfg.week_length}-day week", EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -322,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("target", help="scenario id or .proc file")
     p_mc.add_argument("--say", help="statement (required for .proc targets)")
     p_mc.add_argument("--event", help="event predicate (required for .proc targets)")
-    p_mc.add_argument("--trials", type=_positive_int, default=1_000_000)
-    p_mc.add_argument("--seed", type=int, default=42)
-    p_mc.add_argument("--shards", type=_positive_int, default=1)
+    p_mc.add_argument("--trials", type=_int_at_least(1), default=1_000_000)
+    p_mc.add_argument("--seed", type=_int_at_least(0), default=42)
+    p_mc.add_argument("--shards", type=_int_at_least(1), default=1)
     common(p_mc)
     p_mc.set_defaults(func=cmd_mc)
 

@@ -240,3 +240,18 @@ def test_bad_builtin_arguments_exit_2(argv, capsys):
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("ambiprob: ")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("eval", "folder.proc", "--say", "yes", "--event", "all(boy)"), 2, "Is a directory"),
+    (("mc", "folder.proc", "--say", "yes", "--event", "all(boy)"), 2, "Is a directory"),
+    (("eval", "latin1.proc", "--say", "yes", "--event", "all(boy)"), 4, "can't decode"),
+    (("mc", "bc-tc", "--seed", "-1", "--trials", "10"), 2, "must be >= 0"),
+])
+def test_unreadable_proc_or_negative_seed_exits_cleanly(argv, code, message, tmp_path,
+                                                       monkeypatch, capsys):
+    (tmp_path / "folder.proc").mkdir()
+    (tmp_path / "latin1.proc").write_bytes(b'procedure p { say text("\xff"); }\n')
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == (code, "")
+    assert message in capsys.readouterr().err
