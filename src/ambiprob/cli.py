@@ -45,7 +45,6 @@ EXIT_CODES = {
     EmptySupport: EXIT_UNDEFINED,
     DslError: EXIT_DSL,
     DegenerateProtocol: EXIT_DEGENERATE,
-    UnicodeDecodeError: EXIT_DSL,  # a .proc file that is not UTF-8
     OSError: EXIT_USAGE,  # a .proc path that is missing, a directory, unreadable
 }
 
@@ -298,12 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def world(p):
         p.add_argument("--week-days", type=int, default=7, metavar="D")
         p.add_argument("--children", type=int, default=2, metavar="N")
+        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
+
+    def builtin(p):  # read only when a builtin scenario is built
         p.add_argument("--day", default="tue", help="target day (tue, d3, ...)")
         p.add_argument("--p", default="1/2", help="posterior for the any-answer scenario")
-        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
+
+    def decimal(p):  # read only by the posterior report
         p.add_argument("--decimal", action="store_true",
                        help="also show 6-digit decimal approximations")
 
@@ -313,14 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="exact posterior of a builtin scenario")
     p_run.add_argument("scenario")
-    common(p_run)
+    world(p_run)
+    builtin(p_run)
+    decimal(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="evaluate a .proc file")
     p_eval.add_argument("file")
     p_eval.add_argument("--say", required=True, help='statement, e.g. "claim(boy,tue)"')
     p_eval.add_argument("--event", required=True, help='event predicate, e.g. "all(boy)"')
-    common(p_eval)
+    world(p_eval)
+    decimal(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo cross-check")
@@ -330,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--trials", type=_int_at_least(1), default=1_000_000)
     p_mc.add_argument("--seed", type=_int_at_least(0), default=42)
     p_mc.add_argument("--shards", type=_int_at_least(1), default=1)
-    common(p_mc)
+    world(p_mc)
+    builtin(p_mc)
     p_mc.set_defaults(func=cmd_mc)
 
     p_sweep = sub.add_parser("sweep", help="week-length sweep against (2d-1)/(4d-1)")

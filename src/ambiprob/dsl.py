@@ -20,9 +20,16 @@ Compilation is exact: every flip branch and uniform pick is expanded
 symbolically into rational path weights; nothing is sampled. A path that falls
 off the end of the procedure is an implicit reject (with a warning).
 
+A `pick` binds its variable to the end of the enclosing block. The parser
+resolves every child variable: each pick gets an env slot fixed while parsing,
+every `sex(v)`/`day(v)` use carries that slot, and a variable no pick binds is
+an `UnboundVariable` at the statement (or `require`) that uses it.
+
 A `say` holds the engine's statement (`AtLeastOne`, `YesNo`, `Text`, ...)
-from parsing on. Only a claim has a syntax node of its own, `EClaim`, because
-its day may be a parameter and its sex and day may read a picked child.
+from parsing on, and `and`/`or`/`not` are the engine's `And`/`Or`/`Not`. Only
+the leaves that may need binding are the language's own: `PExists`, `PAll`,
+`PCount`, `PChildTest` and `EClaim`, whose day may be a parameter and whose
+sex and day may read a picked child.
 
 Lowering happens once per compile: the body becomes nested closures in which
 variable-free predicates are already engine queries, day literals are resolved
@@ -67,6 +74,7 @@ from .model import (
     Exists,
     Family,
     Not,
+    Or,
     QueryPredicate,
     Sex,
     WorldConfig,
@@ -107,7 +115,6 @@ class ParamRef:
     """A use of a procedure parameter, as a day or as a flip probability."""
 
     name: str
-    span: SourceSpan | None = field(default=None, compare=False)
 
 
 Day = DayLit | ParamRef
@@ -134,40 +141,29 @@ class PAll:
 
 @dataclass(frozen=True)
 class PChildTest:
+    """`sex(v)=...` or `day(v)=...`; `slot` is v's env slot, None in a `where`."""
+
     var: str
     kind: str  # "sex" or "day"
     sex: Sex | None = None
     day: Day | None = None
+    slot: int | None = None
 
 
-@dataclass(frozen=True)
-class PAnd:
-    left: "Pred"
-    right: "Pred"
-
-
-@dataclass(frozen=True)
-class POr:
-    left: "Pred"
-    right: "Pred"
-
-
-@dataclass(frozen=True)
-class PNot:
-    inner: "Pred"
-
-
-Pred = PExists | PCount | PAll | PChildTest | PAnd | POr | PNot
+# The engine's And/Or/Not combine the language's own leaves.
+Pred = PExists | PCount | PAll | PChildTest | And | Or | Not
 
 
 @dataclass(frozen=True)
 class VarSex:
     var: str
+    slot: int
 
 
 @dataclass(frozen=True)
 class VarDay:
     var: str
+    slot: int
 
 
 SexArg = Sex | VarSex
@@ -180,8 +176,8 @@ class EClaim:
     day: DayArg | None = None
 
 
-# A `say` holds the engine's own statement, except a claim, whose day and
-# child variables are bound while lowering.
+# A `say` holds the engine's own statement, except a claim, whose day may be a
+# parameter and whose sex and day may read a picked child.
 StmtExpr = EClaim | AtLeastOne | TwoOfAKind | ProudOf | YesNo | Text
 
 
@@ -190,12 +186,12 @@ class If:
     pred: Pred
     then: tuple["Stmt", ...]
     els: tuple["Stmt", ...] | None = None
-    span: SourceSpan | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Pick:
     var: str
+    slot: int
     where: PChildTest | None = None
     span: SourceSpan | None = field(default=None, compare=False)
 
@@ -210,7 +206,6 @@ class Flip:
 @dataclass(frozen=True)
 class Say:
     expr: StmtExpr
-    span: SourceSpan | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -307,6 +302,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.params: dict[str, Param] = {}
+        self.scope: dict[str, int] = {}  # child variable -> its pick's env slot
+        self.picks = 0
+        self.stmt_span: SourceSpan | None = None  # where an unbound variable is reported
 
     @property
     def cur(self) -> Token:
@@ -352,7 +350,7 @@ class _Parser:
         self.expect("{")
         requires = []
         while self.cur.text == "require":
-            self.advance()
+            self.stmt_span = self.advance().span
             requires.append(self.pred())
             self.expect(";")
         body = []
@@ -392,32 +390,38 @@ class _Parser:
         declared = self.params[tok.text].kind
         if declared != kind:
             raise DslSyntaxError(f"parameter '{tok.text}' is a {declared}, not a {kind}", tok.span)
-        return ParamRef(tok.text, span=tok.span)
+        return ParamRef(tok.text)
 
     def block(self) -> tuple[Stmt, ...]:
         self.expect("{")
+        outer = self.scope
         stmts = []
         while self.cur.text != "}":
             stmts.append(self.stmt())
         self.expect("}")
+        self.scope = outer
         return tuple(stmts)
 
     def stmt(self) -> Stmt:
         tok = self.cur
+        self.stmt_span = tok.span
         if tok.text == "if":
             self.advance()
             pred = self.pred()
             then = self.block()
             els = self.block() if self.accept("else") else None
-            return If(pred, then, els, span=tok.span)
+            return If(pred, then, els)
         if tok.text == "pick":
             self.advance()
             var = self.expect_ident("variable name").text
+            slot = self.picks
+            self.picks += 1
+            self.scope = {**self.scope, var: slot}
             where = None
             if self.accept("where"):
-                where = self.child_test(expect_var=var)
+                where = self.child_test(picked=var)
             self.expect(";")
-            return Pick(var, where, span=tok.span)
+            return Pick(var, slot, where, span=tok.span)
         if tok.text == "flip":
             self.advance()
             if self.cur.text in self.params:
@@ -432,7 +436,7 @@ class _Parser:
             self.advance()
             expr = self.stmt_expr()
             self.expect(";")
-            return Say(expr, span=tok.span)
+            return Say(expr)
         if tok.text == "reject":
             self.advance()
             self.expect(";")
@@ -485,43 +489,53 @@ class _Parser:
             return DayLit(int(m.group(1)), named=False, span=tok.span)
         return None
 
-    def child_test(self, expect_var: str | None = None) -> PChildTest:
+    def var(self) -> tuple[str, int]:
+        """`(VAR)`: a child variable and the env slot of the pick that binds it."""
+        self.expect("(")
+        var = self.expect_ident("variable name").text
+        self.expect(")")
+        if var not in self.scope:
+            raise UnboundVariable(f"variable '{var}' is not bound by a pick", self.stmt_span)
+        return var, self.scope[var]
+
+    def child_test(self, picked: str | None = None) -> PChildTest:
+        """A test of a bound child, or of the candidates of the pick of `picked`."""
         tok = self.cur
         if tok.text not in ("sex", "day"):
             self.fail("'sex(var)=...' or 'day(var)=...'")
         kind = self.advance().text
-        self.expect("(")
-        var = self.expect_ident("variable name").text
-        self.expect(")")
+        var, slot = self.var()
         self.expect("=")
-        if expect_var is not None and var != expect_var:
-            raise DslSyntaxError(
-                f"'where' clause must test the picked variable '{expect_var}'",
-                tok.span,
-            )
+        if picked is not None:
+            if var != picked:
+                raise DslSyntaxError(
+                    f"'where' clause must test the picked variable '{picked}'",
+                    tok.span,
+                )
+            slot = None
         if kind == "sex":
-            return PChildTest(var, "sex", sex=self.sex())
+            return PChildTest(var, "sex", sex=self.sex(), slot=slot)
         day = self.try_day()
         if day is None:
             self.fail("a day literal")
-        return PChildTest(var, "day", day=day)
+        return PChildTest(var, "day", day=day, slot=slot)
 
     def pred(self) -> Pred:
         left = self.pred_and()
         while self.accept("or"):
-            left = POr(left, self.pred_and())
+            left = Or(left, self.pred_and())
         return left
 
     def pred_and(self) -> Pred:
         left = self.pred_atom()
         while self.accept("and"):
-            left = PAnd(left, self.pred_atom())
+            left = And(left, self.pred_atom())
         return left
 
     def pred_atom(self) -> Pred:
         tok = self.cur
         if self.accept("not"):
-            return PNot(self.pred_atom())
+            return Not(self.pred_atom())
         if self.accept("("):
             inner = self.pred()
             self.expect(")")
@@ -592,80 +606,32 @@ class _Parser:
     def sex_arg(self) -> SexArg:
         if self.cur.text in _SEXES:
             return _SEXES[self.advance().text]
-        if self.cur.text == "sex":
-            self.advance()
-            self.expect("(")
-            var = self.expect_ident("variable name").text
-            self.expect(")")
-            return VarSex(var)
+        if self.accept("sex"):
+            return VarSex(*self.var())
         self.fail("a sex or 'sex(var)'")
 
     def day_arg(self) -> DayArg:
         day = self.try_day()
         if day is not None:
             return day
-        if self.cur.text == "day":
-            self.advance()
-            self.expect("(")
-            var = self.expect_ident("variable name").text
-            self.expect(")")
-            return VarDay(var)
+        if self.accept("day"):
+            return VarDay(*self.var())
         self.fail("a day or 'day(var)'")
-
-
-def _claim_vars(expr: StmtExpr) -> list[str]:
-    """The child variables a statement expression reads (only a claim has any)."""
-    if not isinstance(expr, EClaim):
-        return []
-    return [arg.var for arg in (expr.sex, expr.day) if isinstance(arg, VarSex | VarDay)]
-
-
-def _check_bindings(stmts: tuple[Stmt, ...], bound: frozenset[str]) -> None:
-    """Static scope check: a pick binds to the end of its enclosing block."""
-    for st in stmts:
-        match st:
-            case Pick(var=v):
-                bound = bound | {v}
-            case Say(expr=e, span=sp):
-                for v in _claim_vars(e):
-                    if v not in bound:
-                        raise UnboundVariable(f"variable '{v}' is not bound by a pick", sp)
-            case If(pred=p, then=t, els=e, span=sp):
-                for test in _child_tests(p):
-                    if test.var not in bound:
-                        raise UnboundVariable(
-                            f"variable '{test.var}' is not bound by a pick", sp
-                        )
-                _check_bindings(t, bound)
-                if e is not None:
-                    _check_bindings(e, bound)
-            case Flip(then=t, els=e):
-                _check_bindings(t, bound)
-                _check_bindings(e, bound)
-            case Reject():
-                pass
 
 
 def parse(source: str) -> ProtocolAst:
     """Parse a procedure; raises DslSyntaxError / UnboundVariable on bad input."""
-    ast = _Parser(tokenize(source)).protocol()
-    for pred in ast.requires:
-        for _ in _child_tests(pred):
-            raise UnboundVariable(
-                "child-variable tests are not allowed in 'require'"
-            )
-    _check_bindings(ast.body, frozenset())
-    return ast
+    return _Parser(tokenize(source)).protocol()
 
 
 def _child_tests(p: Pred):
     match p:
         case PChildTest():
             yield p
-        case PAnd(left=a, right=b) | POr(left=a, right=b):
+        case And(left=a, right=b) | Or(left=a, right=b):
             yield from _child_tests(a)
             yield from _child_tests(b)
-        case PNot(inner=i):
+        case Not(inner=i):
             yield from _child_tests(i)
 
 
@@ -711,15 +677,13 @@ def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND) -> QueryPr
                     return Not(CountAtLeast(n, s))
                 case "=":
                     return And(CountAtLeast(n, s), Not(CountAtLeast(n + 1, s)))
-        case PAnd(left=a, right=b):
+        case And(left=a, right=b):
             return And(pred_to_query(a, cfg, bound), pred_to_query(b, cfg, bound))
-        case POr(left=a, right=b):
-            return model.Or(pred_to_query(a, cfg, bound), pred_to_query(b, cfg, bound))
-        case PNot(inner=i):
+        case Or(left=a, right=b):
+            return Or(pred_to_query(a, cfg, bound), pred_to_query(b, cfg, bound))
+        case Not(inner=i):
             return Not(pred_to_query(i, cfg, bound))
-        case PChildTest():
-            raise UnboundVariable("child-variable tests need a bound pick variable")
-    raise TypeError(f"not a predicate: {p!r}")
+    raise TypeError(f"not a variable-free predicate: {p!r}")
 
 
 def _const_statement(expr: StmtExpr, cfg: WorldConfig, bound: Bound) -> Statement:
@@ -732,7 +696,7 @@ def _const_statement(expr: StmtExpr, cfg: WorldConfig, bound: Bound) -> Statemen
 # A lowered statement runs every path of one family from that statement on:
 # step(family, env, weight, row) adds each path's weight to `row` under the
 # statement the path says. `env` holds the child index bound by each pick, in
-# a slot fixed while lowering, so an inner pick never overwrites a variable
+# a slot fixed while parsing, so an inner pick never overwrites a variable
 # that code after its block reads.
 _Step = Callable[[Family, list[int], Fraction, Row], None]
 
@@ -765,7 +729,7 @@ class _Lowering:
     def __init__(self, cfg: WorldConfig, bound: Bound):
         self.cfg = cfg
         self.bound = bound
-        self.slots = 0
+        self.slots = 0  # env size: one past the highest pick slot lowered
         self.empty_picks: list[tuple[Family, Pick]] = []
         self.fell_through = False
         # shares[m]: each child's share of a pick among m matching children
@@ -774,34 +738,25 @@ class _Lowering:
     def fall_through(self, f, env, w, row) -> None:
         self.fell_through = True
 
-    def block(self, stmts: tuple[Stmt, ...], scope: dict[str, int], after: _Step) -> _Step:
+    def block(self, stmts: tuple[Stmt, ...], after: _Step) -> _Step:
         """Lower a block; `after` runs for paths that reach its end."""
-        placed = []
-        for st in stmts:
-            slot = None
-            if isinstance(st, Pick):
-                slot = self.slots
-                self.slots += 1
-            placed.append((st, scope, slot))
-            if slot is not None:
-                scope = {**scope, st.var: slot}
         step = after
-        for st, scope, slot in reversed(placed):
-            step = self.stmt(st, scope, slot, step)
+        for st in reversed(stmts):
+            step = self.stmt(st, step)
         return step
 
-    def stmt(self, st: Stmt, scope: dict[str, int], slot: int | None, nxt: _Step) -> _Step:
+    def stmt(self, st: Stmt, nxt: _Step) -> _Step:
         match st:
             case Say(expr=e):
-                return self.say(e, scope)
+                return self.say(e)
             case Reject():
                 return _reject
             case Pick():
-                return self.pick(st, slot, nxt)
+                return self.pick(st, nxt)
             case If(pred=p, then=t, els=e):
-                then = self.block(t, scope, nxt)
-                els = nxt if e is None else self.block(e, scope, nxt)
-                test = self.pred(p, scope)
+                then = self.block(t, nxt)
+                els = nxt if e is None else self.block(e, nxt)
+                test = self.pred(p)
 
                 def branch(f, env, w, row):
                     (then if test(f, env) else els)(f, env, w, row)
@@ -810,8 +765,8 @@ class _Lowering:
                 if isinstance(p, ParamRef):
                     p = self.bound[p.name]
                 q = 1 - p
-                then = self.block(t, scope, nxt)
-                els = self.block(e, scope, nxt)
+                then = self.block(t, nxt)
+                els = self.block(e, nxt)
                 # a branch that only rejects emits nothing, so its weight is not needed
                 take_then = p and then is not _reject
                 take_els = q and els is not _reject
@@ -824,8 +779,9 @@ class _Lowering:
                 return flip
         raise TypeError(f"not a statement: {st!r}")
 
-    def pick(self, st: Pick, slot: int, nxt: _Step) -> _Step:
-        shares, empty = self.shares, self.empty_picks
+    def pick(self, st: Pick, nxt: _Step) -> _Step:
+        slot, shares, empty = st.slot, self.shares, self.empty_picks
+        self.slots = max(self.slots, slot + 1)
         everyone = range(self.cfg.family_size)
         ok = None if st.where is None else self.child_test(st.where)
 
@@ -847,34 +803,33 @@ class _Lowering:
         day = _day_value(p.day, self.cfg, self.bound)
         return lambda c: c.day == day
 
-    def pred(self, p: Pred, scope: dict[str, int]) -> Callable[[Family, list[int]], bool]:
+    def pred(self, p: Pred) -> Callable[[Family, list[int]], bool]:
         """A test of (family, env); variable-free parts are lowered to queries."""
         if next(_child_tests(p), None) is None:
             q = pred_to_query(p, self.cfg, self.bound)
             return lambda f, env: eval_query(q, f)
         match p:
-            case PChildTest(var=v):
-                slot = scope[v]
+            case PChildTest(slot=slot):
                 ok = self.child_test(p)
                 return lambda f, env: ok(f[env[slot]])
-            case PAnd(left=a, right=b):
-                ta, tb = self.pred(a, scope), self.pred(b, scope)
+            case And(left=a, right=b):
+                ta, tb = self.pred(a), self.pred(b)
                 return lambda f, env: ta(f, env) and tb(f, env)
-            case POr(left=a, right=b):
-                ta, tb = self.pred(a, scope), self.pred(b, scope)
+            case Or(left=a, right=b):
+                ta, tb = self.pred(a), self.pred(b)
                 return lambda f, env: ta(f, env) or tb(f, env)
-            case PNot(inner=i):
-                ti = self.pred(i, scope)
+            case Not(inner=i):
+                ti = self.pred(i)
                 return lambda f, env: not ti(f, env)
         raise TypeError(f"not a predicate: {p!r}")
 
-    def say(self, e: StmtExpr, scope: dict[str, int]) -> _Step:
-        if not _claim_vars(e):
+    def say(self, e: StmtExpr) -> _Step:
+        sex, day = (e.sex, e.day) if isinstance(e, EClaim) else (None, None)
+        sex_slot = sex.slot if isinstance(sex, VarSex) else None
+        day_slot = day.slot if isinstance(day, VarDay) else None
+        if sex_slot is None and day_slot is None:
             st = _const_statement(e, self.cfg, self.bound)
             return lambda f, env, w, row: _emit(row, st, w)
-        sex, day = e.sex, e.day
-        sex_slot = scope[sex.var] if isinstance(sex, VarSex) else None
-        day_slot = scope[day.var] if isinstance(day, VarDay) else None
         if day is not None and day_slot is None:
             day = _day_value(day, self.cfg, self.bound)
         claims: dict[tuple, Claim] = {}
@@ -925,7 +880,7 @@ def compile_protocol(
         pre_filter = q if pre_filter is None else And(pre_filter, q)
 
     lowering = _Lowering(cfg, bound)
-    body = lowering.block(ast.body, {}, lowering.fall_through)
+    body = lowering.block(ast.body, lowering.fall_through)
     env = [0] * lowering.slots
     rows: dict[Family, Row] = {}
     for f in enumerate_families(cfg):
@@ -955,8 +910,17 @@ def compile_protocol(
 
 
 def load_protocol(path, cfg: WorldConfig) -> ProtocolKernel:
-    with open(path, encoding="utf-8") as fh:
-        return compile_protocol(parse(fh.read()), cfg)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise DslSyntaxError(
+            f"{path} is not UTF-8: can't decode byte 0x{data[exc.start]:02x}",
+            SourceSpan(before.count("\n") + 1, len(before) - before.rfind("\n")),
+        )
+    return compile_protocol(parse(source), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -988,11 +952,11 @@ def _render_pred(p: Pred, parent_prec: int = 0) -> str:
         case PChildTest(var=v, kind=kind, sex=s, day=d):
             value = _render_sex(s) if kind == "sex" else _render_day(d)
             text, prec = f"{kind}({v}) = {value}", 3
-        case PAnd(left=a, right=b):
+        case And(left=a, right=b):
             text, prec = f"{_render_pred(a, 2)} and {_render_pred(b, 3)}", 2
-        case POr(left=a, right=b):
+        case Or(left=a, right=b):
             text, prec = f"{_render_pred(a, 1)} or {_render_pred(b, 2)}", 1
-        case PNot(inner=i):
+        case Not(inner=i):
             text, prec = f"not {_render_pred(i, 3)}", 3
         case _:
             raise TypeError(f"not a predicate: {p!r}")
@@ -1074,8 +1038,6 @@ def parse_statement_text(text: str, cfg: WorldConfig) -> Statement:
     expr = parser.stmt_expr()
     if parser.cur.kind != "eof":
         parser.fail("end of input")
-    if _claim_vars(expr):
-        raise UnboundVariable("child variables are not available here")
     return _const_statement(expr, cfg, _UNBOUND)
 
 

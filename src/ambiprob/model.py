@@ -78,6 +78,10 @@ def enumerate_families(cfg: WorldConfig) -> list[Family]:
 PriorDistribution = dict[Family, Fraction]
 
 
+# `engine` conditions by counting and builds no prior, so `src/` calls neither
+# `uniform_prior` nor `restrict_prior`. Both stay: they are the explicit-prior
+# reference that tests/test_properties.py checks the engine against, and the
+# benchmark's `model.prior.self_s` metric times them (perfbench/tracer.py).
 def uniform_prior(cfg: WorldConfig) -> PriorDistribution:
     w = Fraction(1, cfg.n_outcomes)
     return {f: w for f in enumerate_families(cfg)}

@@ -255,3 +255,22 @@ def test_unreadable_proc_or_negative_seed_exits_cleanly(argv, code, message, tmp
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == (code, "")
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", os.path.join(PROC_DIR, "bc_tc.proc"), "--say", "claim(boy,wed)",
+     "--event", "all(boy)", "--day", "wed"),
+    ("eval", os.path.join(PROC_DIR, "any_answer.proc"), "--say", "atleastone(boy)",
+     "--event", "all(boy)", "--p", "1/3"),
+    ("mc", "bc-tc", "--trials", "10", "--decimal"),
+])
+def test_options_a_command_would_ignore_exit_2(argv, capsys):
+    assert run_cli(*argv) == (2, "")
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unbound_variable_before_a_syntax_error_exits_4(tmp_path, capsys):
+    proc = tmp_path / "p.proc"
+    proc.write_text("procedure p {\n  if sex(c) = boy { say yes; }\n  say\n}\n")
+    assert run_cli("eval", str(proc), "--say", "yes", "--event", "all(boy)") == (4, "")
+    assert "2:3: variable 'c' is not bound by a pick" in capsys.readouterr().err

@@ -7,6 +7,8 @@ import pytest
 
 from ambiprob.dsl import (
     DslWarning,
+    PAll,
+    PExists,
     compile_protocol,
     load_protocol,
     parse,
@@ -125,6 +127,30 @@ def test_unbound_variable_in_if_carries_span():
         parse("procedure p {\n  if sex(c) = boy { say yes; } else { say no; }\n}")
     assert "2:3: variable 'c' is not bound by a pick" in str(info.value)
     assert (info.value.span.line, info.value.span.column) == (2, 3)
+
+
+@pytest.mark.parametrize("src, where", [
+    ("procedure p {\n  say yes; say claim(sex(c));\n}", "2:12"),
+    ("procedure p {\n  require exists(boy);\n  require sex(c) = boy;\n  say yes;\n}", "3:3"),
+])
+def test_unbound_variable_carries_the_span_of_its_statement(src, where):
+    with pytest.raises(UnboundVariable) as info:
+        parse(src)
+    assert f"{where}: variable 'c' is not bound by a pick" in str(info.value)
+
+
+def test_and_or_not_are_the_engine_combinators():
+    (branch,) = parse("procedure p { if exists(boy) and not all(girl) { say yes; } }").body
+    assert branch.pred == And(PExists(Sex.BOY), Not(PAll(Sex.GIRL)))
+
+
+def test_non_utf8_file_is_a_syntax_error_with_a_position(tmp_path):
+    path = tmp_path / "latin1.proc"
+    path.write_bytes(b'procedure p { say text("\xff"); }\n')
+    with pytest.raises(DslSyntaxError) as info:
+        load_protocol(path, CFG)
+    assert (info.value.span.line, info.value.span.column) == (1, 25)
+    assert f"{path} is not UTF-8: can't decode byte 0xff" in str(info.value)
 
 
 def test_day_out_of_range_carries_span():
