@@ -34,6 +34,7 @@ from .model import (
     QueryPredicate,
     Sex,
     WorldConfig,
+    compile_query,
     count_families,
     enumerate_families,
     eval_query,
@@ -48,8 +49,8 @@ __all__ = [
     "ChildDayIs", "ChildSexIs", "Claim", "CountAtLeast", "Exists", "Family",
     "Not", "Or", "PosteriorReport", "ProtocolKernel", "ProudOf",
     "QueryPredicate", "REJECT", "Scenario", "Sex", "Statement", "Text",
-    "TwoOfAKind", "WorldConfig", "YesNo", "build_scenario", "count_families",
-    "enumerate_families", "eval_query", "family_str", "marginal", "posterior",
-    "restrict_prior", "statement_mass", "sweep_formula", "uniform_prior",
-    "validate_kernel", "week_sweep",
+    "TwoOfAKind", "WorldConfig", "YesNo", "build_scenario", "compile_query",
+    "count_families", "enumerate_families", "eval_query", "family_str",
+    "marginal", "posterior", "restrict_prior", "statement_mass",
+    "sweep_formula", "uniform_prior", "validate_kernel", "week_sweep",
 ]

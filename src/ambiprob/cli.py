@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import dsl, mc
 from .engine import PosteriorReport, posterior, render_statement
@@ -112,28 +113,42 @@ def _emit_rows(header, rows, fmt, out):
             out.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
+# Case rows per write of a JSON report: bounded strings, few writes.
+_JSON_BATCH = 1000
+
+
+def _json_case(r) -> str:
+    return (
+        f'\n    {{\n      "family": "{family_str(r.family)}",\n'
+        f'      "prior": "{r.prior}",\n      "emission": "{r.emission}",\n'
+        f'      "event": {"true" if r.event else "false"}\n    }}'
+    )
+
+
+def _write_json_report(rep: PosteriorReport, stmt: str, decimal: bool, out) -> None:
+    """Write the bytes `json.dump(payload, out, indent=2)` would, without
+    building the payload or running the pure-Python encoder. Family and
+    `Fraction` strings need no escaping; the statement may (a text label)."""
+    out.write(
+        f'{{\n  "statement": {encode_basestring_ascii(stmt)},\n'
+        f'  "statement_mass": "{rep.statement_mass}",\n'
+        f'  "joint_mass": "{rep.joint_mass}",\n'
+        f'  "posterior": "{rep.posterior}",\n  "cases": ['
+    )
+    cases = rep.case_table
+    for start in range(0, len(cases), _JSON_BATCH):
+        batch = ",".join(map(_json_case, cases[start:start + _JSON_BATCH]))
+        out.write("," + batch if start else batch)
+    out.write("\n  ]" if cases else "]")
+    if decimal:
+        out.write(f',\n  "posterior_decimal": {json.dumps(float(rep.posterior))}')
+    out.write("\n}\n")
+
+
 def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
     stmt = render_statement(rep.statement, cfg)
     if args.format == "json":
-        payload = {
-            "statement": stmt,
-            "statement_mass": str(rep.statement_mass),
-            "joint_mass": str(rep.joint_mass),
-            "posterior": str(rep.posterior),
-            "cases": [
-                {
-                    "family": family_str(r.family),
-                    "prior": str(r.prior),
-                    "emission": str(r.emission),
-                    "event": r.event,
-                }
-                for r in rep.case_table
-            ],
-        }
-        if args.decimal:
-            payload["posterior_decimal"] = float(rep.posterior)
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json_report(rep, stmt, args.decimal, out)
         return
     header = ["family", "prior", "emission", "event"]
     rows = [
@@ -180,9 +195,10 @@ def _scenario(args, cfg: WorldConfig, target: str):
         raise CliError(
             f"unknown scenario id {target!r}; see `ambiprob list`", EXIT_USAGE
         )
-    day = _parse_day(args.day, cfg)
+    day = _parse_day("tue" if args.day is None else args.day, cfg)
+    p = _parse_fraction("1/2" if args.p is None else args.p)
     try:
-        return build_scenario(target, cfg, day=day, p=_parse_fraction(args.p))
+        return build_scenario(target, cfg, day=day, p=p)
     except (DayOutOfRange, InvalidProbability, UnsupportedConfig) as exc:
         raise CliError(str(exc), EXIT_USAGE)
 
@@ -220,6 +236,12 @@ def _mc_target(args, cfg):
     if args.target.endswith(".proc"):
         if not args.say or not args.event:
             raise CliError("--say and --event are required for .proc targets", EXIT_USAGE)
+        if args.day is not None or args.p is not None:
+            raise CliError(
+                "--day and --p apply to builtin scenarios only; "
+                "a .proc target uses its parameters' defaults",
+                EXIT_USAGE,
+            )
         kernel = dsl.load_protocol(args.target, cfg)
         statement = dsl.parse_statement_text(args.say, cfg)
         event = dsl.parse_event_text(args.event, cfg)
@@ -303,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
     def builtin(p):  # read only when a builtin scenario is built
-        p.add_argument("--day", default="tue", help="target day (tue, d3, ...)")
-        p.add_argument("--p", default="1/2", help="posterior for the any-answer scenario")
+        p.add_argument("--day", help="target day (tue, d3, ...; default tue)")
+        p.add_argument("--p", help="posterior for the any-answer scenario (default 1/2)")
 
     def decimal(p):  # read only by the posterior report
         p.add_argument("--decimal", action="store_true",

@@ -32,9 +32,9 @@ the leaves that may need binding are the language's own: `PExists`, `PAll`,
 sex and day may read a picked child.
 
 Lowering happens once per compile: the body becomes nested closures in which
-variable-free predicates are already engine queries, day literals are resolved
-and claims without child variables are built. Each family then runs that
-closure chain.
+variable-free predicates are already compiled engine queries, day literals are
+resolved and claims without child variables are built. Each family then runs
+that closure chain.
 Because of this, a day literal that does not fit the week is an error even in
 a branch no family reaches.
 """
@@ -78,8 +78,8 @@ from .model import (
     QueryPredicate,
     Sex,
     WorldConfig,
+    compile_query,
     enumerate_families,
-    eval_query,
     family_str,
 )
 
@@ -719,9 +719,9 @@ def _reject(f, env, w, row) -> None:
 class _Lowering:
     """Turns a procedure body into nested closures, once per compile.
 
-    Variable-free predicates become queries, day literals are resolved,
-    constant statements are built and flips carry ``1 - p`` here, so nothing
-    is lowered again per family. Paths run depth-first in source order (a
+    Variable-free predicates become compiled queries, day literals are
+    resolved, constant statements are built and flips carry ``1 - p`` here,
+    so nothing is lowered again per family. Paths run depth-first in source order (a
     flip's first branch first, picked children in birth order); that order
     fixes the order of the statements in each row.
     """
@@ -804,10 +804,10 @@ class _Lowering:
         return lambda c: c.day == day
 
     def pred(self, p: Pred) -> Callable[[Family, list[int]], bool]:
-        """A test of (family, env); variable-free parts are lowered to queries."""
+        """A test of (family, env); variable-free parts are compiled queries."""
         if next(_child_tests(p), None) is None:
-            q = pred_to_query(p, self.cfg, self.bound)
-            return lambda f, env: eval_query(q, f)
+            test = compile_query(pred_to_query(p, self.cfg, self.bound), self.cfg)
+            return lambda f, env: test(f)
         match p:
             case PChildTest(slot=slot):
                 ok = self.child_test(p)
@@ -883,9 +883,10 @@ def compile_protocol(
     body = lowering.block(ast.body, lowering.fall_through)
     env = [0] * lowering.slots
     rows: dict[Family, Row] = {}
-    for f in enumerate_families(cfg):
-        if pre_filter is not None and not eval_query(pre_filter, f):
-            continue
+    families = enumerate_families(cfg)
+    if pre_filter is not None:
+        families = filter(compile_query(pre_filter, cfg), families)
+    for f in families:
         row: Row = {}
         body(f, env, _ONE, row)
         rows[f] = row

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EmptySupport, ZeroStatementMass
 from .model import (
@@ -26,9 +27,9 @@ from .model import (
     QueryPredicate,
     Sex,
     WorldConfig,
+    compile_query,
     day_name,
     enumerate_families,
-    eval_query,
     family_str,
 )
 
@@ -130,10 +131,7 @@ class ProtocolKernel:
     pre_filter: QueryPredicate | None = None
 
     def support(self) -> list[Family]:
-        fams = enumerate_families(self.config)
-        if self.pre_filter is None:
-            return fams
-        return [f for f in fams if eval_query(self.pre_filter, f)]
+        return list(_support(self, enumerate_families(self.config)))
 
 
 def validate_kernel(k: ProtocolKernel) -> list[str]:
@@ -162,8 +160,7 @@ def validate_kernel(k: ProtocolKernel) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class CaseRow:
+class CaseRow(NamedTuple):
     family: Family
     prior: Fraction
     emission: Fraction
@@ -193,6 +190,13 @@ def _case_order(cfg: WorldConfig):
     return itertools.product(children, repeat=cfg.family_size)
 
 
+def _support(k: ProtocolKernel, families):
+    """The families that pass k's pre-filter, in the order given."""
+    if k.pre_filter is None:
+        return families
+    return filter(compile_query(k.pre_filter, k.config), families)
+
+
 def _add(acc: dict[int, int], w: Fraction) -> None:
     """Add w to an exact sum kept as numerator totals per denominator."""
     acc[w.denominator] = acc.get(w.denominator, 0) + w.numerator
@@ -209,20 +213,19 @@ def statement_mass(k: ProtocolKernel, s: Statement) -> Fraction:
 
 def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorReport:
     """Exact Bayes quotient P(q | s emitted) with the full per-family case table."""
-    rows, pre = k.rows, k.pre_filter
+    rows = k.rows
+    event = compile_query(q, k.config)
     size = 0
     cases = []
     s_acc: dict[int, int] = {}
     joint_acc: dict[int, int] = {}
-    for f in _case_order(k.config):
-        if pre is not None and not eval_query(pre, f):
-            continue
+    for f in _support(k, _case_order(k.config)):
         size += 1
         row = rows.get(f)
         emission = row and row.get(s)
         if not emission:
             continue
-        holds = eval_query(q, f)
+        holds = event(f)
         cases.append((f, emission, holds))
         _add(s_acc, emission)
         if holds:
@@ -245,13 +248,11 @@ def marginal(k: ProtocolKernel) -> dict:
 
     Statements appear in order of first emission over `enumerate_families`.
     """
-    rows, pre = k.rows, k.pre_filter
+    rows = k.rows
     size = 0
     accs: dict = {}
     emitted: dict[int, int] = {}
-    for f in enumerate_families(k.config):
-        if pre is not None and not eval_query(pre, f):
-            continue
+    for f in _support(k, enumerate_families(k.config)):
         size += 1
         for s, ew in rows.get(f, {}).items():
             if ew > 0:

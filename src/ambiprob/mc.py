@@ -24,7 +24,7 @@ import numpy as np
 
 from .engine import ProtocolKernel, Statement, posterior
 from .errors import DegenerateProtocol
-from .model import QueryPredicate, enumerate_families, eval_query
+from .model import QueryPredicate, compile_query, enumerate_families
 
 _CHUNK = 1 << 18
 # McResult's counters, summed over a shard's chunks and over the shards.
@@ -62,11 +62,11 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     [lo, hi) emits the target and u >= tot rejects in-run.
     """
     fams = enumerate_families(k.config)
-    passes = np.array(
-        [k.pre_filter is None or eval_query(k.pre_filter, f) for f in fams],
-        dtype=bool,
-    )
-    event = np.array([eval_query(q, f) for f in fams], dtype=bool)
+    if k.pre_filter is None:
+        passes = np.ones(len(fams), dtype=bool)
+    else:
+        passes = np.fromiter(map(compile_query(k.pre_filter, k.config), fams), bool, len(fams))
+    event = np.fromiter(map(compile_query(q, k.config), fams), bool, len(fams))
     rows = [k.rows.get(f, {}) for f in fams]
 
     earlier: set[Statement] = set()  # statements ordered before the target

@@ -1,6 +1,11 @@
 """Outcome space for n-children families: enumeration, uniform prior, and an
 event-predicate language evaluated by exhaustive enumeration.
 
+`eval_query` is the reference interpreter of that language. Hot loops test a
+predicate on every family, so they call `compile_query` instead: it turns the
+predicate into a one-argument test once, and that test agrees with
+`eval_query` on every family of the world it was compiled for.
+
 All probability is exact: weights are `fractions.Fraction` throughout, and no
 floating point appears in this module.
 """
@@ -8,6 +13,7 @@ floating point appears in this module.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -64,7 +70,7 @@ def day_name(day: int, cfg: WorldConfig) -> str:
 
 def family_str(f: Family) -> str:
     """Canonical rendering, e.g. ``B@1,G@4`` (sex letter, day index, birth order)."""
-    return ",".join(f"{c.sex.value}@{c.day}" for c in f)
+    return ",".join([f"{c.sex._value_}@{c.day}" for c in f])
 
 
 def enumerate_families(cfg: WorldConfig) -> list[Family]:
@@ -176,6 +182,49 @@ def eval_query(q: QueryPredicate, f: Family) -> bool:
             return eval_query(a, f) or eval_query(b, f)
         case Not(inner=p):
             return not eval_query(p, f)
+    raise TypeError(f"not a query predicate: {q!r}")
+
+
+def _matching_children(cfg: WorldConfig, sex: Sex | None, day: int | None) -> frozenset[Child]:
+    """The children of cfg's families that match; a day outside the week
+    matches none of them."""
+    sexes = Sex if sex is None else (sex,)
+    days = range(cfg.week_length) if day is None else (day,)
+    return frozenset(Child(s, d) for s in sexes for d in days)
+
+
+def compile_query(q: QueryPredicate, cfg: WorldConfig) -> Callable[[Family], bool]:
+    """A test of one family equal to ``eval_query(q, f)`` for every family f
+    of cfg.
+
+    `Exists`, `AllMatch` and `CountAtLeast` become set operations on the
+    frozenset of cfg's children that match, so they run in C with no Python
+    call per child.
+    """
+    match q:
+        case Always():
+            return lambda f: True
+        case ChildSexIs(index=i, sex=s):
+            return lambda f: f[i].sex == s
+        case ChildDayIs(index=i, day=d):
+            return lambda f: f[i].day == d
+        case Exists(sex=s, day=d):
+            disjoint = _matching_children(cfg, s, d).isdisjoint
+            return lambda f: not disjoint(f)
+        case AllMatch(sex=s, day=d):
+            return _matching_children(cfg, s, d).issuperset
+        case CountAtLeast(k=k, sex=s, day=d):
+            count = _matching_children(cfg, s, d).__contains__
+            return lambda f: sum(map(count, f)) >= k
+        case And(left=a, right=b):
+            ta, tb = compile_query(a, cfg), compile_query(b, cfg)
+            return lambda f: ta(f) and tb(f)
+        case Or(left=a, right=b):
+            ta, tb = compile_query(a, cfg), compile_query(b, cfg)
+            return lambda f: ta(f) or tb(f)
+        case Not(inner=p):
+            tp = compile_query(p, cfg)
+            return lambda f: not tp(f)
     raise TypeError(f"not a query predicate: {q!r}")
 
 

@@ -65,6 +65,25 @@ def test_run_json_fractions_are_strings():
     assert all("/" in row["prior"] for row in payload["cases"])
 
 
+@pytest.mark.parametrize("extra", [
+    (),
+    ("--decimal",),
+    ("--week-days", "30"),  # 3,600 case rows: several write batches
+])
+def test_json_report_is_the_indented_json_encoding(extra, tmp_path):
+    say = 'text("a\\"\u00e9")'  # a label with a quote and a non-ASCII letter
+    proc = tmp_path / "p.proc"
+    proc.write_text(f"procedure p {{\n  flip 1/3 {{ say {say}; }} else {{ say yes; }}\n}}\n",
+                    encoding="utf-8")
+    code, text = run_cli("eval", str(proc), "--say", say, "--event", "all(boy)",
+                         "--format", "json", *extra)
+    assert code == 0
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    assert payload["statement"] == "text('a\"\u00e9')"
+    assert ("posterior_decimal" in payload) == ("--decimal" in extra)
+
+
 def test_run_decimal_flag():
     code, text = run_cli("run", "bc-tc", "--decimal")
     assert code == 0
@@ -123,6 +142,15 @@ def test_mc_proc_target_requires_specs(tmp_path):
         "--trials", "1000", "--seed", "1",
     )
     assert code2 == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--day", "wed"), ("--p", "1/5")])
+def test_mc_proc_target_rejects_builtin_options(flag, value, capsys):
+    path = os.path.join(PROC_DIR, "any_answer.proc")
+    code, text = run_cli("mc", path, "--say", "atleastone(boy)", "--event", "all(boy)",
+                         flag, value, "--trials", "100")
+    assert (code, text) == (2, "")
+    assert "--day and --p apply to builtin scenarios only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"), ("--shards", "0")])
@@ -234,6 +262,7 @@ def test_default_named_day_on_other_week_exits_4(capsys):
     ("run", "any-answer", "--p", "3/2"),
     ("run", "bc-dn", "--children", "3"),
     ("mc", "any-answer", "--p=-1/2", "--trials", "10"),
+    ("mc", "gn-tc", "--week-days", "30", "--trials", "10"),  # default day tue
 ])
 def test_bad_builtin_arguments_exit_2(argv, capsys):
     code, text = run_cli(*argv)

@@ -213,11 +213,16 @@ def test_posterior_tests_the_pre_filter_once_per_family(sid, monkeypatch):
     sc = build_scenario(sid, CFG, day=TUE)
     calls = []
 
-    def counting(q, f, real=model.eval_query):
-        calls.append(q is sc.kernel.pre_filter)
-        return real(q, f)
+    def compiling(q, cfg, real=model.compile_query):
+        test = real(q, cfg)
+        if q is not sc.kernel.pre_filter:
+            return test
 
-    for module in (model, engine):
-        monkeypatch.setattr(module, "eval_query", counting)
+        def counted(f):
+            calls.append(f)
+            return test(f)
+        return counted
+
+    monkeypatch.setattr(engine, "compile_query", compiling)
     posterior(sc.kernel, sc.canonical_statement, sc.canonical_query)
-    assert calls.count(True) == CFG.n_outcomes == 196
+    assert len(calls) == CFG.n_outcomes == 196

@@ -19,10 +19,16 @@ from ambiprob.engine import (
 from ambiprob.model import (
     AllMatch,
     Always,
+    And,
+    ChildDayIs,
+    ChildSexIs,
+    CountAtLeast,
     Exists,
     Not,
+    Or,
     Sex,
     WorldConfig,
+    compile_query,
     count_families,
     enumerate_families,
     eval_query,
@@ -76,6 +82,33 @@ queries = st.sampled_from(
         Always(),
     ]
 )
+
+
+# Days run past the longest week in WORLDS, so some leaves match no child.
+_sexes = st.sampled_from([None, Sex.BOY, Sex.GIRL])
+_days = st.none() | st.integers(min_value=0, max_value=8)
+_indices = st.integers(min_value=0, max_value=1)
+query_trees = st.recursive(
+    queries
+    | st.builds(ChildSexIs, _indices, st.sampled_from(list(Sex)))
+    | st.builds(ChildDayIs, _indices, st.integers(min_value=0, max_value=8))
+    | st.builds(Exists, _sexes, _days)
+    | st.builds(AllMatch, _sexes, _days)
+    | st.builds(CountAtLeast, st.integers(min_value=-1, max_value=3), _sexes, _days),
+    lambda inner: st.builds(And, inner, inner) | st.builds(Or, inner, inner)
+    | st.builds(Not, inner),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(query_trees)
+def test_compiled_query_matches_eval_query(q):
+    for cfg in WORLDS:
+        test = compile_query(q, cfg)
+        assert [test(f) for f in enumerate_families(cfg)] == [
+            eval_query(q, f) for f in enumerate_families(cfg)
+        ]
 
 
 @settings(max_examples=40, deadline=None)
