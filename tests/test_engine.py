@@ -211,7 +211,7 @@ def test_empty_support_is_undefined():
 @pytest.mark.parametrize("sid", ["bc-tc", "classic-selection", "gn-tc"])
 def test_posterior_tests_the_pre_filter_once_per_family(sid, monkeypatch):
     sc = build_scenario(sid, CFG, day=TUE)
-    calls = []
+    calls, interpreted = [], []
 
     def compiling(q, cfg, real=model.compile_query):
         test = real(q, cfg)
@@ -223,6 +223,15 @@ def test_posterior_tests_the_pre_filter_once_per_family(sid, monkeypatch):
             return test(f)
         return counted
 
+    def interpreting(q, f, real=model.eval_query):
+        interpreted.append(q is sc.kernel.pre_filter)
+        return real(q, f)
+
     monkeypatch.setattr(engine, "compile_query", compiling)
+    # a second pass over the pre-filter through the interpreter (say, a
+    # support count via count_families) would break the once-per-family bound
+    monkeypatch.setattr(model, "eval_query", interpreting)
+    monkeypatch.setattr(engine, "eval_query", interpreting, raising=False)
     posterior(sc.kernel, sc.canonical_statement, sc.canonical_query)
     assert len(calls) == CFG.n_outcomes == 196
+    assert True not in interpreted
