@@ -730,7 +730,8 @@ class _Lowering:
         self.cfg = cfg
         self.bound = bound
         self.slots = 0  # env size: one past the highest pick slot lowered
-        self.empty_picks: list[tuple[Family, Pick]] = []
+        # each family whose pick matched no child, with the first such pick
+        self.empty_picks: dict[Family, Pick] = {}
         self.fell_through = False
         # shares[m]: each child's share of a pick among m matching children
         self.shares = [None] + [Fraction(1, m) for m in range(1, cfg.family_size + 1)]
@@ -788,7 +789,7 @@ class _Lowering:
         def pick(f, env, w, row):
             matching = everyone if ok is None else [j for j, c in enumerate(f) if ok(c)]
             if not matching:
-                empty.append((f, st))
+                empty.setdefault(f, st)
                 return
             w = _scale(w, shares[len(matching)])
             for j in matching:
@@ -891,14 +892,14 @@ def compile_protocol(
         body(f, env, _ONE, row)
         rows[f] = row
 
-    empty_pick_families = lowering.empty_picks
-    if empty_pick_families:
-        shown = ", ".join(family_str(f) for f, _ in empty_pick_families[:5])
+    if lowering.empty_picks:
+        failed = list(lowering.empty_picks)
+        shown = ", ".join(map(family_str, failed[:5]))
         raise EmptyPick(
-            f"pick matches no child in {len(empty_pick_families)} reachable "
+            f"pick matches no child in {len(failed)} reachable "
             f"families (e.g. {shown}); guard the pick or use an explicit reject",
-            families=[f for f, _ in empty_pick_families],
-            span=empty_pick_families[0][1].span,
+            families=failed,
+            span=lowering.empty_picks[failed[0]].span,
         )
     if lowering.fell_through:
         warnings.warn(

@@ -4,13 +4,14 @@ A protocol is a per-family distribution over structured statements; weight not
 assigned to any statement is reject mass. Posteriors are exact Bayes quotients
 over the (pre-filter renormalized) uniform prior.
 
-Conditioning counts: under the uniform prior every support family weighs
-``1/|support|``, so `posterior` and `marginal` sum the emission weights exactly
-(grouped by denominator, in integers) and multiply by that weight once. Each
-makes one pass over the families: it tests the pre-filter once per family and
-counts the support in the same loop that sums the emissions. No prior dict is
-built, and the case table comes out in `family_str` order because families are
-generated in that order. `statement_mass` is one entry of `marginal`.
+A kernel's rows are its support: a family with no row was sent home. Under the
+uniform prior every row weighs ``1/len(rows)``, so `posterior` and `marginal`
+sum the emission weights exactly (grouped by denominator, in integers) and
+multiply by that weight once; neither tests the pre-filter (only
+`validate_kernel` does, to check the rows against it). `marginal` reads the
+rows alone; `posterior` looks up each family in `family_str` order, generated
+without sorting, so its case table comes out in that order. `statement_mass`
+is one entry of `marginal`.
 """
 
 from __future__ import annotations
@@ -121,9 +122,11 @@ Row = dict[Statement, Fraction]
 class ProtocolKernel:
     """Exact stochastic map from families to statements, with reject mass.
 
-    ``rows`` maps each family in the (pre-filtered) support to its emission
-    weights; weight left over from 1 is implicit reject mass. Families failing
-    ``pre_filter`` are rejected before speaking and renormalized away.
+    ``rows`` maps each family in the support to its emission weights, in
+    `enumerate_families` order; weight left over from 1 is implicit reject
+    mass. A family with no row fails ``pre_filter``: it is sent home before
+    speaking and renormalized away. Statements are ordered by first emission
+    over ``rows``.
     """
 
     config: WorldConfig
@@ -131,13 +134,15 @@ class ProtocolKernel:
     pre_filter: QueryPredicate | None = None
 
     def support(self) -> list[Family]:
-        return list(_support(self, enumerate_families(self.config)))
+        return list(self.rows)
 
 
 def validate_kernel(k: ProtocolKernel) -> list[str]:
     """Invariant check; returns one message per violation, empty iff valid."""
     violations = []
-    in_order = k.support()
+    in_order = enumerate_families(k.config)
+    if k.pre_filter is not None:
+        in_order = list(filter(compile_query(k.pre_filter, k.config), in_order))
     support = set(in_order)
     for f in in_order:  # list order: the messages must not depend on hashing
         if f not in k.rows:
@@ -190,13 +195,6 @@ def _case_order(cfg: WorldConfig):
     return itertools.product(children, repeat=cfg.family_size)
 
 
-def _support(k: ProtocolKernel, families):
-    """The families that pass k's pre-filter, in the order given."""
-    if k.pre_filter is None:
-        return families
-    return filter(compile_query(k.pre_filter, k.config), families)
-
-
 def _add(acc: dict[int, int], w: Fraction) -> None:
     """Add w to an exact sum kept as numerator totals per denominator."""
     acc[w.denominator] = acc.get(w.denominator, 0) + w.numerator
@@ -214,13 +212,13 @@ def statement_mass(k: ProtocolKernel, s: Statement) -> Fraction:
 def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorReport:
     """Exact Bayes quotient P(q | s emitted) with the full per-family case table."""
     rows = k.rows
+    if not rows:
+        raise EmptySupport("no family in the support satisfies the predicate")
     event = compile_query(q, k.config)
-    size = 0
     cases = []
     s_acc: dict[int, int] = {}
     joint_acc: dict[int, int] = {}
-    for f in _support(k, _case_order(k.config)):
-        size += 1
+    for f in _case_order(k.config):
         row = rows.get(f)
         emission = row and row.get(s)
         if not emission:
@@ -230,9 +228,7 @@ def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorRe
         _add(s_acc, emission)
         if holds:
             _add(joint_acc, emission)
-    if size == 0:
-        raise EmptySupport("no family in the support satisfies the predicate")
-    prior = Fraction(1, size)
+    prior = Fraction(1, len(rows))
     s_mass = _total(s_acc) * prior
     if s_mass == 0:
         raise ZeroStatementMass(
@@ -246,24 +242,22 @@ def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorRe
 def marginal(k: ProtocolKernel) -> dict:
     """Masses over every emitted statement plus a REJECT entry; sums to 1 exactly.
 
-    Statements appear in order of first emission over `enumerate_families`.
+    Statements appear in order of first emission over ``rows``.
     """
     rows = k.rows
-    size = 0
+    if not rows:
+        raise EmptySupport("no family in the support satisfies the predicate")
     accs: dict = {}
     emitted: dict[int, int] = {}
-    for f in _support(k, enumerate_families(k.config)):
-        size += 1
-        for s, ew in rows.get(f, {}).items():
+    for row in rows.values():
+        for s, ew in row.items():
             if ew > 0:
                 acc = accs.get(s)
                 if acc is None:
                     acc = accs[s] = {}
                 _add(acc, ew)
                 _add(emitted, ew)
-    if size == 0:
-        raise EmptySupport("no family in the support satisfies the predicate")
-    prior = Fraction(1, size)
+    prior = Fraction(1, len(rows))
     out: dict = {s: _total(acc) * prior for s, acc in accs.items()}
-    out[REJECT] = (size - _total(emitted)) * prior
+    out[REJECT] = (len(rows) - _total(emitted)) * prior
     return out

@@ -1,9 +1,10 @@
 """Seeded sampling oracle that executes protocols literally.
 
-The "sent home" step is a genuine rejection loop on sampled families; in-run
-reject mass triggers a redraw of the whole run. The generator is numpy's PCG64
-(a published, seedable algorithm), driven in fixed-size chunks so results are
-bit-identical for identical (seed, config, protocol, trial count, shards).
+The "sent home" step is a genuine rejection loop on sampled families: a family
+with no kernel row is redrawn. In-run reject mass triggers a redraw of the
+whole run. The generator is numpy's PCG64 (a published, seedable algorithm),
+driven in fixed-size chunks so results are bit-identical for identical (seed,
+config, protocol, trial count, shards).
 
 Emission probabilities are exact rationals; sampling scales them to a common
 integer denominator, so no floating-point comparison enters the draw itself.
@@ -53,8 +54,9 @@ class AgreementReport:
 
 
 def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
-    """Integer sampling tables over a common denominator: per family, the
-    pre-filter verdict, the event, and the thresholds `lo`/`hi`/`tot`.
+    """Integer sampling tables over a common denominator: per family, whether
+    it has a row (no row: sent home), the event, and the thresholds
+    `lo`/`hi`/`tot`.
 
     With statements ordered by first appearance over `enumerate_families`,
     `lo` is the emitted mass of the statements before the target, `hi` adds
@@ -62,12 +64,10 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     [lo, hi) emits the target and u >= tot rejects in-run.
     """
     fams = enumerate_families(k.config)
-    if k.pre_filter is None:
-        passes = np.ones(len(fams), dtype=bool)
-    else:
-        passes = np.fromiter(map(compile_query(k.pre_filter, k.config), fams), bool, len(fams))
+    rows = list(map(k.rows.get, fams))  # None: sent home
+    passes = np.fromiter((row is not None for row in rows), bool, len(fams))
     event = np.fromiter(map(compile_query(q, k.config), fams), bool, len(fams))
-    rows = [k.rows.get(f, {}) for f in fams]
+    rows = [row or {} for row in rows]
 
     earlier: set[Statement] = set()  # statements ordered before the target
     for st in (st for row in rows for st in row):

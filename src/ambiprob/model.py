@@ -228,24 +228,6 @@ def compile_query(q: QueryPredicate, cfg: WorldConfig) -> Callable[[Family], boo
     raise TypeError(f"not a query predicate: {q!r}")
 
 
-def check_well_formed(q: QueryPredicate, cfg: WorldConfig) -> None:
-    """Raise ValueError if q references an index or day outside cfg."""
-    match q:
-        case ChildSexIs(index=i) | ChildDayIs(index=i):
-            if not 0 <= i < cfg.family_size:
-                raise ValueError(f"child index {i} out of range for n={cfg.family_size}")
-        case And(left=a, right=b) | Or(left=a, right=b):
-            check_well_formed(a, cfg)
-            check_well_formed(b, cfg)
-            return
-        case Not(inner=p):
-            check_well_formed(p, cfg)
-            return
-    day = getattr(q, "day", None)
-    if day is not None and not 0 <= day < cfg.week_length:
-        raise ValueError(f"day {day} out of range for d={cfg.week_length}")
-
-
 def count_families(cfg: WorldConfig, q: QueryPredicate) -> int:
     return sum(eval_query(q, f) for f in enumerate_families(cfg))
 

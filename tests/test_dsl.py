@@ -236,6 +236,30 @@ def test_empty_pick_is_a_diagnostic():
     assert len(exc.value.families) == 49  # the all-girl families
 
 
+@pytest.mark.parametrize(
+    "src, cfg, n_failed",
+    [
+        # the first pick branches into two paths per family, both reaching
+        # the failing pick
+        ("procedure p { pick a; pick c where sex(c)=boy; say yes; }", CFG, 49),
+        ("procedure p { flip 1/2 { pick c where sex(c)=boy; say yes; }"
+         " else { pick c where sex(c)=boy; say no; } }", WorldConfig(1, 2), 1),
+    ],
+    ids=["pick-before-pick", "pick-in-each-flip-branch"],
+)
+def test_empty_pick_counts_each_family_once(src, cfg, n_failed):
+    with pytest.raises(EmptyPick) as exc:
+        compile_protocol(parse(src), cfg)
+    families = exc.value.families
+    assert len(families) == len(set(families)) == n_failed
+    assert f"no child in {n_failed} reachable families" in str(exc.value)
+    shown = str(exc.value).split("(e.g. ")[1].split(")")[0].split(", ")
+    assert len(shown) == len(set(shown)) == min(n_failed, 5)
+    # the span is the first pick that failed
+    first = src.index("pick c")
+    assert (exc.value.span.line, exc.value.span.column) == (1, first + 1)
+
+
 def test_constant_flip_marginal():
     src = "procedure p { flip 1/3 { say yes; } else { say no; } }"
     kernel = compile_protocol(parse(src), CFG)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ambiprob import engine, model
+from ambiprob import engine, mc, model
 from ambiprob.engine import (
     AtLeastOne,
     Claim,
@@ -209,8 +209,9 @@ def test_empty_support_is_undefined():
 
 
 @pytest.mark.parametrize("sid", ["bc-tc", "classic-selection", "gn-tc"])
-def test_posterior_tests_the_pre_filter_once_per_family(sid, monkeypatch):
+def test_conditioning_and_mc_tables_never_test_the_pre_filter(sid, monkeypatch):
     sc = build_scenario(sid, CFG, day=TUE)
+    assert sc.kernel.pre_filter is not None
     calls, interpreted = [], []
 
     def compiling(q, cfg, real=model.compile_query):
@@ -227,11 +228,26 @@ def test_posterior_tests_the_pre_filter_once_per_family(sid, monkeypatch):
         interpreted.append(q is sc.kernel.pre_filter)
         return real(q, f)
 
-    monkeypatch.setattr(engine, "compile_query", compiling)
-    # a second pass over the pre-filter through the interpreter (say, a
-    # support count via count_families) would break the once-per-family bound
+    # the kernel's rows are its support: testing the pre-filter again, compiled
+    # or through the interpreter (say, a support count via count_families),
+    # repeats a decision the compile already made
+    for module in (engine, mc):
+        monkeypatch.setattr(module, "compile_query", compiling)
+        monkeypatch.setattr(module, "eval_query", interpreting, raising=False)
     monkeypatch.setattr(model, "eval_query", interpreting)
-    monkeypatch.setattr(engine, "eval_query", interpreting, raising=False)
-    posterior(sc.kernel, sc.canonical_statement, sc.canonical_query)
-    assert len(calls) == CFG.n_outcomes == 196
+    s, q = sc.canonical_statement, sc.canonical_query
+    posterior(sc.kernel, s, q)
+    marginal(sc.kernel)
+    mc._compile_tables(sc.kernel, s, q)
+    assert calls == []
     assert True not in interpreted
+
+
+def test_validate_flags_row_outside_the_support():
+    # rows for every family, but the pre-filter sends the all-girl ones home
+    rows = {f: {} for f in enumerate_families(CFG)}
+    k = ProtocolKernel(CFG, rows, pre_filter=Exists(Sex.BOY))
+    violations = validate_kernel(k)
+    assert len(violations) == 49
+    assert violations[0] == "G@0,G@0: row for a family outside the support"
+    assert all(v.endswith(": row for a family outside the support") for v in violations)

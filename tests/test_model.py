@@ -16,7 +16,6 @@ from ambiprob.model import (
     Or,
     Sex,
     WorldConfig,
-    check_well_formed,
     count_families,
     enumerate_families,
     eval_query,
@@ -125,14 +124,6 @@ def test_restrict_prior_empty_support():
     contradiction = And(AllMatch(sex=Sex.BOY), AllMatch(sex=Sex.GIRL))
     with pytest.raises(EmptySupport):
         restrict_prior(prior, contradiction)
-
-
-def test_well_formedness_checks():
-    with pytest.raises(ValueError):
-        check_well_formed(ChildSexIs(5, Sex.BOY), CFG)
-    with pytest.raises(ValueError):
-        check_well_formed(Exists(Sex.BOY, 9), CFG)
-    check_well_formed(And(Exists(Sex.BOY, 6), Not(AllMatch(day=0))), CFG)
 
 
 def test_family_rendering():

@@ -201,8 +201,10 @@ def _reference(k, s, q):
 @given(kernels(), st.sampled_from([None, Exists(Sex.BOY), Not(AllMatch(sex=Sex.BOY))]), queries,
        st.randoms(use_true_random=False))
 def test_counting_matches_explicit_prior(k, pre, q, rnd):
-    # rows for every family, also those the pre-filter sends home
-    k = ProtocolKernel(k.config, k.rows, pre_filter=pre)
+    # a valid kernel keeps only the rows of the families the pre-filter keeps
+    rows = {f: row for f, row in k.rows.items() if pre is None or eval_query(pre, f)}
+    k = ProtocolKernel(k.config, rows, pre_filter=pre)
+    assert validate_kernel(k) == []
     stmts = emitted_statements(k)
     if not stmts:
         return
