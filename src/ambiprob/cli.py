@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedConfig,
     ZeroStatementMass,
 )
-from .model import DAY_NAMES, WorldConfig, family_str
+from .model import DAY_NAMES, WorldConfig, family_str, week_children
 from .scenarios import BUILTIN_IDS, build_scenario, sweep_formula, week_sweep
 
 EXIT_OK = 0
@@ -104,28 +104,36 @@ def _emit_rows(header, rows, fmt, out):
         json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
         out.write("\n")
     else:
-        widths = [
-            max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-            for i, h in enumerate(header)
-        ]
-        out.write("  ".join(str(h).ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-        for row in rows:
-            out.write("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
+        cells = [list(map(str, row)) for row in [header, *rows]]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        for row in cells:
+            out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
 
 
-# Case rows per write of a JSON report: bounded strings, few writes.
-_JSON_BATCH = 1000
+# Case rows per write: bounded strings, few writes.
+_BATCH = 1000
 
 
-def _json_case(r) -> str:
-    return (
-        f'\n    {{\n      "family": "{family_str(r.family)}",\n'
-        f'      "prior": "{r.prior}",\n      "emission": "{r.emission}",\n'
-        f'      "event": {"true" if r.event else "false"}\n    }}'
-    )
+def _case_cells(cases, cfg: WorldConfig):
+    """The family, prior and emission text and the event of each case row.
+
+    Each child, prior and emission is rendered once: a family's text joins
+    its children's, and families that share a row share its weights, so a
+    `Fraction` is rendered once per object."""
+    child = {c: family_str((c,)) for c in week_children(cfg)}
+    texts: dict[int, str] = {}
+
+    def text(x: Fraction) -> str:
+        t = texts.get(id(x))
+        if t is None:
+            t = texts[id(x)] = str(x)
+        return t
+
+    return [(",".join(map(child.__getitem__, r.family)), text(r.prior), text(r.emission), r.event)
+            for r in cases]
 
 
-def _write_json_report(rep: PosteriorReport, stmt: str, decimal: bool, out) -> None:
+def _write_json_report(rep: PosteriorReport, stmt: str, cells, decimal: bool, out) -> None:
     """Write the bytes `json.dump(payload, out, indent=2)` would, without
     building the payload or running the pure-Python encoder. Family and
     `Fraction` strings need no escaping; the statement may (a text label)."""
@@ -135,9 +143,13 @@ def _write_json_report(rep: PosteriorReport, stmt: str, decimal: bool, out) -> N
         f'  "joint_mass": "{rep.joint_mass}",\n'
         f'  "posterior": "{rep.posterior}",\n  "cases": ['
     )
-    cases = rep.case_table
-    for start in range(0, len(cases), _JSON_BATCH):
-        batch = ",".join(map(_json_case, cases[start:start + _JSON_BATCH]))
+    cases = [
+        f'\n    {{\n      "family": "{fam}",\n      "prior": "{prior}",\n'
+        f'      "emission": "{em}",\n      "event": {"true" if ev else "false"}\n    }}'
+        for fam, prior, em, ev in cells
+    ]
+    for start in range(0, len(cases), _BATCH):
+        batch = ",".join(cases[start:start + _BATCH])
         out.write("," + batch if start else batch)
     out.write("\n  ]" if cases else "]")
     if decimal:
@@ -145,17 +157,31 @@ def _write_json_report(rep: PosteriorReport, stmt: str, decimal: bool, out) -> N
     out.write("\n}\n")
 
 
+def _write_case_table(cells, fmt: str, out) -> None:
+    """The case table as `_emit_rows` writes it, from text rendered once."""
+    if fmt == "csv":
+        # csv.writer's minimal quoting: only a family of two or more children
+        # holds the delimiter
+        out.write("family,prior,emission,event\n")
+        lines = [f'"{fam}",{prior},{em},{ev:d}' if "," in fam else f"{fam},{prior},{em},{ev:d}"
+                 for fam, prior, em, ev in cells]
+    else:
+        w0, w1, w2 = (max(len(h), *map(len, column))
+                      for h, column in zip(("family", "prior", "emission"), zip(*cells)))
+        out.write(f"{'family'.ljust(w0)}  {'prior'.ljust(w1)}  {'emission'.ljust(w2)}  event\n")
+        lines = [f"{fam.ljust(w0)}  {prior.ljust(w1)}  {em.ljust(w2)}  {ev:d}"
+                 for fam, prior, em, ev in cells]
+    for start in range(0, len(lines), _BATCH):
+        out.write("\n".join(lines[start:start + _BATCH]) + "\n")
+
+
 def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
     stmt = render_statement(rep.statement, cfg)
+    cells = _case_cells(rep.case_table, cfg)
     if args.format == "json":
-        _write_json_report(rep, stmt, args.decimal, out)
+        _write_json_report(rep, stmt, cells, args.decimal, out)
         return
-    header = ["family", "prior", "emission", "event"]
-    rows = [
-        [family_str(r.family), str(r.prior), str(r.emission), int(r.event)]
-        for r in rep.case_table
-    ]
-    _emit_rows(header, rows, args.format, out)
+    _write_case_table(cells, args.format, out)
     if args.format == "csv":
         out.write(f"statement,{stmt}\n")
         out.write(f"statement_mass,{rep.statement_mass}\n")

@@ -33,16 +33,23 @@ sex and day may read a picked child.
 
 Lowering happens once per compile: the body becomes nested closures in which
 variable-free predicates are already compiled engine queries, day literals are
-resolved and claims without child variables are built. Each family then runs
-that closure chain.
-Because of this, a day literal that does not fit the week is an error even in
-a branch no family reaches.
+resolved and claims without child variables are built. Because of this, a day
+literal that does not fit the week is an error even in a branch no family
+reaches.
+
+The closures see a child only through its sex and whether its day is one that
+the procedure tests, so the chain runs once per class of families they cannot
+tell apart, and all families of a class share that class's row object (see
+`compile_protocol`). Rows are therefore read-only.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import warnings
+from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,8 +86,8 @@ from .model import (
     Sex,
     WorldConfig,
     compile_query,
-    enumerate_families,
     family_str,
+    week_children,
 )
 
 DAY_BY_NAME = {name: i for i, name in enumerate(model.DAY_NAMES)}
@@ -624,15 +631,16 @@ def parse(source: str) -> ProtocolAst:
     return _Parser(tokenize(source)).protocol()
 
 
-def _child_tests(p: Pred):
+def _leaves(p: Pred):
+    """The tests under a predicate's and/or/not, left to right."""
     match p:
-        case PChildTest():
-            yield p
         case And(left=a, right=b) | Or(left=a, right=b):
-            yield from _child_tests(a)
-            yield from _child_tests(b)
+            yield from _leaves(a)
+            yield from _leaves(b)
         case Not(inner=i):
-            yield from _child_tests(i)
+            yield from _leaves(i)
+        case _:
+            yield p
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +732,18 @@ class _Lowering:
     so nothing is lowered again per family. Paths run depth-first in source order (a
     flip's first branch first, picked children in birth order); that order
     fixes the order of the statements in each row.
+
+    ``tested`` collects every day that a predicate, a child test or the
+    pre-filter compares a child's day with (all days once a `say` reads
+    ``day(v)``). The closures see a child only through its sex and whether
+    its day is one of those, so families whose children agree on that run
+    the same paths.
     """
 
     def __init__(self, cfg: WorldConfig, bound: Bound):
         self.cfg = cfg
         self.bound = bound
+        self.tested: set[int] = set()
         self.slots = 0  # env size: one past the highest pick slot lowered
         # each family whose pick matched no child, with the first such pick
         self.empty_picks: dict[Family, Pick] = {}
@@ -797,17 +812,25 @@ class _Lowering:
                 nxt(f, env, w, row)
         return pick
 
+    def query(self, p: Pred) -> QueryPredicate:
+        """A variable-free predicate as an engine query."""
+        for leaf in _leaves(p):
+            if isinstance(leaf, (PExists, PAll)) and leaf.day is not None:
+                self.tested.add(_day_value(leaf.day, self.cfg, self.bound))
+        return pred_to_query(p, self.cfg, self.bound)
+
     def child_test(self, p: PChildTest) -> Callable[[model.Child], bool]:
         if p.kind == "sex":
             sex = p.sex
             return lambda c: c.sex is sex
         day = _day_value(p.day, self.cfg, self.bound)
+        self.tested.add(day)
         return lambda c: c.day == day
 
     def pred(self, p: Pred) -> Callable[[Family, list[int]], bool]:
         """A test of (family, env); variable-free parts are compiled queries."""
-        if next(_child_tests(p), None) is None:
-            test = compile_query(pred_to_query(p, self.cfg, self.bound), self.cfg)
+        if not any(isinstance(leaf, PChildTest) for leaf in _leaves(p)):
+            test = compile_query(self.query(p), self.cfg)
             return lambda f, env: test(f)
         match p:
             case PChildTest(slot=slot):
@@ -833,6 +856,8 @@ class _Lowering:
             return lambda f, env, w, row: _emit(row, st, w)
         if day is not None and day_slot is None:
             day = _day_value(day, self.cfg, self.bound)
+        if day_slot is not None:  # the statement names the child's own day
+            self.tested.update(range(self.cfg.week_length))
         claims: dict[tuple, Claim] = {}
 
         def say_claim(f, env, w, row):
@@ -871,36 +896,62 @@ def compile_protocol(
 
     `values` binds parameters by name (a day index or a probability); the
     others take their defaults. The body is lowered to closures once
-    (`_Lowering`); each support family then runs that closure chain to build
-    its row.
+    (`_Lowering`). A child's class is its sex and, if some test reads it,
+    its day; families with the same ordered classes are sent home alike and
+    build equal rows. So the closure chain runs once per class vector, on the
+    class's first family in `enumerate_families` order, and every support
+    family of the class gets that same row object: rows are shared and must
+    not be mutated. When every day is tested, each class is one family.
     """
     bound = _bind(ast, cfg, values)
+    lowering = _Lowering(cfg, bound)
     pre_filter: QueryPredicate | None = None
     for p in ast.requires:
-        q = pred_to_query(p, cfg, bound)
+        q = lowering.query(p)
         pre_filter = q if pre_filter is None else And(pre_filter, q)
-
-    lowering = _Lowering(cfg, bound)
     body = lowering.block(ast.body, lowering.fall_through)
     env = [0] * lowering.slots
-    rows: dict[Family, Row] = {}
-    families = enumerate_families(cfg)
+
+    # rep[i]: the first child in the class of children[i]
+    children = week_children(cfg)
+    first: dict[tuple, model.Child] = {}
+    rep = [first.setdefault((c.sex, c.day if c.day in lowering.tested else None), c)
+           for c in children]
+    n = cfg.family_size
+    # each class vector's first family; the pre-filter sends a class home whole
+    firsts = itertools.product(first.values(), repeat=n)
     if pre_filter is not None:
-        families = filter(compile_query(pre_filter, cfg), families)
-    for f in families:
+        firsts = filter(compile_query(pre_filter, cfg), firsts)
+    by_class: dict[Family, Row] = {}  # a support class's first family -> its row
+    for f in firsts:
         row: Row = {}
         body(f, env, _ONE, row)
-        rows[f] = row
-
-    if lowering.empty_picks:
-        failed = list(lowering.empty_picks)
+        by_class[f] = row
+    if lowering.empty_picks:  # every family of a failing class fails
+        failed = [f for f, r in zip(itertools.product(children, repeat=n),
+                                    itertools.product(rep, repeat=n))
+                  if r in lowering.empty_picks]
         shown = ", ".join(map(family_str, failed[:5]))
         raise EmptyPick(
             f"pick matches no child in {len(failed)} reachable "
             f"families (e.g. {shown}); guard the pick or use an explicit reject",
             families=failed,
-            span=lowering.empty_picks[failed[0]].span,
+            span=next(iter(lowering.empty_picks.values())).span,
         )
+    if len(first) == len(children):  # each family is its own class
+        rows = by_class
+        classes = (tuple(rows.values()), (1,) * len(rows))
+    else:
+        rows = {
+            f: row
+            for f, row in zip(itertools.product(children, repeat=n),
+                              map(by_class.get, itertools.product(rep, repeat=n)))
+            if row is not None
+        }
+        # a class vector holds the product of its classes' sizes in families
+        size = Counter(rep)
+        classes = (tuple(by_class.values()),
+                   tuple(math.prod(map(size.__getitem__, f)) for f in by_class))
     if lowering.fell_through:
         warnings.warn(
             f"procedure '{ast.name}': some execution paths end without "
@@ -908,7 +959,7 @@ def compile_protocol(
             DslWarning,
             stacklevel=2,
         )
-    return ProtocolKernel(cfg, rows, pre_filter=pre_filter)
+    return ProtocolKernel(cfg, rows, pre_filter=pre_filter, classes=classes)
 
 
 def load_protocol(path, cfg: WorldConfig) -> ProtocolKernel:

@@ -8,22 +8,28 @@ A kernel's rows are its support: a family with no row was sent home. Under the
 uniform prior every row weighs ``1/len(rows)``, so `posterior` and `marginal`
 sum the emission weights exactly (grouped by denominator, in integers) and
 multiply by that weight once; neither tests the pre-filter (only
-`validate_kernel` does, to check the rows against it). `marginal` reads the
-rows alone; `posterior` looks up each family in `family_str` order, generated
-without sorting, so its case table comes out in that order. `statement_mass`
-is one entry of `marginal`.
+`validate_kernel` does, to check the rows against it).
+
+Families may share one row object (the compiler gives every family of a class
+it cannot tell apart the same row), so rows are read-only. Both conditioners
+sum over `ProtocolKernel.distinct_rows`, each distinct row once, weighted by
+its multiplicity: the number of families that share it. `marginal` reads
+nothing else; `posterior` walks the families in `family_str` order, generated
+without sorting, only to test the event and write the case table in that
+order. `statement_mass` is one entry of `marginal`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import EmptySupport, ZeroStatementMass
 from .model import (
-    Child,
     Family,
     QueryPredicate,
     Sex,
@@ -32,6 +38,7 @@ from .model import (
     day_name,
     enumerate_families,
     family_str,
+    week_children,
 )
 
 
@@ -126,20 +133,51 @@ class ProtocolKernel:
     `enumerate_families` order; weight left over from 1 is implicit reject
     mass. A family with no row fails ``pre_filter``: it is sent home before
     speaking and renormalized away. Statements are ordered by first emission
-    over ``rows``.
+    over ``rows``. Several families may map to the same row object, so a row
+    must not be mutated.
+
+    ``classes``, when its builder knows them (`dsl.compile_protocol` does),
+    are the distinct rows and their multiplicities that `distinct_rows` would
+    otherwise count, as two aligned tuples; `validate_kernel` checks them.
     """
 
     config: WorldConfig
     rows: dict[Family, Row]
     pre_filter: QueryPredicate | None = None
+    classes: tuple[tuple[Row, ...], tuple[int, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def support(self) -> list[Family]:
         return list(self.rows)
+
+    def distinct_rows(self) -> Iterable[tuple[Row, int]]:
+        """Each distinct row object with its multiplicity, the number of
+        families that share it, in order of first appearance in ``rows``.
+
+        These are ``classes`` if given, else counted from ``rows``. Rows are
+        told apart by identity, not by value: a kernel whose families hold
+        rows of their own has multiplicity 1 everywhere.
+        """
+        if self.classes is not None:
+            return zip(*self.classes)
+        return _count_rows(self.rows)
+
+
+def _count_rows(rows: dict[Family, Row]) -> list[tuple[Row, int]]:
+    values = rows.values()
+    counts = Counter(map(id, values))
+    by_id = dict(zip(map(id, values), values))
+    return [(by_id[i], m) for i, m in counts.items()]
 
 
 def validate_kernel(k: ProtocolKernel) -> list[str]:
     """Invariant check; returns one message per violation, empty iff valid."""
     violations = []
+    if k.classes is not None:
+        counted = [(id(row), m) for row, m in _count_rows(k.rows)]
+        if [(id(row), m) for row, m in k.distinct_rows()] != counted:
+            violations.append("classes do not count the distinct rows of the kernel")
     in_order = enumerate_families(k.config)
     if k.pre_filter is not None:
         in_order = list(filter(compile_query(k.pre_filter, k.config), in_order))
@@ -188,16 +226,14 @@ def _case_order(cfg: WorldConfig):
     sorts below every digit, so ordering each child by (sex letter, day as
     text) and taking the product orders the joined strings too.
     """
-    children = sorted(
-        (Child(sex, day) for sex in Sex for day in range(cfg.week_length)),
-        key=lambda c: (c.sex.value, str(c.day)),
-    )
+    children = sorted(week_children(cfg), key=lambda c: (c.sex.value, str(c.day)))
     return itertools.product(children, repeat=cfg.family_size)
 
 
-def _add(acc: dict[int, int], w: Fraction) -> None:
-    """Add w to an exact sum kept as numerator totals per denominator."""
-    acc[w.denominator] = acc.get(w.denominator, 0) + w.numerator
+def _add(acc: dict[int, int], w: Fraction, m: int = 1) -> None:
+    """Add m * w to an exact sum kept as numerator totals per denominator."""
+    n, d = w.as_integer_ratio()
+    acc[d] = acc.get(d, 0) + n * m
 
 
 def _total(acc: dict[int, int]) -> Fraction:
@@ -214,29 +250,37 @@ def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorRe
     rows = k.rows
     if not rows:
         raise EmptySupport("no family in the support satisfies the predicate")
-    event = compile_query(q, k.config)
-    cases = []
+    emission: dict[int, Fraction] = {}  # id(row) -> its weight of s, if not 0
     s_acc: dict[int, int] = {}
-    joint_acc: dict[int, int] = {}
-    for f in _case_order(k.config):
-        row = rows.get(f)
-        emission = row and row.get(s)
-        if not emission:
-            continue
-        holds = event(f)
-        cases.append((f, emission, holds))
-        _add(s_acc, emission)
-        if holds:
-            _add(joint_acc, emission)
+    for row, m in k.distinct_rows():
+        e = row.get(s)
+        if e:
+            emission[id(row)] = e
+            _add(s_acc, e, m)
     prior = Fraction(1, len(rows))
     s_mass = _total(s_acc) * prior
     if s_mass == 0:
         raise ZeroStatementMass(
-            f"statement {s!r} is never emitted under this protocol"
+            f"statement {render_statement(s, k.config)} is never emitted under this protocol"
         )
+    event = compile_query(q, k.config)
+    cases = []
+    hits = []  # id(row) of each emitting family where q holds
+    # the id of each family's row, in case order; id(None), for a family sent
+    # home, is never in `emission`
+    row_ids = list(map(id, map(rows.get, _case_order(k.config))))
+    emits = list(map(emission.__contains__, row_ids))
+    for f, rid in zip(itertools.compress(_case_order(k.config), emits),
+                       itertools.compress(row_ids, emits)):
+        holds = event(f)
+        cases.append(CaseRow(f, prior, emission[rid], holds))
+        if holds:
+            hits.append(rid)
+    joint_acc: dict[int, int] = {}
+    for rid, m in Counter(hits).items():
+        _add(joint_acc, emission[rid], m)
     joint = _total(joint_acc) * prior
-    table = tuple(CaseRow(f, prior, e, holds) for f, e, holds in cases)
-    return PosteriorReport(s, s_mass, joint, joint / s_mass, table)
+    return PosteriorReport(s, s_mass, joint, joint / s_mass, tuple(cases))
 
 
 def marginal(k: ProtocolKernel) -> dict:
@@ -249,14 +293,15 @@ def marginal(k: ProtocolKernel) -> dict:
         raise EmptySupport("no family in the support satisfies the predicate")
     accs: dict = {}
     emitted: dict[int, int] = {}
-    for row in rows.values():
+    for row, m in k.distinct_rows():
         for s, ew in row.items():
-            if ew > 0:
+            n, d = ew.as_integer_ratio()
+            if n > 0:
                 acc = accs.get(s)
                 if acc is None:
                     acc = accs[s] = {}
-                _add(acc, ew)
-                _add(emitted, ew)
+                acc[d] = acc.get(d, 0) + n * m
+                emitted[d] = emitted.get(d, 0) + n * m
     prior = Fraction(1, len(rows))
     out: dict = {s: _total(acc) * prior for s, acc in accs.items()}
     out[REJECT] = (len(rows) - _total(emitted)) * prior

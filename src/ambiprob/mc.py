@@ -17,13 +17,14 @@ raises `OverflowError`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .engine import ProtocolKernel, Statement, posterior
+from .engine import ProtocolKernel, Statement, posterior, render_statement
 from .errors import DegenerateProtocol
 from .model import QueryPredicate, compile_query, enumerate_families
 
@@ -61,39 +62,54 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     With statements ordered by first appearance over `enumerate_families`,
     `lo` is the emitted mass of the statements before the target, `hi` adds
     the target's mass and `tot` is the total emitted mass; a draw u in
-    [lo, hi) emits the target and u >= tot rejects in-run.
+    [lo, hi) emits the target and u >= tot rejects in-run. The thresholds
+    are computed once per distinct row and spread to the families sharing it.
     """
     fams = enumerate_families(k.config)
-    rows = list(map(k.rows.get, fams))  # None: sent home
-    passes = np.fromiter((row is not None for row in rows), bool, len(fams))
     event = np.fromiter(map(compile_query(q, k.config), fams), bool, len(fams))
-    rows = [row or {} for row in rows]
+    # a repeated row adds no statement, so first appearance over the distinct
+    # rows is first appearance over the families
+    distinct = [row for row, _ in k.distinct_rows()]
 
     earlier: set[Statement] = set()  # statements ordered before the target
-    for st in (st for row in rows for st in row):
+    for st in (st for row in distinct for st in row):
         if st == s:
             break
         earlier.add(st)
     else:
-        raise DegenerateProtocol(f"statement {s!r} is never emitted (zero mass)")
+        raise DegenerateProtocol(
+            f"statement {render_statement(s, k.config)} is never emitted (zero mass)"
+        )
 
-    denom = math.lcm(*{w.denominator for row in rows for w in row.values()})
+    denom = math.lcm(*{w.denominator for row in distinct for w in row.values()})
     if denom > np.iinfo(np.int64).max:
         raise OverflowError(f"common denominator {denom} does not fit in int64")
 
-    lo = np.zeros(len(fams), dtype=np.int64)
-    hi = np.zeros(len(fams), dtype=np.int64)
-    tot = np.zeros(len(fams), dtype=np.int64)
-    for fi, row in enumerate(rows):
+    # (lo, hi, tot) of each distinct row, then zeros for the families sent
+    # home, which the sampler never reads
+    is_earlier = dict.fromkeys(earlier, True)
+    is_earlier[s] = False
+    lo, hi, tot = [], [], []
+    for row in distinct:
         before = target = total = 0
         for st, w in row.items():
-            mass = w.numerator * (denom // w.denominator)
+            n, d = w.as_integer_ratio()
+            mass = n * (denom // d)
             total += mass
-            if st in earlier:
+            place = is_earlier.get(st)  # None: ordered after the target
+            if place:
                 before += mass
-            elif st == s:
+            elif place is not None:
                 target = mass
-        lo[fi], hi[fi], tot[fi] = before, before + target, total
+        lo.append(before)
+        hi.append(before + target)
+        tot.append(total)
+    line = dict(zip(map(id, distinct), itertools.count()))
+    line[id(None)] = len(distinct)
+    which = np.fromiter(map(line.__getitem__, map(id, map(k.rows.get, fams))),
+                        np.intp, len(fams))
+    passes = which < len(distinct)
+    lo, hi, tot = (np.array(t + [0], dtype=np.int64)[which] for t in (lo, hi, tot))
     return passes, event, lo, hi, tot, denom
 
 

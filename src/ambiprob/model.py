@@ -12,6 +12,7 @@ floating point appears in this module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -73,12 +74,21 @@ def family_str(f: Family) -> str:
     return ",".join([f"{c.sex._value_}@{c.day}" for c in f])
 
 
+@functools.lru_cache(maxsize=8)
+def week_children(cfg: WorldConfig) -> tuple[Child, ...]:
+    """The 2d children each birth position ranges over, by (sex, day).
+
+    `enumerate_families` is their n-fold product, in this order. The tuple is
+    kept for the last few worlds, so the families that the compiler, the
+    engine and the sampler build for one world share their `Child` objects,
+    and a dict lookup of an equal family finds each child equal by identity.
+    """
+    return tuple(Child(sex, day) for sex in (Sex.BOY, Sex.GIRL) for day in range(cfg.week_length))
+
+
 def enumerate_families(cfg: WorldConfig) -> list[Family]:
     """All (2d)^n families, lexicographic by (child index, sex, day)."""
-    per_child = [
-        Child(sex, day) for sex in (Sex.BOY, Sex.GIRL) for day in range(cfg.week_length)
-    ]
-    return [tuple(combo) for combo in itertools.product(per_child, repeat=cfg.family_size)]
+    return list(itertools.product(week_children(cfg), repeat=cfg.family_size))
 
 
 PriorDistribution = dict[Family, Fraction]

@@ -303,3 +303,12 @@ def test_unbound_variable_before_a_syntax_error_exits_4(tmp_path, capsys):
     proc.write_text("procedure p {\n  if sex(c) = boy { say yes; }\n  say\n}\n")
     assert run_cli("eval", str(proc), "--say", "yes", "--event", "all(boy)") == (4, "")
     assert "2:3: variable 'c' is not bound by a pick" in capsys.readouterr().err
+
+
+def test_zero_mass_names_the_statement_as_the_language_writes_it(capsys):
+    path = os.path.join(PROC_DIR, "gn_dn.proc")
+    code, _ = run_cli("eval", path, "--say", "claim(boy)", "--event", "all(boy)")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "ambiprob: statement claim(boy) is never emitted under this protocol\n"
+    )

@@ -4,7 +4,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ambiprob import dsl
 from ambiprob.dsl import (
     DslWarning,
     PAll,
@@ -14,10 +17,12 @@ from ambiprob.dsl import (
     parse,
     parse_event_text,
     parse_statement_text,
+    pred_to_query,
     render,
 )
 from ambiprob.engine import (
-    REJECT, AtLeastOne, Claim, ProudOf, Text, TwoOfAKind, YesNo, marginal, posterior,
+    REJECT, AtLeastOne, Claim, ProtocolKernel, ProudOf, Text, TwoOfAKind, YesNo, marginal,
+    posterior, render_statement, validate_kernel,
 )
 from ambiprob.errors import (
     DayOutOfRange,
@@ -28,7 +33,10 @@ from ambiprob.errors import (
     InvalidProbability,
     UnboundVariable,
 )
-from ambiprob.model import AllMatch, And, CountAtLeast, Exists, Not, Sex, WorldConfig
+from ambiprob.model import (
+    AllMatch, And, CountAtLeast, Exists, Not, Sex, WorldConfig, enumerate_families, eval_query,
+    family_str,
+)
 from ambiprob.scenarios import build_scenario
 from test_golden import builtin_digest_matches
 
@@ -492,3 +500,169 @@ def test_say_holds_the_engine_statement(text, statement):
     (say,) = parse(f"procedure p {{ say {text}; }}").body
     assert say.expr == statement  # dataclass equality compares the classes too
     assert parse_statement_text(text, CFG) == statement
+
+
+# ---------------------------------------------------------------------------
+# Class-compiled kernels against a per-family reference
+# ---------------------------------------------------------------------------
+
+def _per_family(ast, cfg, values):
+    """The per-family reference of `compile_protocol`: the lowered body run
+    on every family that passes the pre-filter (tested with the reference
+    interpreter), each with a row of its own. Returns (rows, empty-pick
+    families, span of the first failing pick, whether a path fell through)."""
+    bound = dsl._bind(ast, cfg, values)
+    pre = [pred_to_query(p, cfg, bound) for p in ast.requires]
+    lowering = dsl._Lowering(cfg, bound)
+    body = lowering.block(ast.body, lowering.fall_through)
+    env = [0] * lowering.slots
+    rows = {}
+    for f in enumerate_families(cfg):
+        if all(eval_query(q, f) for q in pre):
+            row = {}
+            body(f, env, dsl._ONE, row)
+            rows[f] = row
+    failed = list(lowering.empty_picks)
+    span = lowering.empty_picks[failed[0]].span if failed else None
+    return rows, failed, span, lowering.fell_through
+
+
+def _rows_text(rows, cfg):
+    return [(family_str(f), [(render_statement(s, cfg), str(w)) for s, w in row.items()])
+            for f, row in rows.items()]
+
+
+_PROBS = ("0", "1", "1/2", "1/3", "2/7")
+
+
+@st.composite
+def _procedures(draw):
+    """Random procedure text over a small world, with parameter values."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    days = [f"d{i}" for i in range(d)]
+    params, values = [], {}
+    if draw(st.booleans()):
+        params.append(f"day D = {draw(st.sampled_from(days))}")
+        days.append("D")
+        if draw(st.booleans()):
+            values["D"] = draw(st.integers(0, d - 1))
+    probs = list(_PROBS)
+    if draw(st.booleans()):
+        params.append(f"prob P = {draw(st.sampled_from(_PROBS))}")
+        probs.append("P")
+        if draw(st.booleans()):
+            values["P"] = Fraction(draw(st.sampled_from(_PROBS)))
+    picks = iter(range(100))
+
+    def sex():
+        return draw(st.sampled_from(("boy", "girl")))
+
+    def day():
+        return draw(st.sampled_from(days))
+
+    def pred(scope, depth=0):
+        kinds = ["exists-sex", "exists-day", "exists-both", "all-sex", "all-day", "count"]
+        kinds += ["child-sex", "child-day"] * bool(scope)
+        kinds += ["and", "or", "not"] * (depth < 2)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "exists-sex":
+            return f"exists({sex()})"
+        if kind == "exists-day":
+            return f"exists({day()})"
+        if kind == "exists-both":
+            return f"exists({sex()}, {day()})"
+        if kind == "all-sex":
+            return f"all({sex()})"
+        if kind == "all-day":
+            return f"all({day()})"
+        if kind == "count":
+            op = draw(st.sampled_from((">=", "<=", ">", "<", "=")))
+            return f"count({sex()}) {op} {draw(st.integers(0, 3))}"
+        if kind == "child-sex":
+            return f"sex({draw(st.sampled_from(scope))}) = {sex()}"
+        if kind == "child-day":
+            return f"day({draw(st.sampled_from(scope))}) = {day()}"
+        if kind == "not":
+            return f"not ({pred(scope, depth + 1)})"
+        return f"({pred(scope, depth + 1)}) {kind} ({pred(scope, depth + 1)})"
+
+    def say(scope):
+        forms = ["claim(boy)", f"claim({sex()}, {day()})", "atleastone(boy)",
+                 "twoofakind(girl)", "proudof(boy)", "yes", "no", 'text("t")']
+        if scope and draw(st.booleans()):
+            v = draw(st.sampled_from(scope))
+            forms = [f"claim(sex({v}))", f"claim(sex({v}), day({v}))",
+                     f"claim({sex()}, day({v}))", f"claim(sex({v}), {day()})"]
+        return f"say {draw(st.sampled_from(forms))};"
+
+    def block(scope, depth):
+        """Picks, ifs and flips, then a say, a reject or nothing (a path that
+        reaches the end of a branch goes on after the if or flip)."""
+        scope = list(scope)
+        lines = []
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(("pick", "if", "flip") if depth < 3 else ("pick",)))
+            if kind == "pick":
+                v = f"v{next(picks)}"
+                where = draw(st.sampled_from(("", "", f" where sex({v})={sex()}",
+                                              f" where day({v})={day()}")))
+                lines.append(f"pick {v}{where};")
+                scope.append(v)
+            elif kind == "if":
+                text = f"if {pred(scope)} {{ {block(scope, depth + 1)} }}"
+                if draw(st.booleans()):
+                    text += f" else {{ {block(scope, depth + 1)} }}"
+                lines.append(text)
+            else:
+                lines.append(f"flip {draw(st.sampled_from(probs))} "
+                             f"{{ {block(scope, depth + 1)} }} else {{ {block(scope, depth + 1)} }}")
+        end = draw(st.sampled_from(("say", "say", "say", "reject", "")))
+        if end == "say":
+            lines.append(say(scope))
+        elif end == "reject":
+            lines.append("reject;")
+        return " ".join(lines)
+
+    require = f"require {pred([])}; " if draw(st.booleans()) else ""
+    head = f"({', '.join(params)})" if params else ""
+    source = f"procedure p{head} {{ {require}{block([], 0)} }}"
+    return source, WorldConfig(d, n), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(_procedures())
+def test_class_compile_matches_per_family_compile(case):
+    source, cfg, values = case
+    ast = parse(source)
+    rows, failed, span, fell_through = _per_family(ast, cfg, values)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            kernel = compile_protocol(ast, cfg, values)
+        except EmptyPick as exc:
+            assert list(exc.families) == failed
+            assert exc.span == span
+            return
+    assert failed == []
+    assert _rows_text(kernel.rows, cfg) == _rows_text(rows, cfg)
+    assert [w.category for w in caught] == [DslWarning] * fell_through
+    assert validate_kernel(kernel) == []
+
+
+@pytest.mark.parametrize(
+    "sid, distinct, families",
+    [("classic-coinflip", 4, 40_000), ("yesno", 16, 40_000), ("bc-tc", 7, 399),
+     ("gn-tc", 12, 796), ("gn-dn", 40_000, 40_000)],
+)
+def test_families_the_procedure_cannot_tell_apart_share_one_row(sid, distinct, families):
+    # a child's class is its sex and, if the procedure tests it, its day:
+    # classic-coinflip tests no day (2 classes, 2^2 class vectors), yesno and
+    # bc-tc/gn-tc test the target day (4 classes; the pre-filters keep 7 and
+    # 12 of the 16 vectors), and gn-dn names every child's day
+    kernel = build_scenario(sid, WorldConfig(100, 2), day=0).kernel
+    assert len(kernel.rows) == families
+    assert len({id(row) for row in kernel.rows.values()}) == distinct
+    assert [m for _, m in kernel.distinct_rows()] == [
+        m for _, m in ProtocolKernel(kernel.config, kernel.rows).distinct_rows()
+    ]

@@ -31,6 +31,7 @@ from ambiprob.scenarios import build_scenario
 
 TUE = 1
 CFG = WorldConfig(7, 2)
+BOTH_BOYS = AllMatch(sex=Sex.BOY)
 
 
 def two_boys(f):
@@ -251,3 +252,38 @@ def test_validate_flags_row_outside_the_support():
     assert len(violations) == 49
     assert violations[0] == "G@0,G@0: row for a family outside the support"
     assert all(v.endswith(": row for a family outside the support") for v in violations)
+
+
+def test_families_sharing_one_row_object_condition_like_copies():
+    # a boy-first family shares one row object, a girl-first family another;
+    # two-girl families are sent home
+    boy_first = {AtLeastOne(Sex.BOY): Fraction(1, 2), YesNo(True): Fraction(1, 3)}
+    girl_first = {YesNo(True): Fraction(1, 4), AtLeastOne(Sex.BOY): Fraction(1, 5)}
+    support = Exists(Sex.BOY)
+    rows = {f: boy_first if f[0].sex is Sex.BOY else girl_first
+            for f in enumerate_families(CFG) if model.eval_query(support, f)}
+    shared = ProtocolKernel(CFG, rows, pre_filter=support)
+    copies = ProtocolKernel(CFG, {f: dict(row) for f, row in rows.items()}, pre_filter=support)
+    assert validate_kernel(shared) == validate_kernel(copies) == []
+    assert [(id(row), m) for row, m in shared.distinct_rows()] == [
+        (id(boy_first), 98), (id(girl_first), 49)
+    ]
+    assert {m for _, m in copies.distinct_rows()} == {1}
+
+    assert list(marginal(shared).items()) == list(marginal(copies).items())
+    for s in (AtLeastOne(Sex.BOY), YesNo(True)):
+        got, want = posterior(shared, s, BOTH_BOYS), posterior(copies, s, BOTH_BOYS)
+        assert got == want
+        assert got.case_table == want.case_table
+        assert (mc.sample_posterior(shared, s, BOTH_BOYS, 5000, seed=3)
+                == mc.sample_posterior(copies, s, BOTH_BOYS, 5000, seed=3))
+
+
+def test_validate_flags_classes_that_do_not_count_the_rows():
+    row = {YesNo(True): Fraction(1)}
+    rows = dict.fromkeys(enumerate_families(CFG), row)
+    assert validate_kernel(ProtocolKernel(CFG, rows, classes=((row,), (196,)))) == []
+    for classes in (((row,), (195,)), ((dict(row),), (196,))):
+        assert validate_kernel(ProtocolKernel(CFG, rows, classes=classes)) == [
+            "classes do not count the distinct rows of the kernel"
+        ]

@@ -80,6 +80,13 @@ def test_degenerate_protocol_raises():
         )
 
 
+def test_degenerate_protocol_names_the_statement_as_the_language_writes_it():
+    sc = build_scenario("bc-tc", CFG, day=TUE)
+    with pytest.raises(DegenerateProtocol) as exc:
+        sample_posterior(sc.kernel, Claim(Sex.GIRL, TUE), BOTH_BOYS, 100, seed=1)
+    assert str(exc.value) == "statement claim(girl,tue) is never emitted (zero mass)"
+
+
 def test_non_positive_trials_or_shards_raise_value_error():
     sc = build_scenario("bc-tc", CFG, day=TUE)
     with pytest.raises(ValueError):
