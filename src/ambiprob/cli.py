@@ -1,7 +1,8 @@
 """`ambiprob` command-line front end.
 
 Exit codes: 0 ok, 2 usage / unknown id, 3 undefined conditional (zero statement
-mass or empty support), 4 protocol-language error, 5 Monte Carlo disagreement,
+mass or empty support), 4 protocol-language error, 5 a cross-check disagreed (the
+Monte Carlo with the exact answer, or a `sweep` row with (2d-1)/(4d-1)),
 6 degenerate protocol.
 """
 
@@ -13,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from . import dsl, mc
@@ -33,7 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNDEFINED = 3
 EXIT_DSL = 4
-EXIT_MC_FAIL = 5
+EXIT_DISAGREE = 5
 EXIT_DEGENERATE = 6
 
 # Largest (2d)^n that run/eval/mc/sweep enumerate: gn-dn at d=365 (532,900
@@ -95,6 +97,10 @@ def _frac_str(x: Fraction, decimal: bool) -> str:
     return s
 
 
+# Rows per write: bounded strings, few writes.
+_BATCH = 1000
+
+
 def _emit_rows(header, rows, fmt, out):
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -104,18 +110,18 @@ def _emit_rows(header, rows, fmt, out):
         json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
         out.write("\n")
     else:
-        cells = [list(map(str, row)) for row in [header, *rows]]
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        for row in cells:
-            out.write("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n")
-
-
-# Case rows per write: bounded strings, few writes.
-_BATCH = 1000
+        # column by column, so the per-cell work runs in C
+        padded = []
+        for column in zip(header, *rows):
+            column = list(map(str, column))
+            padded.append(map(str.ljust, column, repeat(max(map(len, column)))))
+        lines = list(map(str.rstrip, map("  ".join, zip(*padded))))
+        for start in range(0, len(lines), _BATCH):
+            out.write("\n".join(lines[start:start + _BATCH]) + "\n")
 
 
 def _case_cells(cases, cfg: WorldConfig):
-    """The family, prior and emission text and the event of each case row.
+    """The family, prior, emission and event ("1" or "0") text of each case row.
 
     Each child, prior and emission is rendered once: a family's text joins
     its children's, and families that share a row share its weights, so a
@@ -129,7 +135,8 @@ def _case_cells(cases, cfg: WorldConfig):
             t = texts[id(x)] = str(x)
         return t
 
-    return [(",".join(map(child.__getitem__, r.family)), text(r.prior), text(r.emission), r.event)
+    return [(",".join(map(child.__getitem__, r.family)), text(r.prior), text(r.emission),
+             "1" if r.event else "0")
             for r in cases]
 
 
@@ -145,7 +152,7 @@ def _write_json_report(rep: PosteriorReport, stmt: str, cells, decimal: bool, ou
     )
     cases = [
         f'\n    {{\n      "family": "{fam}",\n      "prior": "{prior}",\n'
-        f'      "emission": "{em}",\n      "event": {"true" if ev else "false"}\n    }}'
+        f'      "emission": "{em}",\n      "event": {"true" if ev == "1" else "false"}\n    }}'
         for fam, prior, em, ev in cells
     ]
     for start in range(0, len(cases), _BATCH):
@@ -157,41 +164,27 @@ def _write_json_report(rep: PosteriorReport, stmt: str, cells, decimal: bool, ou
     out.write("\n}\n")
 
 
-def _write_case_table(cells, fmt: str, out) -> None:
-    """The case table as `_emit_rows` writes it, from text rendered once."""
-    if fmt == "csv":
-        # csv.writer's minimal quoting: only a family of two or more children
-        # holds the delimiter
-        out.write("family,prior,emission,event\n")
-        lines = [f'"{fam}",{prior},{em},{ev:d}' if "," in fam else f"{fam},{prior},{em},{ev:d}"
-                 for fam, prior, em, ev in cells]
-    else:
-        w0, w1, w2 = (max(len(h), *map(len, column))
-                      for h, column in zip(("family", "prior", "emission"), zip(*cells)))
-        out.write(f"{'family'.ljust(w0)}  {'prior'.ljust(w1)}  {'emission'.ljust(w2)}  event\n")
-        lines = [f"{fam.ljust(w0)}  {prior.ljust(w1)}  {em.ljust(w2)}  {ev:d}"
-                 for fam, prior, em, ev in cells]
-    for start in range(0, len(lines), _BATCH):
-        out.write("\n".join(lines[start:start + _BATCH]) + "\n")
-
-
 def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
     stmt = render_statement(rep.statement, cfg)
     cells = _case_cells(rep.case_table, cfg)
     if args.format == "json":
         _write_json_report(rep, stmt, cells, args.decimal, out)
         return
-    _write_case_table(cells, args.format, out)
+    header = ("family", "prior", "emission", "event")
     if args.format == "csv":
-        out.write(f"statement,{stmt}\n")
-        out.write(f"statement_mass,{rep.statement_mass}\n")
-        out.write(f"joint_mass,{rep.joint_mass}\n")
-        out.write(f"posterior,{rep.posterior}\n")
-    else:
-        out.write(f"statement = {stmt}\n")
-        out.write(f"statement mass = {_frac_str(rep.statement_mass, args.decimal)}\n")
-        out.write(f"joint mass = {_frac_str(rep.joint_mass, args.decimal)}\n")
-        out.write(f"posterior = {_frac_str(rep.posterior, args.decimal)}\n")
+        # the summary rows go through the same writer, which quotes a statement
+        # that holds the delimiter
+        cells += [("statement", stmt), ("statement_mass", rep.statement_mass),
+                  ("joint_mass", rep.joint_mass), ("posterior", rep.posterior)]
+        if args.decimal:
+            cells.append(("posterior_decimal", json.dumps(float(rep.posterior))))
+        _emit_rows(header, cells, "csv", out)
+        return
+    _emit_rows(header, cells, "table", out)
+    out.write(f"statement = {stmt}\n")
+    out.write(f"statement mass = {_frac_str(rep.statement_mass, args.decimal)}\n")
+    out.write(f"joint mass = {_frac_str(rep.joint_mass, args.decimal)}\n")
+    out.write(f"posterior = {_frac_str(rep.posterior, args.decimal)}\n")
 
 
 def _check_outcome_space(d: int, n: int, remedy: str) -> None:
@@ -319,7 +312,7 @@ def cmd_mc(args, out):
             ["verdict", verdict],
         ]
         _emit_rows(["field", "value"], rows, args.format, out)
-    return EXIT_OK if report.passed else EXIT_MC_FAIL
+    return EXIT_OK if report.passed else EXIT_DISAGREE
 
 
 def cmd_sweep(args, out):
@@ -334,7 +327,7 @@ def cmd_sweep(args, out):
         all_match &= ok
         rows.append([d, str(exact), str(formula), "yes" if ok else "NO"])
     _emit_rows(["d", "posterior", "formula", "match"], rows, args.format, out)
-    return EXIT_OK if all_match else 1
+    return EXIT_OK if all_match else EXIT_DISAGREE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,10 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, func, about):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
+        p.set_defaults(func=func)
+        return p
+
     def world(p):
         p.add_argument("--week-days", type=int, default=7, metavar="D")
         p.add_argument("--children", type=int, default=2, metavar="N")
-        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
 
     def builtin(p):  # read only when a builtin scenario is built
         p.add_argument("--day", help="target day (tue, d3, ...; default tue)")
@@ -358,26 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--decimal", action="store_true",
                        help="also show 6-digit decimal approximations")
 
-    p_list = sub.add_parser("list", help="list builtin scenarios")
-    p_list.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_list.set_defaults(func=cmd_list)
+    command("list", cmd_list, "list builtin scenarios")
 
-    p_run = sub.add_parser("run", help="exact posterior of a builtin scenario")
+    p_run = command("run", cmd_run, "exact posterior of a builtin scenario")
     p_run.add_argument("scenario")
     world(p_run)
     builtin(p_run)
     decimal(p_run)
-    p_run.set_defaults(func=cmd_run)
 
-    p_eval = sub.add_parser("eval", help="evaluate a .proc file")
+    p_eval = command("eval", cmd_eval, "evaluate a .proc file")
     p_eval.add_argument("file")
     p_eval.add_argument("--say", required=True, help='statement, e.g. "claim(boy,tue)"')
     p_eval.add_argument("--event", required=True, help='event predicate, e.g. "all(boy)"')
     world(p_eval)
     decimal(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo cross-check")
+    p_mc = command("mc", cmd_mc, "Monte Carlo cross-check")
     p_mc.add_argument("target", help="scenario id or .proc file")
     p_mc.add_argument("--say", help="statement (required for .proc targets)")
     p_mc.add_argument("--event", help="event predicate (required for .proc targets)")
@@ -386,13 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--shards", type=_int_at_least(1), default=1)
     world(p_mc)
     builtin(p_mc)
-    p_mc.set_defaults(func=cmd_mc)
 
-    p_sweep = sub.add_parser("sweep", help="week-length sweep against (2d-1)/(4d-1)")
+    p_sweep = command("sweep", cmd_sweep, "week-length sweep against (2d-1)/(4d-1)")
     p_sweep.add_argument("d_min", type=int)
     p_sweep.add_argument("d_max", type=int)
-    p_sweep.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -1,10 +1,16 @@
+import csv
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
+from ambiprob import dsl
 from ambiprob.cli import main
+from ambiprob.engine import render_statement
+from ambiprob.model import WorldConfig
+from ambiprob.scenarios import sweep_formula
 
 PROC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ambiprob", "procs")
 
@@ -82,6 +88,38 @@ def test_json_report_is_the_indented_json_encoding(extra, tmp_path):
     assert text == json.dumps(payload, indent=2) + "\n"
     assert payload["statement"] == "text('a\"\u00e9')"
     assert ("posterior_decimal" in payload) == ("--decimal" in extra)
+
+
+@pytest.mark.parametrize("decimal", [(), ("--decimal",)])
+@pytest.mark.parametrize("target, say", [
+    ("bc-tc", "claim(boy,tue)"),
+    ("yesno", "yes"),
+    ("p.proc", 'text("a, \\"b\\"")'),  # a label with the delimiter and a quote
+])
+def test_csv_report_reads_back_with_the_csv_module(target, say, decimal, tmp_path):
+    if target.endswith(".proc"):
+        proc = tmp_path / target
+        proc.write_text(f"procedure p {{\n  flip 1/3 {{ say {say}; }} else {{ say yes; }}\n}}\n")
+        argv = ("eval", str(proc), "--say", say, "--event", "all(boy)", *decimal)
+    else:
+        argv = ("run", target, *decimal)
+    code, text = run_cli(*argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["family", "prior", "emission", "event"]
+    cases = next(i for i, row in enumerate(rows) if len(row) != 4)
+    summary = rows[cases:]
+    assert cases > 1 and all(len(row) == 2 for row in summary)
+    names = ["statement", "statement_mass", "joint_mass", "posterior"]
+    assert [name for name, _ in summary] == names + ["posterior_decimal"] * bool(decimal)
+    fields = dict(summary)
+    cfg = WorldConfig()
+    assert fields["statement"] == render_statement(dsl.parse_statement_text(say, cfg), cfg)
+    payload = json.loads(run_cli(*argv, "--format", "json")[1])
+    assert {name: fields[name] for name in names} == {name: payload[name] for name in names}
+    if decimal:
+        assert fields["posterior_decimal"] == json.dumps(payload["posterior_decimal"])
+        assert float(fields["posterior_decimal"]) == float(Fraction(fields["posterior"]))
 
 
 def test_run_decimal_flag():
@@ -215,6 +253,13 @@ def test_sweep():
     assert all(line.endswith("yes") for line in lines[1:])
     assert any(line.startswith("7") and "13/27" in line for line in lines)
     assert any(line.startswith("1 ") and "1/3" in line for line in lines)
+
+
+def test_sweep_mismatch_exits_5(monkeypatch):
+    monkeypatch.setattr("ambiprob.cli.sweep_formula", lambda d: sweep_formula(d) + (d == 2))
+    code, text = run_cli("sweep", "1", "3")
+    assert code == 5
+    assert [line.split()[-1] for line in text.splitlines()[1:]] == ["yes", "NO", "yes"]
 
 
 def test_sweep_bad_range_exits_2():

@@ -12,6 +12,12 @@ files. Each pins the ordered rows and the `pre_filter` of one builtin at one
 week length, for every target day in {0, 1 % d, d - 1} and every p in
 `BUILTIN_PS`.
 
+The `table:` digests pin the same `eval` runs in table format, and `list`,
+`sweep 1 12` and a seeded `mc`, as the CLI wrote them before every table went
+through one writer. The `csv:` digests pin the `eval` runs in csv format, with
+the summary rows quoted by `csv.writer` (a `claim(...)` statement holds the
+delimiter).
+
 To see what changed after a failure, print `_outputs()` on both trees and diff.
 """
 
@@ -109,14 +115,18 @@ def _outputs() -> dict[str, str]:
             for d in WEEKS:
                 tag = f"{proc}:n{n}:d{d}"
                 world = ("--children", str(n), "--week-days", str(d))
-                out[f"eval:{tag}"] = "".join(
-                    _cli("eval", path, "--say", say, "--event", EVENT,
-                         "--format", "json", *world)
-                    for say in _statements(proc, d)
-                )
+                for kind, fmt in (("eval", "json"), ("table", "table"), ("csv", "csv")):
+                    out[f"{kind}:{tag}"] = "".join(
+                        _cli("eval", path, "--say", say, "--event", EVENT,
+                             "--format", fmt, *world)
+                        for say in _statements(proc, d)
+                    )
                 out[f"kernel:{tag}"], out[f"marginal:{tag}"] = _kernel_texts(
                     path, WorldConfig(d, n)
                 )
+    out["table:list"] = _cli("list")
+    out["table:sweep:1-12"] = _cli("sweep", "1", "12")
+    out["table:mc:bc-tc"] = _cli("mc", "bc-tc", "--trials", "20000", "--seed", "7")
     for sid in sorted(BUILTIN_IDS):
         out[f"run:{sid}:d30"] = _cli("run", sid, "--week-days", "30", "--day", "d1",
                                      "--format", "json")
@@ -220,6 +230,186 @@ GOLDEN = {
         "aacdcd0a09129d8eaa092cf538f108ed3ab822b1aced6341af9155c719e2fd2a",
     "builtin:yesno:d7":
         "c6ab1230130c6374b2a4206fb518c35c322f4b691d766c45753526df4755887d",
+    "csv:any_answer:n1:d1":
+        "5e1baf13595739f25558ccaa1c8f80a88d23970b25031676072d915259bfeeda",
+    "csv:any_answer:n1:d12":
+        "1982933eab42f4ea018e0e158e2d547ddac6437f6d484e20c589e391abd476ef",
+    "csv:any_answer:n1:d7":
+        "369b3decd40d7024c3245b6fd5219531e5fd7c1cce43891a5c6e1a926e975176",
+    "csv:any_answer:n2:d1":
+        "b0e3bfff145dc520b9c50f3b7c681f478c5b58f45f4dbafcbe498a63ed28993c",
+    "csv:any_answer:n2:d12":
+        "1a8ac239cf35c4b500bbb5a5f26dd15c6edf4bbfdd67c634c75fb4a83d1be7b9",
+    "csv:any_answer:n2:d7":
+        "8f43710797881a89f220493b840ca1a9a348100361da6216c059df501c8c233c",
+    "csv:any_answer:n3:d1":
+        "50f56b1ad3124c38b2eb12c22dcb95fb77cf5465290a0e47b6ce4adece2ae489",
+    "csv:any_answer:n3:d12":
+        "9f8e50c761e433cbbaa148a499ca6540dac40b759943eb2676e73a92657bf4a3",
+    "csv:any_answer:n3:d7":
+        "6df29821502252355ddd3175bdd03c6a89f2705ec78aad55563c4720a0733c2f",
+    "csv:bc_dn:n1:d1":
+        "1331f6f1c697d57d89c559b8624758ed3a01374036c93a597b040fac3d518f2d",
+    "csv:bc_dn:n1:d12":
+        "4e5f615dcaa0f593a6d4b43a21a0ccd05e19021791e94ffd63db004625c8f3a8",
+    "csv:bc_dn:n1:d7":
+        "91751dff1d705a5ad6480d2460a999663360d1712b88c2ad0c41eaca5402094a",
+    "csv:bc_dn:n2:d1":
+        "d36e7a8e7747f66570a34f433854d61aabcee1c2fead6ed214a2b8a7837ca4f8",
+    "csv:bc_dn:n2:d12":
+        "2247af282b6b9aa7857a1933f8ff7b6c0d2ae3cff96437c98353ddfaceae9d8f",
+    "csv:bc_dn:n2:d7":
+        "a15b1f3de96d233239878463ef419b2c9c1c46ab365e762a83a827c11a63bbb1",
+    "csv:bc_dn:n3:d1":
+        "10e68c7112ae7d531c9efbbfcc848e09b17b47643b953c6b4c86db629e123a06",
+    "csv:bc_dn:n3:d12":
+        "4a034ed2d3d14c8c46c5f00470894ba6dd6e952a0e8f7bdd239e1e699c2c037c",
+    "csv:bc_dn:n3:d7":
+        "f97f407ff21803bdcea68a3275cd73bd2c77f7de88ffd3472a4bc965ad0064cc",
+    "csv:bc_tc:n1:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:bc_tc:n1:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:bc_tc:n1:d7":
+        "5644b9a22e919f5b649b52975c944af663fac25402902a683ff27ed437f15e01",
+    "csv:bc_tc:n2:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:bc_tc:n2:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:bc_tc:n2:d7":
+        "4cd96a7bd59e8d3b05fe1a358c50f53bf02bb580c239e8b07bcd9fc39f7dd0cd",
+    "csv:bc_tc:n3:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:bc_tc:n3:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:bc_tc:n3:d7":
+        "5d3ab28b8160e9ff90ff80c282de852cb1c62f1c26fdfdba5f3ba44ea4d072bc",
+    "csv:brag:n1:d1":
+        "47067850dd21087847749268a786b04d7a8852bd794a455008fb6dfe4b8c759a",
+    "csv:brag:n1:d12":
+        "d30ca81ee6e889d3ad226f9415b298affad8f3491fc495702faac03fe0c74d5d",
+    "csv:brag:n1:d7":
+        "98aa34128e300841509b1e870e42b910e9fbc75a9c215686dfb93c68c9265fdf",
+    "csv:brag:n2:d1":
+        "7590a41b5d5d5b9b74691d2108201db165ac9b0de61818d63ea5b9b8725349ad",
+    "csv:brag:n2:d12":
+        "b8022614c67f19f65934a86a082fea163f623e4f92385e997923a6db9de604d7",
+    "csv:brag:n2:d7":
+        "93ebe7d57820aa19248d03b17cdc5bada70145e4591fc074ba4f6cb9b8ad0ad2",
+    "csv:brag:n3:d1":
+        "2f6372b22ed87fece669aa2c5cd7001c3c187701e0e0eb23e12d3ef58db67a66",
+    "csv:brag:n3:d12":
+        "6c1124b0cdc35afd57257d921d9a7f12de53b2edeb7781ac4e7e68c30235c705",
+    "csv:brag:n3:d7":
+        "de107a8d33b603bf24d948a6540f7e477a0840844543428b1393536933c9854a",
+    "csv:classic_coinflip:n1:d1":
+        "19d7fcfe64c7395cfaa7546648c6de4b45d51179bfc044a820c48d580cd5f777",
+    "csv:classic_coinflip:n1:d12":
+        "75314099364e00397461d1bb0018f23cfc40efb8ebf159dc13e2e5b68913c4b5",
+    "csv:classic_coinflip:n1:d7":
+        "a79cd9b176f8cda087cdcb4981b7263955c337256e9a89a2d217397aefff08c4",
+    "csv:classic_coinflip:n2:d1":
+        "54b43121c3c1e9dc2302a77e48c785e9ea9e58a675a2b4a940ed69f19dd3a387",
+    "csv:classic_coinflip:n2:d12":
+        "10f0b1d2287c06cf4e10c6ec6eacf2570a874f2c96e172b481da7842f0abc843",
+    "csv:classic_coinflip:n2:d7":
+        "af7ca3cd5c1205f303b6f137a8632f05bb6d341e089abc039488fe0afefd7f51",
+    "csv:classic_coinflip:n3:d1":
+        "ca76ef342a9754a402c28c33da1052c15d197ae19ba5cfa071445900cd788e30",
+    "csv:classic_coinflip:n3:d12":
+        "779344b7185ad1058fcec9a71869931dc09d2413d62aceedca99aaeb62a4bf24",
+    "csv:classic_coinflip:n3:d7":
+        "3db4d24f20d24adc498cd9d9a1fbfd9487131c98128a52bd39b2612081dc890f",
+    "csv:classic_selection:n1:d1":
+        "dc39b866be7bc0bf83506237db1a499dc74a29133156e250969ae9bb3668bc36",
+    "csv:classic_selection:n1:d12":
+        "47b280fae4c42cb4f4624ea4237c3692267a8eb95049f3075245b9b930448889",
+    "csv:classic_selection:n1:d7":
+        "eaee79877b8830b3a1934f094b073430925562ee0482a75636e9150a23ca010a",
+    "csv:classic_selection:n2:d1":
+        "7d7ee494b8281f956c40b7e9304e010bdbf5dfe61b80e5ba5c61c8b222a68fe4",
+    "csv:classic_selection:n2:d12":
+        "b4ab499a1c871904efa21b1144620a2a3f7e5645c28b891bdb5d6db634d93a7a",
+    "csv:classic_selection:n2:d7":
+        "11c12459421006db3b169bf3ca2b7111e9f5754b57a5f8db159ba9bb74a684a8",
+    "csv:classic_selection:n3:d1":
+        "b94e10b8623417831e51918f74c92c98a613f2e21036915809f3fb4d9a58b71e",
+    "csv:classic_selection:n3:d12":
+        "890994de17b858a5c869c6e1e254439e2ad3b3314a5b3713d2eda1d65d1d9775",
+    "csv:classic_selection:n3:d7":
+        "a10d5346f71ae58b28e542b1a5147e0269fbaccb985f9397085681e4b8330edd",
+    "csv:deemphasize:n1:d1":
+        "33b3d5b6ffe8987795a08b03fad19f8befb1a777e63144598265d055c8c190a1",
+    "csv:deemphasize:n1:d12":
+        "d7ef1a36862ac9325780ed759d5fc0d353217c1d87b67c52ea653c631cbbb9e4",
+    "csv:deemphasize:n1:d7":
+        "d6662016e06c9bffa781bb11e7a89e0276c0e989c9a99714cde7607a7bbed9e2",
+    "csv:deemphasize:n2:d1":
+        "0b57cb9f341c121fa2662d5aba9bbcdb45682143a83f7e6426f5e99b001e0871",
+    "csv:deemphasize:n2:d12":
+        "43ecd7cc61b975ca13bf86f4d36ad7a9ce25e55e732ba7a0a14f33e712827542",
+    "csv:deemphasize:n2:d7":
+        "7b4a78ffdbb9a1c3c4a92e96440a0c579e71da68655482961ab987c7ec8e1617",
+    "csv:deemphasize:n3:d1":
+        "5b1495bc73673cb4a9ecb2828c298d6f779b852b11a9c12ff4d37c0c3ed04795",
+    "csv:deemphasize:n3:d12":
+        "c75fbf5a12e1838857e10b1f8cd2dd078d508eaacf804147eb3531149c410dc1",
+    "csv:deemphasize:n3:d7":
+        "278b984705e440fbaa350804b18418c075d301d1890b04de39b57372647eb52a",
+    "csv:gn_dn:n1:d1":
+        "aad68fa68769fd3d918ad62793519edd71a4192438ff5545657d84ff82eba6f7",
+    "csv:gn_dn:n1:d12":
+        "637f1af3f41b123c55245cd5291c37745de4c44590df17777d111c3497e9b637",
+    "csv:gn_dn:n1:d7":
+        "0da10caccfa8c900b497a7d367458be45789c6ed7617a1f2a31d7889c850661a",
+    "csv:gn_dn:n2:d1":
+        "4d033bc2e4464266629e2fa9ac6c445adf88ee152b7b5d8aaa8f078f8fe26ea5",
+    "csv:gn_dn:n2:d12":
+        "84c6f0808e064de739782eb16c775be738a7a243f56e64030d5848d59f47dd36",
+    "csv:gn_dn:n2:d7":
+        "601dc55d7d191cd8ccfa1e46530a54ad25e6e720d23d13ad3050a7e25176ee5f",
+    "csv:gn_dn:n3:d1":
+        "4c8a719059bb64300a8703a7fc9eeba50e9847708245594009a39110709795de",
+    "csv:gn_dn:n3:d12":
+        "0c23dc188bf0ae84aca686447f5a56f2b693ec3fbc7b80f27bfffbe6d9a44b14",
+    "csv:gn_dn:n3:d7":
+        "397d5e147dabb61c83f508bda9272a5cd93478a847c22766fb288a050beaa44f",
+    "csv:gn_tc:n1:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:gn_tc:n1:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:gn_tc:n1:d7":
+        "8cc42a9792db8282bc65e05d121261e1c80e966732ed96ebdf83e9d81831178e",
+    "csv:gn_tc:n2:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:gn_tc:n2:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:gn_tc:n2:d7":
+        "9512efb54a8a4086a5333a061588b64960db5a6406c0aa07309db114fe9853cd",
+    "csv:gn_tc:n3:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:gn_tc:n3:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:gn_tc:n3:d7":
+        "e3799d1902a76480f23c07e7bf7b51db741e87d58928668042597558300c0f90",
+    "csv:yesno:n1:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:yesno:n1:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:yesno:n1:d7":
+        "5c06295235953afb33f0244df1d159a3376fedf260300e872691d0606054a737",
+    "csv:yesno:n2:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:yesno:n2:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:yesno:n2:d7":
+        "351a3cd7103f830e3e1e544596d3aa71a845862c1c5c924aa6fc74f6400f5527",
+    "csv:yesno:n3:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:yesno:n3:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "csv:yesno:n3:d7":
+        "184520656e6598bec12de35958c9fb8dc984356b5fb46d96853325ac2f691d80",
     "eval:any_answer:n1:d1":
         "f446505d529b735a482e892579e9618bba4bb8caee53a8592fdec1ef741e8b18",
     "eval:any_answer:n1:d12":
@@ -820,6 +1010,192 @@ GOLDEN = {
         "b716ae82e3bd19f0fc403be6438f37e31316500975655c07cec532701759470d",
     "run:yesno:d30":
         "fcf04ff12e0dac6a94d69c0a449673b5c3dc497b617aabd4f19ccbf85e027998",
+    "table:any_answer:n1:d1":
+        "39cfbd9d362d78a028b8b2f2081e5a9c6c26f23bc828cd011fb7afe9a1096f75",
+    "table:any_answer:n1:d12":
+        "bed1602b3d7c66e9f71b76434d21ed320ef97c63b905bc36fa61f1fa971ecdc9",
+    "table:any_answer:n1:d7":
+        "df4eb1321fdc526d89fd08420a26aca0e56ea402caa85569981442cb59021c42",
+    "table:any_answer:n2:d1":
+        "bba57ba97a39cddaeac0510aae8fcdbc172c4488baf541271ce81f2bc2984670",
+    "table:any_answer:n2:d12":
+        "e5b182c1f17a1d5afad353d3cdbbd80fd256f5b9c5c78e69aa98ad5e5cdf62dd",
+    "table:any_answer:n2:d7":
+        "18bf3c68a14f69bb93c12e22032e339c0692a279c212228f1f8cd240b1d16cca",
+    "table:any_answer:n3:d1":
+        "bee3729c3c97d79c3a90b590a2b2aaa615f9470473a772f55eed729e15c75536",
+    "table:any_answer:n3:d12":
+        "e21ca6a0a425c49a5e00a02bf3ba79f92196e9dd580d33cb45344a906b02ae96",
+    "table:any_answer:n3:d7":
+        "7544c41284e5c6366826fb7b87bba434d47a7ea3902f87f9d02d15d658cf199d",
+    "table:bc_dn:n1:d1":
+        "534486323455459d728a150a01a150de53e488989cb1df9c7b9830c36afc6745",
+    "table:bc_dn:n1:d12":
+        "0b484b70ca6790425ea623e41e79e48d8a279ca062fbbc2ce5135942dbb0ec57",
+    "table:bc_dn:n1:d7":
+        "089d9d4d428c6a96442409ac0619614ff43e0fe278a1ebf9d24b20b01e014c1f",
+    "table:bc_dn:n2:d1":
+        "8318cac2e096c9e33f1c1bbde7482a908abeb33b5def414b269cc3b66b98e559",
+    "table:bc_dn:n2:d12":
+        "fd2a5ffbdf88dc74a8f62d7ca93ed32171f55d4728ffd5d0bfe3c3d36cd9beac",
+    "table:bc_dn:n2:d7":
+        "8b5fc1bedead7116cb294e3e331a1bb4d8fe229d825361ea9180eb3a2cb38a29",
+    "table:bc_dn:n3:d1":
+        "50985b834cdcf96cdd48097f2e710147ab658860c6db8bce507871561e27a913",
+    "table:bc_dn:n3:d12":
+        "70a6a3d31cbeff8679da44964db6b6903ebdb1aadc75a4d54b2db4112589e07e",
+    "table:bc_dn:n3:d7":
+        "7c2cd4e92d9ac79f3d7daa1aedff681d3d499ddb71bb0516e6bacdd7b4e663ac",
+    "table:bc_tc:n1:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:bc_tc:n1:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:bc_tc:n1:d7":
+        "2130e36bcf98a350f46a34a0ad67b3258b9c7a592830cbdcc8fa0bf4693728fc",
+    "table:bc_tc:n2:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:bc_tc:n2:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:bc_tc:n2:d7":
+        "f3da6256151101689584f997a3b10acb037d8e1b7ffb8d657244a8619b277d69",
+    "table:bc_tc:n3:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:bc_tc:n3:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:bc_tc:n3:d7":
+        "0916c6e34dc0c4a1393ed9252486c723e2d1fee9016a62231390f473bcb6d2c0",
+    "table:brag:n1:d1":
+        "c05248e5172d2e69dcd062aa12cf12a936c8d3edae77b110bb72070b7ccad7cc",
+    "table:brag:n1:d12":
+        "290f2310b1f0c8da1e15c0156cfe2f19d7d0a8a73e32acb2ac791dd4b9479060",
+    "table:brag:n1:d7":
+        "fcccff18cbb50b7549f68628bcc97fbfe2a34cac600654347302c195f4a6f408",
+    "table:brag:n2:d1":
+        "e5b35ade283e7989dc1d2a347682b180b2c5c33f46196f8e7feeaa8172051dc0",
+    "table:brag:n2:d12":
+        "8b89e6a244dc9dbf6d0d270388eaae08fe741c4e9d820a084503b3053c11c458",
+    "table:brag:n2:d7":
+        "ebddb562f68c52b295b8c24fb5655989ef777ecd43a1910a19b01451c2f06c94",
+    "table:brag:n3:d1":
+        "77898276d4b4cd9f4dee1f8de0d8e3f7ee465fd81a29c4cbb6d4b6deecfc760a",
+    "table:brag:n3:d12":
+        "e64a2c996785a10fe8592c3fb83475cdc2981186e684ee394668e49e5dd9f519",
+    "table:brag:n3:d7":
+        "90ed21e2c3d4f4e4c80871637c53ef8004a9dcc6fad0435cca27c87269b28167",
+    "table:classic_coinflip:n1:d1":
+        "5f3a50c0058edc852df4654071993ee8bfde276aef3eab6348bf9928cfb63b1f",
+    "table:classic_coinflip:n1:d12":
+        "90ae6dee694feefe106a64230649f44dee39adeb40db5e2192e1ac578e43c5b6",
+    "table:classic_coinflip:n1:d7":
+        "d6620ad9e0ee975699c80cab09eb379ed922c85c3432e057a01c5e066738197d",
+    "table:classic_coinflip:n2:d1":
+        "68cf5890bcfccdec9a36bc87528ecb6f2d4eb5f9dba6a4dbfa338e51daaa98c5",
+    "table:classic_coinflip:n2:d12":
+        "080f0701be9c9c6d9bc5cd4757fbaa838b45817166acb546413e73ee666906bb",
+    "table:classic_coinflip:n2:d7":
+        "b7096c69d9cd72e762f3fa72ffa0344befb4009ecbdd2fbfda8019136615958f",
+    "table:classic_coinflip:n3:d1":
+        "27765e6ef98fbcc7f3551fd6710ce681e464ad9c97128d99ec5b2d4f56929de3",
+    "table:classic_coinflip:n3:d12":
+        "377673b40b2ab907a87ed0c39157fb7e54065f855f7e539e21652362b86a0ae6",
+    "table:classic_coinflip:n3:d7":
+        "92809b21d9022c765ffae750b4c9d3bca1f422fb6f6963d9c2deec497a348a36",
+    "table:classic_selection:n1:d1":
+        "bbde2aaac8a5b48ddf015ac00d3e091a334c6d6555132920c0d00c0b1ffdc6a3",
+    "table:classic_selection:n1:d12":
+        "0646fd008485bafa40d5b58fd3f968dc4826736800a1d71d9ac5774d69353661",
+    "table:classic_selection:n1:d7":
+        "d69dcdf8123d240ccf0ef7c904ba75b43c67162e2a23da17a49929dbd7ef0478",
+    "table:classic_selection:n2:d1":
+        "15af2d9bb8ebe9ec1b92779dc8553d1e07e7d88818c6d8de364c14780d9d8c87",
+    "table:classic_selection:n2:d12":
+        "e044f50c5326bdb17a401d75d467f677920d3af8ba0ac200bcd8b04523251f43",
+    "table:classic_selection:n2:d7":
+        "db82ee635b4eb07cb10ebebdc35da3df11d5667b4a785cd2fecdc9f23842afe5",
+    "table:classic_selection:n3:d1":
+        "6c74732617071a0c3ca0d19e19c90f78d45f2bc53c0ba3b9a0579e83f06264b6",
+    "table:classic_selection:n3:d12":
+        "ffe4ff4ca148838bf7b85e03a4443c16c562eff4ef42af5640bb2c11e124e548",
+    "table:classic_selection:n3:d7":
+        "3cc43fd70004ba6f28daa49cc0e58de51d5e58ff8e8217976b5a3c278cdea633",
+    "table:deemphasize:n1:d1":
+        "518656dd2b6069dc381836dd625df8a76bc71e0703d889af0343a660cc5b4d44",
+    "table:deemphasize:n1:d12":
+        "38a67ed0bb4ca8c8c1f4c6c56cb44ef2d675709a65be2d2d02c292f7dce4dada",
+    "table:deemphasize:n1:d7":
+        "cbb31cdb4e2e77f110e4927e5cc5ed5a409cc423ee676ba589081db2e1b8483e",
+    "table:deemphasize:n2:d1":
+        "606d6897e56db71523d72cb0a62800a25789738ec1669e03366b8ef2e1570796",
+    "table:deemphasize:n2:d12":
+        "3700ec6b489e337458876d1edc98984792382522cb47632bd1a8c0fc47026287",
+    "table:deemphasize:n2:d7":
+        "e40ca22fe96536093877b95f2824ca18ccacecdedb143323c85729b41e7477dd",
+    "table:deemphasize:n3:d1":
+        "486ded959b800b2403717f530ad27fee6aa93fdcf8492e65bcca2fbe20cfc8c4",
+    "table:deemphasize:n3:d12":
+        "33d989cb758cee4f5731ae19a6df729e3a05a70f6f09cb19a3759f5b612aa536",
+    "table:deemphasize:n3:d7":
+        "7b40ae8e59b46358e225e780a2ed5686340b8e360b513c1e1dcb939d8526a95b",
+    "table:gn_dn:n1:d1":
+        "dfbeac0b17fdfa481081e32e0847b8d179b1fa60a9fc1a804f07057802787aa7",
+    "table:gn_dn:n1:d12":
+        "99baae8e4ad7c1e876506f690c1af5de67d9e8d153f58f8892a7a8169d58b659",
+    "table:gn_dn:n1:d7":
+        "425f8cdd8254e6be3a29a93bede7fc111cd3a697e9e206a2eb8d179f6e629546",
+    "table:gn_dn:n2:d1":
+        "4986a7a9764fcb3b94e785801e9d57917f839b32500de924b944d19d01e9a855",
+    "table:gn_dn:n2:d12":
+        "e36754f9fd49a4348e1362f1dc629e4209282933416412023110606007ac91ce",
+    "table:gn_dn:n2:d7":
+        "7a6ef7cbc01e0f551b5192c7f18bc570839b47373ca044f9d82ce619ba5ced66",
+    "table:gn_dn:n3:d1":
+        "107d2b36efc4c3c4a1e186512ab2e1ee241a37bef81793c830e18ae3c066ae60",
+    "table:gn_dn:n3:d12":
+        "1d51877f7c694c6cff7471d5fa751c70c6fa250d878bf759436aecb22657f98b",
+    "table:gn_dn:n3:d7":
+        "56fb3ee65c7e594d8198a403934aef5a77ea23ddb877950c9d9eb977d06aed26",
+    "table:gn_tc:n1:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:gn_tc:n1:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:gn_tc:n1:d7":
+        "2602cca32f334f0664a627a6d2e45503f5d03f7ccaa741729242b7a6bff52d35",
+    "table:gn_tc:n2:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:gn_tc:n2:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:gn_tc:n2:d7":
+        "1ead833095930fa4a0051b2c82d93f13a5b1bf58261618b5744cd3ad47bba353",
+    "table:gn_tc:n3:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:gn_tc:n3:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:gn_tc:n3:d7":
+        "ec3edc7a0fc7cf8fd901cfb6486dcefbec2057b8eac671cfe1afa6d898c713cb",
+    "table:list":
+        "a197d48902f3bb1bf1d7942d0babbb7f63bdcdac1b20ea094e3b39236a82d0b7",
+    "table:mc:bc-tc":
+        "ab1bd4f57d7b62e91cd0c55c29ee8cd0d33e6326581095dd996cc42443508073",
+    "table:sweep:1-12":
+        "f916b9081fedfe9a8c9e63bd31467780f63bfb2fe794302296105f9ad5726cc4",
+    "table:yesno:n1:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:yesno:n1:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:yesno:n1:d7":
+        "4709b512370e29685f49a8187a1a30c835caa22b744497d8337a2404ef400ef5",
+    "table:yesno:n2:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:yesno:n2:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:yesno:n2:d7":
+        "5bb5c29861a6a9eb8e2201b0aa6258cf58fff5805e1bd7e08afab6fe3188cab3",
+    "table:yesno:n3:d1":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:yesno:n3:d12":
+        "77cdaf517210d01f076798c31804d98503cdc2a2316dc8547d0897cc30837a9e",
+    "table:yesno:n3:d7":
+        "0cbf78a721e4701d8d03a6153c37b9f4890c6fbf66a1982cf74bb14b98e09d2c",
 }
 
 
@@ -832,7 +1208,7 @@ def test_golden_keys_cover_every_case(digests):
     assert sorted(digests) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("kind", ["eval", "run", "kernel", "marginal", "builtin"])
+@pytest.mark.parametrize("kind", ["eval", "table", "csv", "run", "kernel", "marginal", "builtin"])
 def test_golden_digests(digests, kind):
     changed = [
         key for key in GOLDEN
