@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -330,6 +331,8 @@ def cmd_sweep(args, out):
     return EXIT_OK if all_match else EXIT_DISAGREE
 
 
+# One parser per process: parse_args does not change it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ambiprob",

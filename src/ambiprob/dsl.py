@@ -38,18 +38,16 @@ literal that does not fit the week is an error even in a branch no family
 reaches.
 
 The closures see a child only through its sex and whether its day is one that
-the procedure tests, so the chain runs once per class of families they cannot
-tell apart, and all families of a class share that class's row object (see
-`compile_protocol`). Rows are therefore read-only.
+the procedure tests, so the chain runs once per class vector, a class of
+families they cannot tell apart, and the compiled kernel is the class table
+(see `compile_protocol`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import re
 import warnings
-from collections import Counter
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -897,11 +895,11 @@ def compile_protocol(
     `values` binds parameters by name (a day index or a probability); the
     others take their defaults. The body is lowered to closures once
     (`_Lowering`). A child's class is its sex and, if some test reads it,
-    its day; families with the same ordered classes are sent home alike and
-    build equal rows. So the closure chain runs once per class vector, on the
-    class's first family in `enumerate_families` order, and every support
-    family of the class gets that same row object: rows are shared and must
-    not be mutated. When every day is tested, each class is one family.
+    its day; families with the same class vector are sent home alike and
+    build equal rows. So the closure chain runs once per class vector, on its
+    first family in `enumerate_families` order, and the kernel's table holds
+    that row once for every family of the vector. When every day is tested,
+    each vector is one family.
     """
     bound = _bind(ast, cfg, values)
     lowering = _Lowering(cfg, bound)
@@ -912,22 +910,25 @@ def compile_protocol(
     body = lowering.block(ast.body, lowering.fall_through)
     env = [0] * lowering.slots
 
-    # rep[i]: the first child in the class of children[i]
+    # child_class[i]: the class of children[i], named by the index of its first child
     children = week_children(cfg)
-    first: dict[tuple, model.Child] = {}
-    rep = [first.setdefault((c.sex, c.day if c.day in lowering.tested else None), c)
-           for c in children]
+    first: dict[tuple, int] = {}
+    child_class = tuple(
+        first.setdefault((c.sex, c.day if c.day in lowering.tested else None), i)
+        for i, c in enumerate(children)
+    )
     n = cfg.family_size
-    # each class vector's first family; the pre-filter sends a class home whole
-    firsts = itertools.product(first.values(), repeat=n)
-    if pre_filter is not None:
-        firsts = filter(compile_query(pre_filter, cfg), firsts)
-    by_class: dict[Family, Row] = {}  # a support class's first family -> its row
-    for f in firsts:
-        row: Row = {}
-        body(f, env, _ONE, row)
-        by_class[f] = row
+    # each class vector with its first family; the pre-filter sends a class home whole
+    keep = None if pre_filter is None else compile_query(pre_filter, cfg)
+    table: dict[tuple[int, ...], Row] = {}
+    for vec, f in zip(itertools.product(first.values(), repeat=n),
+                      itertools.product([children[i] for i in first.values()], repeat=n)):
+        if keep is None or keep(f):
+            row: Row = {}
+            body(f, env, _ONE, row)
+            table[vec] = row
     if lowering.empty_picks:  # every family of a failing class fails
+        rep = [children[i] for i in child_class]
         failed = [f for f, r in zip(itertools.product(children, repeat=n),
                                     itertools.product(rep, repeat=n))
                   if r in lowering.empty_picks]
@@ -938,20 +939,6 @@ def compile_protocol(
             families=failed,
             span=next(iter(lowering.empty_picks.values())).span,
         )
-    if len(first) == len(children):  # each family is its own class
-        rows = by_class
-        classes = (tuple(rows.values()), (1,) * len(rows))
-    else:
-        rows = {
-            f: row
-            for f, row in zip(itertools.product(children, repeat=n),
-                              map(by_class.get, itertools.product(rep, repeat=n)))
-            if row is not None
-        }
-        # a class vector holds the product of its classes' sizes in families
-        size = Counter(rep)
-        classes = (tuple(by_class.values()),
-                   tuple(math.prod(map(size.__getitem__, f)) for f in by_class))
     if lowering.fell_through:
         warnings.warn(
             f"procedure '{ast.name}': some execution paths end without "
@@ -959,7 +946,7 @@ def compile_protocol(
             DslWarning,
             stacklevel=2,
         )
-    return ProtocolKernel(cfg, rows, pre_filter=pre_filter, classes=classes)
+    return ProtocolKernel(cfg, child_class, table, pre_filter)
 
 
 def load_protocol(path, cfg: WorldConfig) -> ProtocolKernel:

@@ -4,28 +4,28 @@ A protocol is a per-family distribution over structured statements; weight not
 assigned to any statement is reject mass. Posteriors are exact Bayes quotients
 over the (pre-filter renormalized) uniform prior.
 
-A kernel's rows are its support: a family with no row was sent home. Under the
-uniform prior every row weighs ``1/len(rows)``, so `posterior` and `marginal`
-sum the emission weights exactly (grouped by denominator, in integers) and
-multiply by that weight once; neither tests the pre-filter (only
-`validate_kernel` does, to check the rows against it).
-
-Families may share one row object (the compiler gives every family of a class
-it cannot tell apart the same row), so rows are read-only. Both conditioners
-sum over `ProtocolKernel.distinct_rows`, each distinct row once, weighted by
-its multiplicity: the number of families that share it. `marginal` reads
-nothing else; `posterior` walks the families in `family_str` order, generated
-without sorting, only to test the event and write the case table in that
-order. `statement_mass` is one entry of `marginal`.
+A kernel is a class table: families the procedure cannot tell apart share one
+row, stored once under their class vector. The vectors in the table are the
+support; every support family weighs the same, so `posterior` and `marginal`
+sum each row's emission weights once, times its multiplicity (the number of
+families with that vector), exactly (grouped by denominator, in integers) and
+multiply by the family weight once. Neither tests the pre-filter (only
+`validate_kernel` does, to check the rows against it), and neither builds the
+per-family ``rows`` view. `posterior` generates, in `family_str` order, only
+the families of the vectors that emit the statement, to test the event and
+write the case table. `statement_mass` is one entry of `marginal`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import EmptySupport, ZeroStatementMass
@@ -129,55 +129,56 @@ Row = dict[Statement, Fraction]
 class ProtocolKernel:
     """Exact stochastic map from families to statements, with reject mass.
 
-    ``rows`` maps each family in the support to its emission weights, in
-    `enumerate_families` order; weight left over from 1 is implicit reject
-    mass. A family with no row fails ``pre_filter``: it is sent home before
-    speaking and renormalized away. Statements are ordered by first emission
-    over ``rows``. Several families may map to the same row object, so a row
-    must not be mutated.
-
-    ``classes``, when its builder knows them (`dsl.compile_protocol` does),
-    are the distinct rows and their multiplicities that `distinct_rows` would
-    otherwise count, as two aligned tuples; `validate_kernel` checks them.
+    ``child_class[i]`` is the class of ``week_children(config)[i]``: the index
+    of the first child in its class. ``table`` maps each class vector in the
+    support (the children's classes in birth order) to the emission weights
+    that every family with that vector emits; weight left over from 1 is
+    implicit reject mass. A family whose vector has no entry fails
+    ``pre_filter``: it is sent home before speaking and renormalized away.
+    Statements are ordered by first emission over ``table``. A row stands for
+    many families, so it must not be mutated.
     """
 
     config: WorldConfig
-    rows: dict[Family, Row]
+    child_class: tuple[int, ...]
+    table: dict[tuple[int, ...], Row]
     pre_filter: QueryPredicate | None = None
-    classes: tuple[tuple[Row, ...], tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
-    )
+
+    @classmethod
+    def from_rows(cls, config: WorldConfig, rows: Mapping[Family, Row],
+                  pre_filter: QueryPredicate | None = None) -> ProtocolKernel:
+        """The kernel whose support families emit ``rows``; every child is
+        its own class, so each family is its own vector."""
+        index = {c: i for i, c in enumerate(week_children(config))}
+        table = {tuple(map(index.__getitem__, f)): row for f, row in rows.items()}
+        return cls(config, tuple(index.values()), table, pre_filter)
+
+    @functools.cached_property
+    def rows(self) -> Mapping[Family, Row]:
+        """Each support family's row, in `enumerate_families` order: a
+        read-only view, built on first use."""
+        n = self.config.family_size
+        rows = zip(itertools.product(week_children(self.config), repeat=n),
+                   map(self.table.get, itertools.product(self.child_class, repeat=n)))
+        return MappingProxyType({f: row for f, row in rows if row is not None})
 
     def support(self) -> list[Family]:
         return list(self.rows)
 
-    def distinct_rows(self) -> Iterable[tuple[Row, int]]:
-        """Each distinct row object with its multiplicity, the number of
-        families that share it, in order of first appearance in ``rows``.
-
-        These are ``classes`` if given, else counted from ``rows``. Rows are
-        told apart by identity, not by value: a kernel whose families hold
-        rows of their own has multiplicity 1 everywhere.
-        """
-        if self.classes is not None:
-            return zip(*self.classes)
-        return _count_rows(self.rows)
-
-
-def _count_rows(rows: dict[Family, Row]) -> list[tuple[Row, int]]:
-    values = rows.values()
-    counts = Counter(map(id, values))
-    by_id = dict(zip(map(id, values), values))
-    return [(by_id[i], m) for i, m in counts.items()]
+    def multiplicities(self) -> list[int]:
+        """The number of families of each vector in ``table``, in its order:
+        the product of the sizes of the vector's classes."""
+        size = Counter(self.child_class)
+        if len(size) == len(self.child_class):  # one child per class
+            return [1] * len(self.table)
+        return [math.prod(map(size.__getitem__, vec)) for vec in self.table]
 
 
 def validate_kernel(k: ProtocolKernel) -> list[str]:
     """Invariant check; returns one message per violation, empty iff valid."""
-    violations = []
-    if k.classes is not None:
-        counted = [(id(row), m) for row, m in _count_rows(k.rows)]
-        if [(id(row), m) for row, m in k.distinct_rows()] != counted:
-            violations.append("classes do not count the distinct rows of the kernel")
+    classes = set(k.child_class)
+    violations = [f"{vec}: class vector of no family" for vec in k.table
+                  if len(vec) != k.config.family_size or not classes.issuperset(vec)]
     in_order = enumerate_families(k.config)
     if k.pre_filter is not None:
         in_order = list(filter(compile_query(k.pre_filter, k.config), in_order))
@@ -219,15 +220,24 @@ class PosteriorReport:
     case_table: tuple[CaseRow, ...] = field(repr=False)
 
 
-def _case_order(cfg: WorldConfig):
-    """All families in `family_str` order, generated without sorting.
-
-    `family_str` joins per-child keys ``<sex letter>@<day>`` with ``,``, which
-    sorts below every digit, so ordering each child by (sex letter, day as
-    text) and taking the product orders the joined strings too.
+def _case_order(cfg: WorldConfig, child_class: tuple[int, ...], vectors: Iterable[tuple]):
+    """Each family whose class vector is in `vectors`, as (vector, family), in
+    `family_str` order. That joins per-child keys ``<sex letter>@<day>`` with
+    ``,``, which sorts below every digit, so ordering the children by (sex
+    letter, day as text) orders the families without sorting them; a prefix
+    grows only by the children whose class leads on to one of `vectors`.
     """
-    children = sorted(week_children(cfg), key=lambda c: (c.sex.value, str(c.day)))
-    return itertools.product(children, repeat=cfg.family_size)
+    order = sorted(zip(week_children(cfg), child_class),
+                   key=lambda ck: (ck[0].sex.value, str(ck[0].day)))
+    leads: dict[tuple, set[int]] = {}  # prefix -> the classes that may follow it
+    for vec in vectors:
+        for i, k in enumerate(vec):
+            leads.setdefault(vec[:i], set()).add(k)
+    grow = {p: [(c, p + (k,)) for c, k in order if k in ks] for p, ks in leads.items()}
+    level = [((), ())]
+    for _ in range(cfg.family_size):
+        level = ((q, f + (c,)) for p, f in level for c, q in grow.get(p, ()))
+    return level
 
 
 def _add(acc: dict[int, int], w: Fraction, m: int = 1) -> None:
@@ -247,17 +257,17 @@ def statement_mass(k: ProtocolKernel, s: Statement) -> Fraction:
 
 def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorReport:
     """Exact Bayes quotient P(q | s emitted) with the full per-family case table."""
-    rows = k.rows
-    if not rows:
+    if not k.table:
         raise EmptySupport("no family in the support satisfies the predicate")
-    emission: dict[int, Fraction] = {}  # id(row) -> its weight of s, if not 0
+    counts = k.multiplicities()
+    emission: dict[tuple, Fraction] = {}  # class vector -> its weight of s, if not 0
     s_acc: dict[int, int] = {}
-    for row, m in k.distinct_rows():
+    for (vec, row), m in zip(k.table.items(), counts):
         e = row.get(s)
         if e:
-            emission[id(row)] = e
+            emission[vec] = e
             _add(s_acc, e, m)
-    prior = Fraction(1, len(rows))
+    prior = Fraction(1, sum(counts))
     s_mass = _total(s_acc) * prior
     if s_mass == 0:
         raise ZeroStatementMass(
@@ -265,20 +275,15 @@ def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorRe
         )
     event = compile_query(q, k.config)
     cases = []
-    hits = []  # id(row) of each emitting family where q holds
-    # the id of each family's row, in case order; id(None), for a family sent
-    # home, is never in `emission`
-    row_ids = list(map(id, map(rows.get, _case_order(k.config))))
-    emits = list(map(emission.__contains__, row_ids))
-    for f, rid in zip(itertools.compress(_case_order(k.config), emits),
-                       itertools.compress(row_ids, emits)):
+    hits = []  # the class vector of each emitting family where q holds
+    for vec, f in _case_order(k.config, k.child_class, emission):
         holds = event(f)
-        cases.append(CaseRow(f, prior, emission[rid], holds))
+        cases.append(CaseRow(f, prior, emission[vec], holds))
         if holds:
-            hits.append(rid)
+            hits.append(vec)
     joint_acc: dict[int, int] = {}
-    for rid, m in Counter(hits).items():
-        _add(joint_acc, emission[rid], m)
+    for vec, m in Counter(hits).items():
+        _add(joint_acc, emission[vec], m)
     joint = _total(joint_acc) * prior
     return PosteriorReport(s, s_mass, joint, joint / s_mass, tuple(cases))
 
@@ -286,14 +291,14 @@ def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorRe
 def marginal(k: ProtocolKernel) -> dict:
     """Masses over every emitted statement plus a REJECT entry; sums to 1 exactly.
 
-    Statements appear in order of first emission over ``rows``.
+    Statements appear in order of first emission over ``table``.
     """
-    rows = k.rows
-    if not rows:
+    if not k.table:
         raise EmptySupport("no family in the support satisfies the predicate")
+    counts = k.multiplicities()
     accs: dict = {}
     emitted: dict[int, int] = {}
-    for row, m in k.distinct_rows():
+    for row, m in zip(k.table.values(), counts):
         for s, ew in row.items():
             n, d = ew.as_integer_ratio()
             if n > 0:
@@ -302,7 +307,8 @@ def marginal(k: ProtocolKernel) -> dict:
                     acc = accs[s] = {}
                 acc[d] = acc.get(d, 0) + n * m
                 emitted[d] = emitted.get(d, 0) + n * m
-    prior = Fraction(1, len(rows))
+    size = sum(counts)
+    prior = Fraction(1, size)
     out: dict = {s: _total(acc) * prior for s, acc in accs.items()}
-    out[REJECT] = (len(rows) - _total(emitted)) * prior
+    out[REJECT] = (size - _total(emitted)) * prior
     return out

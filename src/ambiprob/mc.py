@@ -9,8 +9,8 @@ config, protocol, trial count, shards).
 Emission probabilities are exact rationals; sampling scales them to a common
 integer denominator, so no floating-point comparison enters the draw itself.
 Each draw is a family index and an integer u below that denominator, classified
-against three per-family thresholds (see `_compile_tables`), so a draw costs
-O(1) time and memory whatever the number of distinct statements. The common
+against three thresholds of the family's row (see `_compile_tables`), so a draw
+costs O(1) time and memory whatever the number of distinct statements. The common
 denominator must fit in int64; a kernel whose denominators have a larger LCM
 raises `OverflowError`.
 """
@@ -55,21 +55,18 @@ class AgreementReport:
 
 
 def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
-    """Integer sampling tables over a common denominator: per family, whether
-    it has a row (no row: sent home), the event, and the thresholds
-    `lo`/`hi`/`tot`.
+    """Integer sampling tables over a common denominator: per family, the
+    event and the line of its row in the kernel's table (one past the last
+    line: no row, sent home); per line, the thresholds `lo`/`hi`/`tot`.
 
-    With statements ordered by first appearance over `enumerate_families`,
-    `lo` is the emitted mass of the statements before the target, `hi` adds
-    the target's mass and `tot` is the total emitted mass; a draw u in
-    [lo, hi) emits the target and u >= tot rejects in-run. The thresholds
-    are computed once per distinct row and spread to the families sharing it.
+    With statements ordered by first appearance over the table, `lo` is the
+    emitted mass of the statements before the target, `hi` adds the target's
+    mass and `tot` is the total emitted mass; a draw u in [lo, hi) emits the
+    target and u >= tot rejects in-run.
     """
     fams = enumerate_families(k.config)
     event = np.fromiter(map(compile_query(q, k.config), fams), bool, len(fams))
-    # a repeated row adds no statement, so first appearance over the distinct
-    # rows is first appearance over the families
-    distinct = [row for row, _ in k.distinct_rows()]
+    distinct = list(k.table.values())
 
     earlier: set[Statement] = set()  # statements ordered before the target
     for st in (st for row in distinct for st in row):
@@ -85,8 +82,6 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     if denom > np.iinfo(np.int64).max:
         raise OverflowError(f"common denominator {denom} does not fit in int64")
 
-    # (lo, hi, tot) of each distinct row, then zeros for the families sent
-    # home, which the sampler never reads
     is_earlier = dict.fromkeys(earlier, True)
     is_earlier[s] = False
     lo, hi, tot = [], [], []
@@ -104,55 +99,60 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
         lo.append(before)
         hi.append(before + target)
         tot.append(total)
-    line = dict(zip(map(id, distinct), itertools.count()))
-    line[id(None)] = len(distinct)
-    which = np.fromiter(map(line.__getitem__, map(id, map(k.rows.get, fams))),
+    line = dict(zip(k.table, itertools.count()))
+    vectors = itertools.product(k.child_class, repeat=k.config.family_size)
+    which = np.fromiter(map(line.get, vectors, itertools.repeat(len(distinct))),
                         np.intp, len(fams))
-    passes = which < len(distinct)
-    lo, hi, tot = (np.array(t + [0], dtype=np.int64)[which] for t in (lo, hi, tot))
-    return passes, event, lo, hi, tot, denom
+    lo, hi, tot = (np.array(t + [0], dtype=np.int64) for t in (lo, hi, tot))
+    return event, which, lo, hi, tot, denom
 
 
-def _run_shard(rng, passes, event, lo, hi, tot, denom, n_matches, cap):
-    n_fam = passes.shape[0]
+def _run_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
+    n_fam = which.shape[0]
+    sent_home = lo.shape[0] - 1
     counters = dict.fromkeys(_COUNTERS, 0)
     consecutive_misses = 0
     while counters["statement_matches"] < n_matches:
-        fam = rng.integers(0, n_fam, size=_CHUNK)
+        draw = rng.integers(0, n_fam, size=_CHUNK)  # each draw's family
         u = rng.integers(0, denom, size=_CHUNK)
-        ok = passes[fam]  # False: sent home before the procedure runs
-        emitted = ok & (u < tot[fam])  # ok and not emitted: in-run reject
-        match = ok & (lo[fam] <= u) & (u < hi[fam])
+        holds = event[draw]
+        # each draw's table line; rebinding frees the families at once, which
+        # keeps the chunk's page faults and peak memory at two arrays of draws
+        draw = which[draw]
+        # the sent-home line is all zeros, so it never emits or matches
+        emitted = u < tot[draw]  # not emitted: sent home or in-run reject
+        match = (lo[draw] <= u) & (u < hi[draw])
+        home = draw == sent_home
 
         n_new = int(np.count_nonzero(match))
         needed = n_matches - counters["statement_matches"]
         if n_new >= needed:
             cutoff = int(np.nonzero(match)[0][needed - 1]) + 1
-            fam, ok, emitted, match = fam[:cutoff], ok[:cutoff], emitted[:cutoff], match[:cutoff]
+            home, holds, emitted, match = home[:cutoff], holds[:cutoff], emitted[:cutoff], match[:cutoff]
             n_new = needed
 
         if n_new == 0:
-            consecutive_misses += len(fam)
+            consecutive_misses += len(match)
             longest_gap = consecutive_misses
         else:
             positions = np.nonzero(match)[0]
             leading = consecutive_misses + int(positions[0])
             internal = int(np.diff(positions).max() - 1) if n_new > 1 else 0
             longest_gap = max(leading, internal)
-            consecutive_misses = len(fam) - 1 - int(positions[-1])
+            consecutive_misses = len(match) - 1 - int(positions[-1])
         if longest_gap > cap:
             raise DegenerateProtocol(
                 f"{longest_gap} consecutive draws without a statement match "
                 "(cap exceeded); statement mass is zero or vanishingly small"
             )
 
-        n_ok = int(np.count_nonzero(ok))
+        n_home = int(np.count_nonzero(home))
         n_emitted = int(np.count_nonzero(emitted))
-        counters["rejected_families"] += len(fam) - n_ok
-        counters["rejected_runs"] += n_ok - n_emitted
+        counters["rejected_families"] += n_home
+        counters["rejected_runs"] += len(match) - n_home - n_emitted
         counters["trials"] += n_emitted
         counters["statement_matches"] += n_new
-        counters["hits"] += int(np.count_nonzero(match & event[fam]))
+        counters["hits"] += int(np.count_nonzero(match & holds))
     return counters
 
 

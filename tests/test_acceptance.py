@@ -218,7 +218,7 @@ def test_criterion_11_property_invariants():
                 from ambiprob.engine import ProtocolKernel
 
                 c = Fraction(3, 7)
-                scaled = ProtocolKernel(
+                scaled = ProtocolKernel.from_rows(
                     cfg,
                     {
                         f: {t: (w * c if t == s else w) for t, w in row.items()}

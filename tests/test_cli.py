@@ -1,11 +1,15 @@
+import argparse
 import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ambiprob
 from ambiprob import dsl
 from ambiprob.cli import main
 from ambiprob.engine import render_statement
@@ -357,3 +361,29 @@ def test_zero_mass_names_the_statement_as_the_language_writes_it(capsys):
     assert capsys.readouterr().err == (
         "ambiprob: statement claim(boy) is never emitted under this protocol\n"
     )
+
+
+def test_main_builds_its_parser_once_and_calls_stay_independent(capsys, monkeypatch):
+    # each call writes what it writes in a process of its own
+    calls = (["run", "bc-tc", "--decimal"], ["run", "bc-tc", "--bogus"], ["run", "bc-tc"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ambiprob.__file__)))
+    alone = [
+        subprocess.run([sys.executable, "-m", "ambiprob.cli", *argv],
+                       capture_output=True, text=True, env=env, timeout=120)
+        for argv in calls
+    ]
+    assert [p.returncode for p in alone] == [0, 2, 0]
+
+    # building the parser adds its subcommands once
+    built = []
+
+    def add_subparsers(self, real=argparse.ArgumentParser.add_subparsers, **kwargs):
+        built.append(self)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", add_subparsers)
+    for argv, p in zip(calls, alone):
+        code = main(argv)
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == (p.returncode, p.stdout, p.stderr)
+    assert len(built) <= 1

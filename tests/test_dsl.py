@@ -1,13 +1,15 @@
 import glob
+import itertools
 import os
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ambiprob import dsl
+from ambiprob import dsl, mc
 from ambiprob.dsl import (
     DslWarning,
     PAll,
@@ -527,6 +529,13 @@ def _per_family(ast, cfg, values):
     return rows, failed, span, lowering.fell_through
 
 
+def _sampler_view(kernel, st, event):
+    """The sampler's tables as each family sees them: its event, whether it is
+    sent home, its thresholds, and the common denominator."""
+    event, which, lo, hi, tot, denom = mc._compile_tables(kernel, st, event)
+    return event, which == len(lo) - 1, lo[which], hi[which], tot[which], denom
+
+
 def _rows_text(rows, cfg):
     return [(family_str(f), [(render_statement(s, cfg), str(w)) for s, w in row.items()])
             for f, row in rows.items()]
@@ -649,6 +658,21 @@ def test_class_compile_matches_per_family_compile(case):
     assert [w.category for w in caught] == [DslWarning] * fell_through
     assert validate_kernel(kernel) == []
 
+    # the class table, with its derived multiplicities and family -> vector
+    # map, conditions and samples like one class per child
+    if not rows:
+        return
+    reference = ProtocolKernel.from_rows(cfg, rows, kernel.pre_filter)
+    assert list(marginal(kernel).items()) == list(marginal(reference).items())
+    said = [s for s in marginal(reference) if s is not REJECT]
+    events = (AllMatch(sex=Sex.BOY), Exists(Sex.GIRL), CountAtLeast(1, Sex.BOY))
+    for st, event in zip(said, itertools.cycle(events)):
+        got, want = posterior(kernel, st, event), posterior(reference, st, event)
+        assert got == want
+        assert got.case_table == want.case_table
+        for a, b in zip(_sampler_view(kernel, st, event), _sampler_view(reference, st, event)):
+            assert np.array_equal(a, b)
+
 
 @pytest.mark.parametrize(
     "sid, distinct, families",
@@ -661,8 +685,5 @@ def test_families_the_procedure_cannot_tell_apart_share_one_row(sid, distinct, f
     # bc-tc/gn-tc test the target day (4 classes; the pre-filters keep 7 and
     # 12 of the 16 vectors), and gn-dn names every child's day
     kernel = build_scenario(sid, WorldConfig(100, 2), day=0).kernel
-    assert len(kernel.rows) == families
-    assert len({id(row) for row in kernel.rows.values()}) == distinct
-    assert [m for _, m in kernel.distinct_rows()] == [
-        m for _, m in ProtocolKernel(kernel.config, kernel.rows).distinct_rows()
-    ]
+    assert len(kernel.table) == distinct
+    assert sum(kernel.multiplicities()) == len(kernel.rows) == families

@@ -53,7 +53,7 @@ def test_validate_flags_overweight_row():
     rows = {f: {} for f in fams}
     bad = fams[0]
     rows[bad] = {YesNo(True): Fraction(3, 2)}
-    violations = validate_kernel(ProtocolKernel(CFG, rows))
+    violations = validate_kernel(ProtocolKernel.from_rows(CFG, rows))
     assert len(violations) == 1
     assert "B@0,B@0" in violations[0]
 
@@ -62,15 +62,23 @@ def test_validate_flags_negative_weight():
     fams = enumerate_families(CFG)
     rows = {f: {} for f in fams}
     rows[fams[1]] = {YesNo(True): Fraction(-1, 2)}
-    violations = validate_kernel(ProtocolKernel(CFG, rows))
+    violations = validate_kernel(ProtocolKernel.from_rows(CFG, rows))
     assert any("negative" in v for v in violations)
 
 
 def test_validate_flags_missing_row():
     fams = enumerate_families(CFG)
     rows = {f: {} for f in fams[1:]}
-    violations = validate_kernel(ProtocolKernel(CFG, rows))
+    violations = validate_kernel(ProtocolKernel.from_rows(CFG, rows))
     assert any("no row" in v for v in violations)
+
+
+def test_validate_flags_class_vectors_of_no_family():
+    # child 14 does not exist in a 7-day week, and a vector has one class per child
+    row = {YesNo(True): Fraction(1)}
+    table = {(0, 0): row, (0, 14): row, (3,): row}
+    violations = validate_kernel(ProtocolKernel(CFG, tuple(range(14)), table))
+    assert violations[:2] == ["(0, 14): class vector of no family", "(3,): class vector of no family"]
 
 
 def test_statement_mass_per_family_contributions():
@@ -176,7 +184,7 @@ def test_marginal_yesno():
 
 def test_marginal_pure_reject():
     rows = {f: {} for f in enumerate_families(CFG)}
-    m = marginal(ProtocolKernel(CFG, rows))
+    m = marginal(ProtocolKernel.from_rows(CFG, rows))
     assert m == {REJECT: Fraction(1)}
 
 
@@ -188,7 +196,7 @@ def test_pre_filter_constant_statement_reduces_to_counting():
         for f in enumerate_families(CFG)
         if any(c.sex == Sex.BOY for c in f)
     }
-    k = ProtocolKernel(CFG, rows, pre_filter=pre)
+    k = ProtocolKernel.from_rows(CFG, rows, pre_filter=pre)
     rep = posterior(k, Text("spoken"), AllMatch(sex=Sex.BOY))
     assert rep.posterior == Fraction(49, 147) == Fraction(1, 3)
 
@@ -196,12 +204,14 @@ def test_pre_filter_constant_statement_reduces_to_counting():
 @pytest.mark.parametrize("d, n", [(1, 1), (7, 2), (11, 2), (100, 2), (12, 3), (7, 4)])
 def test_case_order_is_family_str_order(d, n):
     cfg = WorldConfig(d, n)
-    assert list(_case_order(cfg)) == sorted(enumerate_families(cfg), key=family_str)
+    every = ProtocolKernel.from_rows(cfg, dict.fromkeys(enumerate_families(cfg), {}))
+    walk = _case_order(cfg, every.child_class, every.table)
+    assert [f for _, f in walk] == sorted(enumerate_families(cfg), key=family_str)
 
 
 def test_empty_support_is_undefined():
     nobody = And(Exists(Sex.BOY), AllMatch(sex=Sex.GIRL))
-    k = ProtocolKernel(CFG, {}, pre_filter=nobody)
+    k = ProtocolKernel.from_rows(CFG, {}, pre_filter=nobody)
     for condition in (lambda: posterior(k, YesNo(True), Exists(Sex.BOY)),
                       lambda: statement_mass(k, YesNo(True)),
                       lambda: marginal(k)):
@@ -247,7 +257,7 @@ def test_conditioning_and_mc_tables_never_test_the_pre_filter(sid, monkeypatch):
 def test_validate_flags_row_outside_the_support():
     # rows for every family, but the pre-filter sends the all-girl ones home
     rows = {f: {} for f in enumerate_families(CFG)}
-    k = ProtocolKernel(CFG, rows, pre_filter=Exists(Sex.BOY))
+    k = ProtocolKernel.from_rows(CFG, rows, pre_filter=Exists(Sex.BOY))
     violations = validate_kernel(k)
     assert len(violations) == 49
     assert violations[0] == "G@0,G@0: row for a family outside the support"
@@ -255,20 +265,21 @@ def test_validate_flags_row_outside_the_support():
 
 
 def test_families_sharing_one_row_object_condition_like_copies():
-    # a boy-first family shares one row object, a girl-first family another;
-    # two-girl families are sent home
+    # classes by sex alone: the vectors of boy-first families share one row
+    # object, the girl-first vector has another; two-girl families are sent home
     boy_first = {AtLeastOne(Sex.BOY): Fraction(1, 2), YesNo(True): Fraction(1, 3)}
     girl_first = {YesNo(True): Fraction(1, 4), AtLeastOne(Sex.BOY): Fraction(1, 5)}
     support = Exists(Sex.BOY)
-    rows = {f: boy_first if f[0].sex is Sex.BOY else girl_first
-            for f in enumerate_families(CFG) if model.eval_query(support, f)}
-    shared = ProtocolKernel(CFG, rows, pre_filter=support)
-    copies = ProtocolKernel(CFG, {f: dict(row) for f, row in rows.items()}, pre_filter=support)
+    boy, girl = 0, 7  # each class is named by the index of its first child
+    table = {(boy, boy): boy_first, (boy, girl): boy_first, (girl, boy): girl_first}
+    shared = ProtocolKernel(CFG, (boy,) * 7 + (girl,) * 7, table, pre_filter=support)
+    copies = ProtocolKernel.from_rows(
+        CFG, {f: dict(row) for f, row in shared.rows.items()}, pre_filter=support
+    )
     assert validate_kernel(shared) == validate_kernel(copies) == []
-    assert [(id(row), m) for row, m in shared.distinct_rows()] == [
-        (id(boy_first), 98), (id(girl_first), 49)
-    ]
-    assert {m for _, m in copies.distinct_rows()} == {1}
+    assert (len(shared.table), len(copies.table)) == (3, 147)
+    assert shared.multiplicities() == [49, 49, 49]
+    assert sum(shared.multiplicities()) == sum(copies.multiplicities()) == len(copies.support())
 
     assert list(marginal(shared).items()) == list(marginal(copies).items())
     for s in (AtLeastOne(Sex.BOY), YesNo(True)):
@@ -279,11 +290,10 @@ def test_families_sharing_one_row_object_condition_like_copies():
                 == mc.sample_posterior(copies, s, BOTH_BOYS, 5000, seed=3))
 
 
-def test_validate_flags_classes_that_do_not_count_the_rows():
-    row = {YesNo(True): Fraction(1)}
-    rows = dict.fromkeys(enumerate_families(CFG), row)
-    assert validate_kernel(ProtocolKernel(CFG, rows, classes=((row,), (196,)))) == []
-    for classes in (((row,), (195,)), ((dict(row),), (196,))):
-        assert validate_kernel(ProtocolKernel(CFG, rows, classes=classes)) == [
-            "classes do not count the distinct rows of the kernel"
-        ]
+def test_conditioning_and_mc_tables_never_build_the_per_family_rows():
+    sc = build_scenario("classic-coinflip", WorldConfig(100, 2))
+    s, q = sc.canonical_statement, sc.canonical_query
+    posterior(sc.kernel, s, q)
+    marginal(sc.kernel)
+    mc._compile_tables(sc.kernel, s, q)
+    assert "rows" not in vars(sc.kernel)

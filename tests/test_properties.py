@@ -61,7 +61,7 @@ def kernels(draw):
             if r:
                 row[s] = Fraction(r, scale)
         rows[f] = row
-    return ProtocolKernel(cfg, rows)
+    return ProtocolKernel.from_rows(cfg, rows)
 
 
 def emitted_statements(k):
@@ -149,7 +149,7 @@ def test_posterior_invariant_under_uniform_scaling(k, c, rnd):
         f: {st_: (w * c if st_ == s else w) for st_, w in row.items()}
         for f, row in k.rows.items()
     }
-    scaled = ProtocolKernel(k.config, scaled_rows, pre_filter=k.pre_filter)
+    scaled = ProtocolKernel.from_rows(k.config, scaled_rows, pre_filter=k.pre_filter)
     assert validate_kernel(scaled) == []
     assert posterior(scaled, s, q).posterior == base
 
@@ -203,7 +203,7 @@ def _reference(k, s, q):
 def test_counting_matches_explicit_prior(k, pre, q, rnd):
     # a valid kernel keeps only the rows of the families the pre-filter keeps
     rows = {f: row for f, row in k.rows.items() if pre is None or eval_query(pre, f)}
-    k = ProtocolKernel(k.config, rows, pre_filter=pre)
+    k = ProtocolKernel.from_rows(k.config, rows, pre_filter=pre)
     assert validate_kernel(k) == []
     stmts = emitted_statements(k)
     if not stmts:
