@@ -1,5 +1,9 @@
 """`ambiprob` command-line front end.
 
+`run`, `eval` and `mc` resolve their target in `_target`: a builtin takes --day
+and --p and refuses --say and --event, a .proc file the other way round. An
+absent --day or --p leaves `build_scenario` its default; the CLI has none.
+
 Exit codes: 0 ok, 2 usage / unknown id, 3 undefined conditional (zero statement
 mass or empty support), 4 protocol-language error, 5 a cross-check disagreed (the
 Monte Carlo with the exact answer, or a `sweep` row with (2d-1)/(4d-1)),
@@ -210,17 +214,31 @@ def _world(args) -> WorldConfig:
     return cfg
 
 
-def _scenario(args, cfg: WorldConfig, target: str):
-    if target not in BUILTIN_IDS:
-        raise CliError(
-            f"unknown scenario id {target!r}; see `ambiprob list`", EXIT_USAGE
-        )
-    day = _parse_day("tue" if args.day is None else args.day, cfg)
-    p = _parse_fraction("1/2" if args.p is None else args.p)
-    try:
-        return build_scenario(target, cfg, day=day, p=p)
-    except (DayOutOfRange, InvalidProbability, UnsupportedConfig) as exc:
-        raise CliError(str(exc), EXIT_USAGE)
+def _target(args, cfg: WorldConfig, builtin: bool):
+    """The kernel, statement and event that `run`, `eval` and `mc` condition on.
+
+    A builtin states its own and reads only --day and --p, where an absent flag
+    leaves `build_scenario` its default; a .proc file reads only --say and --event."""
+    if builtin:
+        if args.say is not None or args.event is not None:
+            raise CliError("--say and --event apply to .proc targets only; "
+                           "a builtin scenario states its own", EXIT_USAGE)
+        if args.target not in BUILTIN_IDS:
+            raise CliError(f"unknown scenario id {args.target!r}; see `ambiprob list`", EXIT_USAGE)
+        day = None if args.day is None else _parse_day(args.day, cfg)
+        p = None if args.p is None else _parse_fraction(args.p)
+        try:
+            sc = build_scenario(args.target, cfg, day=day, p=p)
+        except (DayOutOfRange, InvalidProbability, UnsupportedConfig) as exc:
+            raise CliError(str(exc), EXIT_USAGE)
+        return sc.kernel, sc.canonical_statement, sc.canonical_query
+    if args.say is None or args.event is None:
+        raise CliError("--say and --event are required for .proc targets", EXIT_USAGE)
+    if args.day is not None or args.p is not None:
+        raise CliError("--day and --p apply to builtin scenarios only; "
+                       "a .proc target uses its parameters' defaults", EXIT_USAGE)
+    kernel = dsl.load_protocol(args.target, cfg)
+    return kernel, dsl.parse_statement_text(args.say, cfg), dsl.parse_event_text(args.event, cfg)
 
 
 def cmd_list(args, out):
@@ -234,49 +252,18 @@ def cmd_list(args, out):
     return EXIT_OK
 
 
-def cmd_run(args, out):
+def cmd_posterior(args, out):
+    """`run` a builtin or `eval` a .proc file: the exact posterior report."""
     cfg = _world(args)
-    sc = _scenario(args, cfg, args.scenario)
-    rep = posterior(sc.kernel, sc.canonical_statement, sc.canonical_query)
+    rep = posterior(*_target(args, cfg, builtin=args.command == "run"))
     _print_report(rep, cfg, args, out)
     return EXIT_OK
-
-
-def cmd_eval(args, out):
-    cfg = _world(args)
-    kernel = dsl.load_protocol(args.file, cfg)
-    statement = dsl.parse_statement_text(args.say, cfg)
-    event = dsl.parse_event_text(args.event, cfg)
-    rep = posterior(kernel, statement, event)
-    _print_report(rep, cfg, args, out)
-    return EXIT_OK
-
-
-def _mc_target(args, cfg):
-    if args.target.endswith(".proc"):
-        if not args.say or not args.event:
-            raise CliError("--say and --event are required for .proc targets", EXIT_USAGE)
-        if args.day is not None or args.p is not None:
-            raise CliError(
-                "--day and --p apply to builtin scenarios only; "
-                "a .proc target uses its parameters' defaults",
-                EXIT_USAGE,
-            )
-        kernel = dsl.load_protocol(args.target, cfg)
-        statement = dsl.parse_statement_text(args.say, cfg)
-        event = dsl.parse_event_text(args.event, cfg)
-    else:
-        sc = _scenario(args, cfg, args.target)
-        kernel, statement, event = sc.kernel, sc.canonical_statement, sc.canonical_query
-    return kernel, statement, event
 
 
 def cmd_mc(args, out):
     cfg = _world(args)
-    kernel, statement, event = _mc_target(args, cfg)
-    report = mc.agreement_check(
-        kernel, statement, event, args.trials, args.seed, shards=args.shards
-    )
+    target = _target(args, cfg, builtin=not args.target.endswith(".proc"))
+    report = mc.agreement_check(*target, args.trials, args.seed, shards=args.shards)
     r = report.result
     verdict = "PASS" if report.passed else "FAIL"
     if args.format == "json":
@@ -344,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, about):
         p = sub.add_parser(name, help=about)
         p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-        p.set_defaults(func=func)
+        # a target flag a command does not take reads as absent
+        p.set_defaults(func=func, say=None, event=None, day=None, p=None)
         return p
 
     def world(p):
@@ -352,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--children", type=int, default=2, metavar="N")
 
     def builtin(p):  # read only when a builtin scenario is built
-        p.add_argument("--day", help="target day (tue, d3, ...; default tue)")
-        p.add_argument("--p", help="posterior for the any-answer scenario (default 1/2)")
+        p.add_argument("--day", help="target day (wed, d3, ...; default Tuesday on a 7-day week)")
+        p.add_argument("--p", help="posterior for the any-answer scenario (default one half)")
 
     def decimal(p):  # read only by the posterior report
         p.add_argument("--decimal", action="store_true",
@@ -361,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("list", cmd_list, "list builtin scenarios")
 
-    p_run = command("run", cmd_run, "exact posterior of a builtin scenario")
-    p_run.add_argument("scenario")
+    p_run = command("run", cmd_posterior, "exact posterior of a builtin scenario")
+    p_run.add_argument("target", metavar="scenario")
     world(p_run)
     builtin(p_run)
     decimal(p_run)
 
-    p_eval = command("eval", cmd_eval, "evaluate a .proc file")
-    p_eval.add_argument("file")
+    p_eval = command("eval", cmd_posterior, "evaluate a .proc file")
+    p_eval.add_argument("target", metavar="file")
     p_eval.add_argument("--say", required=True, help='statement, e.g. "claim(boy,tue)"')
     p_eval.add_argument("--event", required=True, help='event predicate, e.g. "all(boy)"')
     world(p_eval)

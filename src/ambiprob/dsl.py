@@ -549,10 +549,13 @@ class _Parser:
             self.advance()
             self.expect("(")
             sex, day = self.sex_or_day()
-            if self.accept(","):
-                sex2, day2 = self.sex_or_day()
-                sex = sex if sex2 is None else sex2 if sex is None else self.fail("a day")
-                day = day if day2 is None else day2 if day is None else self.fail("a sex")
+            if self.accept(","):  # the kind the first argument is not
+                if sex is None:
+                    sex = self.sex()
+                else:
+                    day = self.try_day()
+                    if day is None:
+                        self.fail("a day")
             self.expect(")")
             return PExists(sex, day)
         if tok.text == "all":

@@ -3,9 +3,12 @@
 Each builtin is one `.proc` file in `procs/` plus one row of `_BUILTINS`: its
 description, canonical statement and query, and the closed form of its answer.
 `build_scenario` compiles the file with the target day bound to its `day`
-parameter and p to its `prob` parameter. The closed forms are for two-children
-families, so any other family size raises UnsupportedConfig; the week length is
-free, so the week-length sweep can generalize d=7.
+parameter and p to its `prob` parameter, and owns their defaults: p is 1/2, and
+the target day is Tuesday on a 7-day week. No other week has a default target
+day, so there a builtin with a `day` parameter needs one (DayOutOfRange), while
+a day-neutral builtin states its claims of day 0. The closed forms are for
+two-children families, so any other family size raises UnsupportedConfig; the
+week length is free, so the week-length sweep can generalize d=7.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from importlib import resources
 
 from . import dsl
 from .engine import ProtocolKernel, Statement, posterior
-from .errors import UnsupportedConfig
+from .errors import DayOutOfRange, UnsupportedConfig
 from .model import QueryPredicate, WorldConfig
 
 
@@ -111,10 +114,11 @@ def build_scenario(
     scenario_id: str,
     cfg: WorldConfig,
     day: int | None = None,
-    p: Fraction = Fraction(1, 2),
+    p: Fraction | None = None,
 ) -> Scenario:
     """Compile builtin `scenario_id`, binding `day` to its day parameter and
-    `p` to its probability parameter, where it has them."""
+    `p` to its probability parameter, where it has them; None means the
+    default."""
     builtin = _BUILTINS.get(scenario_id)
     if builtin is None:
         raise KeyError(f"unknown scenario id: {scenario_id}")
@@ -122,9 +126,13 @@ def build_scenario(
         raise UnsupportedConfig(
             f"builtin scenarios model two-children families, got n={cfg.family_size}"
         )
-    if day is None:
-        day = _default_day(cfg)
     ast = _builtin_ast(builtin.file)
+    if day is None:
+        if cfg.week_length != 7 and any(prm.kind == "day" for prm in ast.params):
+            raise DayOutOfRange(f"{scenario_id} needs a target day on a {cfg.week_length}-day "
+                                f"week; the default, Tuesday, needs a 7-day week")
+        day = _default_day(cfg)
+    p = Fraction(1, 2) if p is None else p
     values = {prm.name: day if prm.kind == "day" else p for prm in ast.params}
     kernel = dsl.compile_protocol(ast, cfg, values)
     statement = builtin.statement.format(day=day, default_day=_default_day(cfg))

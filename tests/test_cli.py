@@ -311,13 +311,46 @@ def test_default_named_day_on_other_week_exits_4(capsys):
     ("run", "any-answer", "--p", "3/2"),
     ("run", "bc-dn", "--children", "3"),
     ("mc", "any-answer", "--p=-1/2", "--trials", "10"),
-    ("mc", "gn-tc", "--week-days", "30", "--trials", "10"),  # default day tue
+    ("mc", "gn-tc", "--week-days", "30", "--trials", "10"),  # no default day on a 30-day week
 ])
 def test_bad_builtin_arguments_exit_2(argv, capsys):
     code, text = run_cli(*argv)
     assert code == 2
     assert text == ""
     assert capsys.readouterr().err.startswith("ambiprob: ")
+
+
+@pytest.mark.parametrize("sid, answer", [("brag", "0"), ("gn-dn", "1/2")])
+def test_day_neutral_builtin_runs_on_any_week_without_a_day(sid, answer):
+    code, text = run_cli("run", sid, "--week-days", "30")
+    assert code == 0
+    assert f"posterior = {answer}\n" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "bc-tc", "--week-days", "30"),
+    ("mc", "yesno", "--week-days", "30", "--trials", "10"),
+])
+def test_day_centred_builtin_asks_for_a_target_day_on_other_weeks(argv, capsys):
+    assert run_cli(*argv) == (2, "")
+    assert "needs a target day on a 30-day week" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--say", "claim(boy,wed)", "--event", "all(boy)"),
+    ("--say", "yes"),
+    ("--event", "all(boy)"),
+])
+def test_mc_builtin_target_refuses_say_and_event(flags, capsys):
+    assert run_cli("mc", "bc-tc", *flags, "--trials", "10") == (2, "")
+    assert "--say and --event apply to .proc targets only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "mc"])
+def test_empty_say_is_a_protocol_language_error(command, capsys):
+    path = os.path.join(PROC_DIR, "bc_tc.proc")
+    assert run_cli(command, path, "--say", "", "--event", "all(boy)") == (4, "")
+    assert "1:1: expected a statement expression" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code, message", [

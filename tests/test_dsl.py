@@ -380,6 +380,16 @@ def test_parse_event_text():
     assert combined == And(Exists(Sex.BOY), Not(AllMatch(sex=Sex.BOY)))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("exists(boy, girl)", "1:13: expected a day, found 'girl'"),
+    ("exists(tue, wed)", "1:13: expected 'boy' or 'girl', found 'wed'"),
+])
+def test_second_exists_argument_of_the_same_kind_is_reported_where_it_stands(text, message):
+    with pytest.raises(DslSyntaxError) as info:
+        parse_event_text(text, CFG)
+    assert str(info.value) == message
+
+
 def test_count_comparison_lowering():
     # count(boy) = 1 means exactly one boy
     q = parse_event_text("count(boy) = 1", CFG)

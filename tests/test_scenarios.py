@@ -147,6 +147,18 @@ def test_constructors_reject_other_family_sizes():
         build_scenario("gn-tc", CFG, day=-1)
 
 
+def test_default_target_day_is_tuesday_on_a_7_day_week_only():
+    assert build_scenario("bc-tc", CFG).canonical_statement == Claim(Sex.BOY, TUE)
+    assert answer(build_scenario("any-answer", CFG)) == Fraction(1, 2)
+    month = WorldConfig(30, 2)
+    for sid in ("bc-tc", "gn-tc", "yesno"):
+        with pytest.raises(DayOutOfRange, match="needs a target day on a 30-day week"):
+            build_scenario(sid, month)
+    # a day-neutral builtin needs no target day; its claims name day 0
+    assert build_scenario("gn-dn", month).canonical_statement == Claim(Sex.BOY, 0)
+    assert answer(build_scenario("brag", month)) == 0
+
+
 def _brute_force_day_centered(d):
     """Independent oracle: among two-children families with a son born on day
     0 of a d-day week, the fraction with two sons. Direct loops, no engine."""
