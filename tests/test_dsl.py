@@ -654,6 +654,7 @@ def _procedures(draw):
 def test_class_compile_matches_per_family_compile(case):
     source, cfg, values = case
     ast = parse(source)
+    assert parse(render(ast)) == ast
     rows, failed, span, fell_through = _per_family(ast, cfg, values)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

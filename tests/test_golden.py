@@ -18,6 +18,11 @@ through one writer. The `csv:` digests pin the `eval` runs in csv format, with
 the summary rows quoted by `csv.writer` (a `claim(...)` statement holds the
 delimiter).
 
+The `kernel:` and `marginal:` digests keyed by a `CHILD_TESTS` name pin the
+procedures there, whose tests read picked children, at every n in `SIZES` and
+d in `CHILD_WEEKS`. They were recorded while those tests were still lowered
+to closures of their own, before they compiled through `compile_query`.
+
 To see what changed after a failure, print `_outputs()` on both trees and diff.
 """
 
@@ -30,7 +35,7 @@ from fractions import Fraction
 import pytest
 
 from ambiprob.cli import main
-from ambiprob.dsl import load_protocol
+from ambiprob.dsl import compile_protocol, load_protocol, parse
 from ambiprob.engine import REJECT, marginal, render_statement
 from ambiprob.errors import AmbiprobError
 from ambiprob.model import WorldConfig, family_str
@@ -42,6 +47,76 @@ WEEKS = (1, 7, 12)
 EVENT = "all(boy)"
 BUILTIN_WEEKS = (1, 2, 7, 30)
 BUILTIN_PS = (Fraction(0), Fraction(1, 12), Fraction(13, 27), Fraction(1))
+CHILD_WEEKS = (1, 3, 7)
+
+# Procedures whose tests read picked children; {mid} and {last} are the days
+# d//2 and d-1 of the week they are compiled for.
+CHILD_TESTS = {
+    # an `if` with `or` and `not` over child tests of two picked variables
+    "child_or_not": """
+procedure child_or_not {
+  pick a;
+  pick b;
+  if sex(a) = boy and (day(b) = {last} or not sex(b) = girl) {
+    flip 1/3 { say claim(sex(b)); } else { say yes; }
+  } else {
+    if not day(a) = d0 { say claim(girl); } else { reject; }
+  }
+}
+""",
+    # a family-level test beside a child test, and a day no other test names
+    "exists_and_child": """
+procedure exists_and_child {
+  require exists(boy) or count(girl) >= 2;
+  pick c;
+  if exists(girl) and sex(c) = boy {
+    say claim(boy, {last});
+  } else {
+    if day(c) = {mid} or all(boy) { say yes; } else { say no; }
+  }
+}
+""",
+    # `where` on sex and on day
+    "where_sex_day": """
+procedure where_sex_day {
+  if exists(boy) {
+    pick b where sex(b)=boy;
+    if exists({mid}) {
+      pick t where day(t)={mid};
+      if sex(t) = girl or day(b) = {last} { say claim(sex(t)); } else { say atleastone(boy); }
+    } else {
+      say claim(boy);
+    }
+  } else {
+    flip 1/2 { say no; } else { reject; }
+  }
+}
+""",
+    # an inner pick that shadows an outer one, in a block that falls through
+    "shadow": """
+procedure shadow {
+  pick c;
+  if exists(girl) {
+    pick c where sex(c)=girl;
+    if day(c) = d0 { say claim(girl, d0); }
+  }
+  if sex(c) = boy and not day(c) = {last} { say claim(sex(c)); } else { say no; }
+}
+""",
+    # three picked variables in one test
+    "three_picks": """
+procedure three_picks {
+  pick a;
+  pick b;
+  pick c;
+  if sex(a) = boy and (day(b) = {mid} or not sex(c) = girl) {
+    say claim(sex(c), day(a));
+  } else {
+    say yes;
+  }
+}
+""",
+}
 
 
 def _statements(proc: str, d: int) -> tuple[str, str]:
@@ -84,11 +159,11 @@ def _rows_text(kernel, cfg) -> str:
     ])
 
 
-def _kernel_texts(path: str, cfg: WorldConfig) -> tuple[str, str]:
+def _kernel_texts(compile_kernel, cfg: WorldConfig) -> tuple[str, str]:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            kernel = load_protocol(path, cfg)
+            kernel = compile_kernel()
     except AmbiprobError as exc:
         return type(exc).__name__, type(exc).__name__
     return _rows_text(kernel, cfg), _marginal_text(kernel, cfg)
@@ -121,8 +196,17 @@ def _outputs() -> dict[str, str]:
                              "--format", fmt, *world)
                         for say in _statements(proc, d)
                     )
+                cfg = WorldConfig(d, n)
                 out[f"kernel:{tag}"], out[f"marginal:{tag}"] = _kernel_texts(
-                    path, WorldConfig(d, n)
+                    lambda: load_protocol(path, cfg), cfg
+                )
+    for name, template in CHILD_TESTS.items():
+        for n in SIZES:
+            for d in CHILD_WEEKS:
+                source = template.replace("{mid}", f"d{d // 2}").replace("{last}", f"d{d - 1}")
+                tag, cfg = f"{name}:n{n}:d{d}", WorldConfig(d, n)
+                out[f"kernel:{tag}"], out[f"marginal:{tag}"] = _kernel_texts(
+                    lambda: compile_protocol(parse(source), cfg), cfg
                 )
     out["table:list"] = _cli("list")
     out["table:sweep:1-12"] = _cli("sweep", "1", "12")
@@ -662,6 +746,24 @@ GOLDEN = {
         "12e0ddf60947c9e6a466b45911c6c4e79f704e5a1cb779b1ddc83f5f64ab90f7",
     "kernel:brag:n3:d7":
         "3fca07fea2946df014888baf73581fbea905b63813cce25113f3785776ad941f",
+    "kernel:child_or_not:n1:d1":
+        "f40b29bc5a06e4b55ca0fce714a673f9b694a1adef942d43cf3ecfbe882f5db7",
+    "kernel:child_or_not:n1:d3":
+        "1bbe4828287b6911a61b2b27bf4cf88a22d122eaa16cf24a7c744353fbbbf7b0",
+    "kernel:child_or_not:n1:d7":
+        "4dbb4e2cd23ccaf73bd8af99531ac2b5e037d9a82036315441e48b59c45a0a95",
+    "kernel:child_or_not:n2:d1":
+        "4e62dc4ae494f4f915acceeec4652fad7f942b0b4e101d17f494fbc921fef248",
+    "kernel:child_or_not:n2:d3":
+        "77d301f6b1ed516357e823f4d7aae7a7a01fd4dcf7b24cc0ca3f08d5ae1c3881",
+    "kernel:child_or_not:n2:d7":
+        "a8b1411e28f2f5b6c4644910f57e07850e5591f41f9d51987b29c72a00558694",
+    "kernel:child_or_not:n3:d1":
+        "215d547fb9152a329c216f6a535fea3f5a1d1b00de423a527c32cfac185446f8",
+    "kernel:child_or_not:n3:d3":
+        "a2aea0a1f2a2340de75d9e435472b79eb7f6c820deba885b157dcec35547b51b",
+    "kernel:child_or_not:n3:d7":
+        "624681e4e3d0114a5b9719c8f356f93d413e58a9cc04281d463c533b33030a6b",
     "kernel:classic_coinflip:n1:d1":
         "206d2e3e89364b95d23a0bd8af6a3bd2562ba5f8ad28cb34999797cb06c243a6",
     "kernel:classic_coinflip:n1:d12":
@@ -716,6 +818,24 @@ GOLDEN = {
         "4fde4ddfe0ee12bfa1db0cafffc33f3c6baa9a88587d0752cbeaba65e31572ea",
     "kernel:deemphasize:n3:d7":
         "e35396a0cfde8f3f936e1279336a548064f6c8fef99fd32e22286ed687a01518",
+    "kernel:exists_and_child:n1:d1":
+        "70aca6e9566d1c14e4a76c7bb843ee3aa1812b5efe323de8a8ffd12d3bc7a0a7",
+    "kernel:exists_and_child:n1:d3":
+        "edaf7714f30bc6e631f29192024ef249927f634e6f25fd1843154e1f4e15c4a7",
+    "kernel:exists_and_child:n1:d7":
+        "83fc9301cbb5336adec5f0a350f076f99cb4a71045f7caabb62356181af829ca",
+    "kernel:exists_and_child:n2:d1":
+        "ee4e1f0756ffe7f1dd63abc552e094fe7ea7df4192c87865e25256129fc02d17",
+    "kernel:exists_and_child:n2:d3":
+        "422da1a87a9e703675055b34142d0ed9e3470391664625577d7a388554cea6e2",
+    "kernel:exists_and_child:n2:d7":
+        "d2811254dd103a5dea3b81619649d37f0e1979be667d148d09cf00429266ab41",
+    "kernel:exists_and_child:n3:d1":
+        "baa64a687c7ebd1ba28d66e8630301f9e7359746d1e9a09afbb1385706f02500",
+    "kernel:exists_and_child:n3:d3":
+        "829a311f1e456d4baf454867573d6cf0c48ba43d931ccb4e9c528831bde5b7c6",
+    "kernel:exists_and_child:n3:d7":
+        "cfff03c2c4ef91f6efce4293cdb5513a60b877b9d7e89eaae9338fdc59ceedf9",
     "kernel:gn_dn:n1:d1":
         "f3af11ae6f331458d835da07b781a11024909cf58af43aed907cabb0dafdd62b",
     "kernel:gn_dn:n1:d12":
@@ -752,6 +872,60 @@ GOLDEN = {
         "46fa12619330e1dff2100f421f6f10fbf020ffdd5fc4eaa882c1f3c0404438b3",
     "kernel:gn_tc:n3:d7":
         "ed65a7c42383f287c7436359fc1e45803e65d674fa1c2bb187eabdfb9f83e858",
+    "kernel:shadow:n1:d1":
+        "ea13e23e2aec98830f452fe285b8264eb2aba66948a963f4a5ae77be9eb2b018",
+    "kernel:shadow:n1:d3":
+        "d4dc15317140f134a4dc0c7a65089b780f4eebdf27ac84cc9e31da9a0c1dab9c",
+    "kernel:shadow:n1:d7":
+        "2a16159461228d478c231441f6b553cbc5dc5c666b1ae57805d554e7efe91c08",
+    "kernel:shadow:n2:d1":
+        "7fefbda6dc4d38dce54127939b6bdcc29f2102215c0e9127e3307c79f6bd112c",
+    "kernel:shadow:n2:d3":
+        "55f1a53d74a30d11e536c53208e3293dc9e59d9b5d1694901b1acfc4f97743df",
+    "kernel:shadow:n2:d7":
+        "fab78bb9d8f222071051d82c23fd30901bd71ab860a26c4e3c5a87bc4e57a8fd",
+    "kernel:shadow:n3:d1":
+        "2079330bf57b009c83d932adb76c0432154961201eff17412e04cfa78009e686",
+    "kernel:shadow:n3:d3":
+        "afd8d7fdbd09e1a67fbbcad611945a7af4ec237335efd34018af6d951702dda5",
+    "kernel:shadow:n3:d7":
+        "46390f85f76a7771f323f356a592a7eab09759f0c35e8c9a3dd645f8caf24a40",
+    "kernel:three_picks:n1:d1":
+        "581833eb844b19d15643e5bff0059b6f8addbe9c7f726930749baf6a4de447e0",
+    "kernel:three_picks:n1:d3":
+        "e3b23d0de30419b50b8e0a0c126c660dce9fd3c64fe7447e0b11c2bc08b82c28",
+    "kernel:three_picks:n1:d7":
+        "1538584c7229d03376a57d9fff6a712e61359fbe6ff8b168f0f09d8fb3bd4beb",
+    "kernel:three_picks:n2:d1":
+        "0ec054e71b6f644208ccf4305371b53693eda1360d0cc10865180ee89fc98240",
+    "kernel:three_picks:n2:d3":
+        "10798c80139c61f330c6775a4eb85487cc2f1fe935bb20f3fae4c6fe28c1e93c",
+    "kernel:three_picks:n2:d7":
+        "70d97035053d055e184e00bde7ba71dd2664cbeead7bd6b8339977086c5ddf7b",
+    "kernel:three_picks:n3:d1":
+        "d3a54e66b26cec463e9f113b9b5d140a2179f4f19f7c8dbe5136dde87718ec5b",
+    "kernel:three_picks:n3:d3":
+        "1169ade793d317c4074e2ed2dfc37f412537eb1a3bbea69cb2f545f5227cfdc7",
+    "kernel:three_picks:n3:d7":
+        "b28319ed3d18865925ab8c6be717c39bafec37baec9e5bd18c8cc06a33d80032",
+    "kernel:where_sex_day:n1:d1":
+        "a4b9eb2cc849d81b4ff3c03eca2b8a5fe6c3c6c930b287826784b994bc1fc0fe",
+    "kernel:where_sex_day:n1:d3":
+        "be608d1c12e98912c1f13e326cda00d3ad0634dca365cfcc98619808d3ae8b8e",
+    "kernel:where_sex_day:n1:d7":
+        "a6d9b179101f0a1769ff71dcc80698aca3443b323f66d8c1012234b96348778d",
+    "kernel:where_sex_day:n2:d1":
+        "eb98bcc314fcc6bdb7787cce4ddcf7205e2b339323e6449631fc8fa4a84efaab",
+    "kernel:where_sex_day:n2:d3":
+        "36b028ea4e85ae517ce79b15418de3d8c00c9ebc412241514fea409644100fb0",
+    "kernel:where_sex_day:n2:d7":
+        "897af1c277381d1f18660179e220a42b53efd537ef4cf74f078ab2d0fa315efd",
+    "kernel:where_sex_day:n3:d1":
+        "347af00eaafd3e9653ea53b8279403a1f965ab88360da660a171d2767b99604d",
+    "kernel:where_sex_day:n3:d3":
+        "de180df91c4ce038a742408c9189be24a1f7cefa245b99bd8b45d8e18337da8b",
+    "kernel:where_sex_day:n3:d7":
+        "775b6a305d69317d115fdb279964beca415236d885d8c02588ff4d74be14997b",
     "kernel:yesno:n1:d1":
         "46fa12619330e1dff2100f421f6f10fbf020ffdd5fc4eaa882c1f3c0404438b3",
     "kernel:yesno:n1:d12":
@@ -858,6 +1032,24 @@ GOLDEN = {
         "06809778b378e3ae2205230454d43bd74e521b7ef66f00dd4c008ed6ddec6b74",
     "marginal:brag:n3:d7":
         "06809778b378e3ae2205230454d43bd74e521b7ef66f00dd4c008ed6ddec6b74",
+    "marginal:child_or_not:n1:d1":
+        "a22c9fdd991e8e7e8550111e113caa9278fd10e2fee2b6949caeff8af18a131a",
+    "marginal:child_or_not:n1:d3":
+        "5d66e94891a11cd2722d9a5261511420351d5de60d00be11d47ebff6b98165dc",
+    "marginal:child_or_not:n1:d7":
+        "291ad1d47335755d07fc34e5068dc03eecb46a4d642500f580ccaca0f1a2638e",
+    "marginal:child_or_not:n2:d1":
+        "e52ef10b0a34d3fc3707eb2a6058983f6fe5de0fffd75f164f7497e60619674d",
+    "marginal:child_or_not:n2:d3":
+        "8d10808651da264ae750c9174a4fe80ee7481aecc2c082292019b2deb8b837f2",
+    "marginal:child_or_not:n2:d7":
+        "9913607d19001ebd9f6c083281a573e37392a00c32c19175e9d3965b2844de29",
+    "marginal:child_or_not:n3:d1":
+        "9308d6c70e42efc41d7ff5e548a8e4e5cfc8c065018113a86138f0477a1abd65",
+    "marginal:child_or_not:n3:d3":
+        "0d7617d6476734a4bf4dcdbfec7a305cb578e5186266972c84bb8c0f6645f159",
+    "marginal:child_or_not:n3:d7":
+        "d4dec24ba6a3c12e5e977cac130910bcd40302ddf0e2412714db2267e73a8cf2",
     "marginal:classic-coinflip:d30":
         "a52abfa1626966d71821273d80fe3ad5a2d509f5ffb781e2278aa17895818f46",
     "marginal:classic-coinflip:d7":
@@ -924,6 +1116,24 @@ GOLDEN = {
         "8b6ab1a144cacd30bd6d4cd6fd02279a8c6a1fb72d7958e126560f8a1817c324",
     "marginal:deemphasize:n3:d7":
         "8b6ab1a144cacd30bd6d4cd6fd02279a8c6a1fb72d7958e126560f8a1817c324",
+    "marginal:exists_and_child:n1:d1":
+        "72ae674fe1bf091ccf8f19258b4545599ebb319c920e5d9d41212a6d1d15c293",
+    "marginal:exists_and_child:n1:d3":
+        "72ae674fe1bf091ccf8f19258b4545599ebb319c920e5d9d41212a6d1d15c293",
+    "marginal:exists_and_child:n1:d7":
+        "72ae674fe1bf091ccf8f19258b4545599ebb319c920e5d9d41212a6d1d15c293",
+    "marginal:exists_and_child:n2:d1":
+        "01fa0a9b94170afc9b805196e3f5e501ea58a553c9e914372f4919171a3fde0d",
+    "marginal:exists_and_child:n2:d3":
+        "7c0045900e49bf354053c3918e974cd9297baf2c6208e2d03d7e3f6398431fed",
+    "marginal:exists_and_child:n2:d7":
+        "c597213c821971b48ad2e8b1958540df9069d445de3cc739d990ebefbb067e42",
+    "marginal:exists_and_child:n3:d1":
+        "1d805d5df3913e4c815fa8abde99ca20ac737a558483be4064a6bf3382e0c760",
+    "marginal:exists_and_child:n3:d3":
+        "781af8936e0c8dd379b37c30935ffd72e75144ccd0c2be40eee1671adb666282",
+    "marginal:exists_and_child:n3:d7":
+        "9f8d77dac1c1c319ff9268cae95431e7a75a79a5343070360571cb859ee7010d",
     "marginal:gn-dn:d30":
         "d673258ba86ba6966b6cd311bb717d12bbed926028327bcd019077019a199a39",
     "marginal:gn-dn:d7":
@@ -968,6 +1178,60 @@ GOLDEN = {
         "46fa12619330e1dff2100f421f6f10fbf020ffdd5fc4eaa882c1f3c0404438b3",
     "marginal:gn_tc:n3:d7":
         "a7848f670f14b38b9f3a3b67b6672551bc97fdedbb3261b93ce9c91d444c2a6a",
+    "marginal:shadow:n1:d1":
+        "a0f981525188a98bf59680bc9b18a87f60c97c58a6721af436ac1d7a7aaa285d",
+    "marginal:shadow:n1:d3":
+        "3ff4a6026a29a98c10f5e804cd241eed4918a005ad67aec1ad23eecc1fe70c41",
+    "marginal:shadow:n1:d7":
+        "7c6507b9c801d8bfa75ab19e6907e12ccd0b7660ffb47a3d8009230236abe08f",
+    "marginal:shadow:n2:d1":
+        "fd21987192a87a300c60015211011f1cd3a800e581c8195b75410751b04e9a1e",
+    "marginal:shadow:n2:d3":
+        "ea86ff7eb2808200367f36c500171c50c61e9d8fcd817b77ab8ae71507edd7e9",
+    "marginal:shadow:n2:d7":
+        "1a260bbdc1adfdf49bfc1b1aa90ccc506c7cffcf701b9b27fedea7e3f778c715",
+    "marginal:shadow:n3:d1":
+        "82494ce8a5eeb6d35aa3249af027255e92e1e23ab5d6745e9c7d4fd4ec1e68e9",
+    "marginal:shadow:n3:d3":
+        "f6bc524afb9df9714dd2080a82cc37ee113cd44a79cad314508804aec416c774",
+    "marginal:shadow:n3:d7":
+        "03ce51f289570ad300552affaf2a906d7bd915f6e891617f08da0a4d526a9e47",
+    "marginal:three_picks:n1:d1":
+        "0ccf0073f8f0b8ba5ce8c2bf2e03522aacb18f64f6f495c5c9e50689fdc774cf",
+    "marginal:three_picks:n1:d3":
+        "85463dd98f884624bf250c86a321bba30fd8fe5ec9556e5d3bb52a75208c9f3d",
+    "marginal:three_picks:n1:d7":
+        "26a586288d2a91fc8e09a0e62a67a54eb59a5e5775123a8b8bbaa31e1dfa451b",
+    "marginal:three_picks:n2:d1":
+        "57070ae245a7a36a202a17745ce5d357137ceb58aa6dea28e4fc104518ea7cbb",
+    "marginal:three_picks:n2:d3":
+        "7bc73008a22cae3358691e6f717109b58cb4203290ff42a679b7cbe18a2c2fef",
+    "marginal:three_picks:n2:d7":
+        "dfb2517c97ee39512a1a2ad3ee62fa8eabbbeacb41f09edb9dd3a486c2baf1f0",
+    "marginal:three_picks:n3:d1":
+        "ce2a8847ca9c0521b6eefcb169f8d4dad25c6eae334a8b2d5d6d1feceff16dbd",
+    "marginal:three_picks:n3:d3":
+        "d359f9dfce345839a4b00ade0bc78fea2e5f1615de563761168f6404c8764826",
+    "marginal:three_picks:n3:d7":
+        "43d3549254bf30d814e5b392180a47d554e9241e377e16156c63408314c7aa9f",
+    "marginal:where_sex_day:n1:d1":
+        "b4590b3ef47b166f63e75f03523bfbcbac9ce3b54a2d56477b7b80d627afc588",
+    "marginal:where_sex_day:n1:d3":
+        "8cbf5c25ab1324e806788e80fee111b0832e5810e50e489962a170b446594e8a",
+    "marginal:where_sex_day:n1:d7":
+        "560407c7750b5b86a1cfe730ef2e66e5c9849444d61b9a3035556d696c89fede",
+    "marginal:where_sex_day:n2:d1":
+        "6073a663cb7b21aeb144589d55bc9c59293eea44ef2991acded37f775af00f82",
+    "marginal:where_sex_day:n2:d3":
+        "b38d5826592fc30a8dfd00671874916cf06b92a0f7da4816fa90879ff7d33b77",
+    "marginal:where_sex_day:n2:d7":
+        "f9d29cdd7cef6cda40ac7a5a5a82c421d079ba1b9da2a3b502e884c827730aae",
+    "marginal:where_sex_day:n3:d1":
+        "c1cf7d808888865d104ae62f5e85f8f516161598ebca8ca863f2f8adafd2a3b1",
+    "marginal:where_sex_day:n3:d3":
+        "e155d48b87b14e8ba926264e37925bdb2362152189dbb9c257b73a2da1acb46e",
+    "marginal:where_sex_day:n3:d7":
+        "7e2f2eb0677e24e2a0ec48e5a7b8db02a5fd41d0a0d5062c285e932b18dda382",
     "marginal:yesno:d30":
         "8f9c19bbd612111c34aecbf898ea9eb1894215f491243e06db7eef83e725948a",
     "marginal:yesno:d7":
