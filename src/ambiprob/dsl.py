@@ -29,13 +29,17 @@ A `say` holds the engine's statement (`AtLeastOne`, `YesNo`, `Text`, ...)
 from parsing on, and `and`/`or`/`not` are the engine's `And`/`Or`/`Not`. Only
 the leaves that may need binding are the language's own: `PExists`, `PAll`,
 `PCount`, `PChildTest` and `EClaim`, whose day may be a parameter and whose
-sex and day may read a picked child.
+sex and day may read a picked child. A statement has one spelling,
+`engine.render_statement`: the CLI prints it, this renderer writes it for every
+`say` but a claim, and `parse_statement_text` reads it back, so every statement
+the CLI prints is valid `--say` input.
 
 Lowering happens once per compile: the body becomes nested closures in which
-variable-free predicates are already compiled engine queries, day literals are
-resolved and claims without child variables are built. Because of this, a day
-literal that does not fit the week is an error even in a branch no family
-reaches.
+every test is a query built by `compile_query` (once per binding of the picked
+children it reads, with `sex(v)`/`day(v)` as `ChildSexIs`/`ChildDayIs`), day
+literals are resolved and claims without child variables are built. Because of
+this, a day literal that does not fit the week is an error even in a branch no
+family reaches.
 
 The closures see a child only through its sex and whether its day is one that
 the procedure tests, so the chain runs once per class vector, a class of
@@ -46,6 +50,7 @@ families they cannot tell apart, and the compiled kernel is the class table
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import warnings
 from collections.abc import Callable, Mapping
@@ -64,6 +69,7 @@ from .engine import (
     Text,
     TwoOfAKind,
     YesNo,
+    render_statement,
 )
 from .errors import (
     DayOutOfRange,
@@ -75,6 +81,8 @@ from .errors import (
 from .model import (
     AllMatch,
     And,
+    ChildDayIs,
+    ChildSexIs,
     CountAtLeast,
     Exists,
     Family,
@@ -146,7 +154,7 @@ class PAll:
 
 @dataclass(frozen=True)
 class PChildTest:
-    """`sex(v)=...` or `day(v)=...`; `slot` is v's env slot, None in a `where`."""
+    """`sex(v)=...` or `day(v)=...`; `slot` is v's env slot."""
 
     var: str
     kind: str  # "sex" or "day"
@@ -511,13 +519,10 @@ class _Parser:
         kind = self.advance().text
         var, slot = self.var()
         self.expect("=")
-        if picked is not None:
-            if var != picked:
-                raise DslSyntaxError(
-                    f"'where' clause must test the picked variable '{picked}'",
-                    tok.span,
-                )
-            slot = None
+        if picked is not None and var != picked:
+            raise DslSyntaxError(
+                f"'where' clause must test the picked variable '{picked}'", tok.span
+            )
         if kind == "sex":
             return PChildTest(var, "sex", sex=self.sex(), slot=slot)
         day = self.try_day()
@@ -667,8 +672,10 @@ def _day_value(day: Day, cfg: WorldConfig, bound: Bound) -> int:
     return day.value
 
 
-def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND) -> QueryPredicate:
-    """Lower a variable-free DSL predicate to an engine event predicate."""
+def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND,
+                  at: Mapping[int, int] = _UNBOUND) -> QueryPredicate:
+    """Lower a DSL predicate to an engine event predicate. `at` maps the env
+    slot of each picked variable that a child test reads to a child index."""
     match p:
         case PExists(sex=s, day=d):
             return Exists(s, None if d is None else _day_value(d, cfg, bound))
@@ -686,13 +693,17 @@ def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND) -> QueryPr
                     return Not(CountAtLeast(n, s))
                 case "=":
                     return And(CountAtLeast(n, s), Not(CountAtLeast(n + 1, s)))
+        case PChildTest(kind="sex", sex=s, slot=slot) if slot in at:
+            return ChildSexIs(at[slot], s)
+        case PChildTest(kind="day", day=d, slot=slot) if slot in at:
+            return ChildDayIs(at[slot], _day_value(d, cfg, bound))
         case And(left=a, right=b):
-            return And(pred_to_query(a, cfg, bound), pred_to_query(b, cfg, bound))
+            return And(pred_to_query(a, cfg, bound, at), pred_to_query(b, cfg, bound, at))
         case Or(left=a, right=b):
-            return Or(pred_to_query(a, cfg, bound), pred_to_query(b, cfg, bound))
+            return Or(pred_to_query(a, cfg, bound, at), pred_to_query(b, cfg, bound, at))
         case Not(inner=i):
-            return Not(pred_to_query(i, cfg, bound))
-    raise TypeError(f"not a variable-free predicate: {p!r}")
+            return Not(pred_to_query(i, cfg, bound, at))
+    raise TypeError(f"not a predicate with every child variable bound: {p!r}")
 
 
 def _const_statement(expr: StmtExpr, cfg: WorldConfig, bound: Bound) -> Statement:
@@ -728,11 +739,13 @@ def _reject(f, env, w, row) -> None:
 class _Lowering:
     """Turns a procedure body into nested closures, once per compile.
 
-    Variable-free predicates become compiled queries, day literals are
-    resolved, constant statements are built and flips carry ``1 - p`` here,
-    so nothing is lowered again per family. Paths run depth-first in source order (a
-    flip's first branch first, picked children in birth order); that order
-    fixes the order of the statements in each row.
+    Every test becomes a compiled query, one per binding of the picked
+    children it reads, with ``sex(v)``/``day(v)`` as ``ChildSexIs``/
+    ``ChildDayIs`` at v's index. Day literals are resolved, constant
+    statements are built and flips carry ``1 - p`` here, so nothing is
+    lowered again per family. Paths run depth-first in source order (a flip's
+    first branch first, picked children in birth order); that order fixes the
+    order of the statements in each row.
 
     ``tested`` collects every day that a predicate, a child test or the
     pre-filter compares a child's day with (all days once a `say` reads
@@ -800,10 +813,12 @@ class _Lowering:
         slot, shares, empty = st.slot, self.shares, self.empty_picks
         self.slots = max(self.slots, slot + 1)
         everyone = range(self.cfg.family_size)
-        ok = None if st.where is None else self.child_test(st.where)
+        # each candidate with its `where` test, the pick's slot bound to it
+        candidates = None if st.where is None else [
+            (j, compile_query(self.query(st.where, {slot: j}), self.cfg)) for j in everyone]
 
         def pick(f, env, w, row):
-            matching = everyone if ok is None else [j for j, c in enumerate(f) if ok(c)]
+            matching = everyone if candidates is None else [j for j, ok in candidates if ok(f)]
             if not matching:
                 empty.setdefault(f, st)
                 return
@@ -813,40 +828,26 @@ class _Lowering:
                 nxt(f, env, w, row)
         return pick
 
-    def query(self, p: Pred) -> QueryPredicate:
-        """A variable-free predicate as an engine query."""
+    def query(self, p: Pred, at: Mapping[int, int] = _UNBOUND) -> QueryPredicate:
+        """`pred_to_query`, recording the days that p's tests name."""
         for leaf in _leaves(p):
-            if isinstance(leaf, (PExists, PAll)) and leaf.day is not None:
+            if isinstance(leaf, (PExists, PAll, PChildTest)) and leaf.day is not None:
                 self.tested.add(_day_value(leaf.day, self.cfg, self.bound))
-        return pred_to_query(p, self.cfg, self.bound)
-
-    def child_test(self, p: PChildTest) -> Callable[[model.Child], bool]:
-        if p.kind == "sex":
-            sex = p.sex
-            return lambda c: c.sex is sex
-        day = _day_value(p.day, self.cfg, self.bound)
-        self.tested.add(day)
-        return lambda c: c.day == day
+        return pred_to_query(p, self.cfg, self.bound, at)
 
     def pred(self, p: Pred) -> Callable[[Family, list[int]], bool]:
-        """A test of (family, env); variable-free parts are compiled queries."""
-        if not any(isinstance(leaf, PChildTest) for leaf in _leaves(p)):
+        """A test of (family, env): p compiled once for each binding of the
+        picked variables it reads, looked up by their slots in env."""
+        slots = sorted({leaf.slot for leaf in _leaves(p) if isinstance(leaf, PChildTest)})
+        if not slots:
             test = compile_query(self.query(p), self.cfg)
             return lambda f, env: test(f)
-        match p:
-            case PChildTest(slot=slot):
-                ok = self.child_test(p)
-                return lambda f, env: ok(f[env[slot]])
-            case And(left=a, right=b):
-                ta, tb = self.pred(a), self.pred(b)
-                return lambda f, env: ta(f, env) and tb(f, env)
-            case Or(left=a, right=b):
-                ta, tb = self.pred(a), self.pred(b)
-                return lambda f, env: ta(f, env) or tb(f, env)
-            case Not(inner=i):
-                ti = self.pred(i)
-                return lambda f, env: not ti(f, env)
-        raise TypeError(f"not a predicate: {p!r}")
+        binding = operator.itemgetter(*slots)
+        tests = {}
+        for indices in itertools.product(range(self.cfg.family_size), repeat=len(slots)):
+            at = dict(zip(slots, indices))
+            tests[binding(at)] = compile_query(self.query(p, at), self.cfg)
+        return lambda f, env: tests[binding(env)](f)
 
     def say(self, e: StmtExpr) -> _Step:
         sex, day = (e.sex, e.day) if isinstance(e, EClaim) else (None, None)
@@ -1014,14 +1015,8 @@ def _render_stmt_expr(e: StmtExpr) -> str:
                 return f"claim({sex})"
             day = f"day({d.var})" if isinstance(d, VarDay) else _render_day(d)
             return f"claim({sex}, {day})"
-        case AtLeastOne(sex=s) | TwoOfAKind(sex=s) | ProudOf(sex=s):
-            return f"{type(e).__name__.lower()}({_render_sex(s)})"
-        case YesNo(answer=a):
-            return "yes" if a else "no"
-        case Text(label=label):
-            escaped = label.replace("\\", "\\\\").replace('"', '\\"')
-            return f'text("{escaped}")'
-    raise TypeError(f"not a statement expression: {e!r}")
+    # the engine's own statement; only a Claim reads the config
+    return render_statement(e, WorldConfig())
 
 
 def _render_block(stmts, indent: int, lines: list[str]) -> None:

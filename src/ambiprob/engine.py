@@ -100,21 +100,19 @@ REJECT = _Reject()
 
 
 def render_statement(s: Statement, cfg: WorldConfig) -> str:
+    """The statement as the protocol language writes it; `--say` reads it back."""
     match s:
         case Claim(sex=sex, day=None):
             return f"claim({sex.name.lower()})"
         case Claim(sex=sex, day=day):
             return f"claim({sex.name.lower()},{day_name(day, cfg)})"
-        case AtLeastOne(sex=sex):
-            return f"atleastone({sex.name.lower()})"
-        case TwoOfAKind(sex=sex):
-            return f"twoofakind({sex.name.lower()})"
-        case ProudOf(sex=sex):
-            return f"proudof({sex.name.lower()})"
+        case AtLeastOne(sex=sex) | TwoOfAKind(sex=sex) | ProudOf(sex=sex):
+            return f"{type(s).__name__.lower()}({sex.name.lower()})"
         case YesNo(answer=a):
             return "yes" if a else "no"
         case Text(label=label):
-            return f"text({label!r})"
+            escaped = label.replace("\\", "\\\\").replace('"', '\\"')
+            return f'text("{escaped}")'
     raise TypeError(f"not a statement: {s!r}")
 
 

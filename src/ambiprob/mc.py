@@ -1,6 +1,8 @@
-"""Seeded sampling oracle that executes protocols literally.
+"""Seeded sampling oracle over a compiled kernel's class table.
 
-The "sent home" step is a genuine rejection loop on sampled families: a family
+It samples the table, not the procedure, so it checks the Bayes quotient that
+`posterior` computes from the same table, not the compiler that built it. The
+"sent home" step is a genuine rejection loop on sampled families: a family
 with no kernel row is redrawn. In-run reject mass triggers a redraw of the
 whole run. The generator is numpy's PCG64 (a published, seedable algorithm),
 driven in fixed-size chunks so results are bit-identical for identical (seed,

@@ -35,6 +35,20 @@ def test_list_has_ten_sorted_rows():
     assert any(line.startswith("bc-tc") and "13/27" in line for line in lines)
 
 
+@pytest.mark.parametrize("argv, header", [
+    (("list",), ["id", "answer", "description"]),
+    (("sweep", "1", "5"), ["d", "posterior", "formula", "match"]),
+])
+def test_json_table_is_one_object_per_csv_row(argv, header):
+    code, text = run_cli(*argv, "--format", "json")
+    assert code == 0
+    records = json.loads(text)
+    assert text == json.dumps(records, indent=2) + "\n"
+    assert [list(r) for r in records] == [header] * len(records)
+    rows = list(csv.reader(io.StringIO(run_cli(*argv, "--format", "csv")[1])))
+    assert rows == [header] + [[str(v) for v in r.values()] for r in records]
+
+
 def test_list_csv():
     code, text = run_cli("list", "--format", "csv")
     assert code == 0
@@ -53,6 +67,13 @@ def test_run_bc_tc_one_day_week():
     code, text = run_cli("run", "bc-tc", "--week-days", "1", "--day", "d0")
     assert code == 0
     assert "posterior = 1/3" in text
+
+
+def test_run_bc_tc_on_a_named_day():
+    code, text = run_cli("run", "bc-tc", "--day", "wed")
+    assert code == 0
+    assert "statement = claim(boy,wed)\nstatement mass = " in text
+    assert "posterior = 13/27\n" in text
 
 
 def test_run_classic_selection():
@@ -90,7 +111,7 @@ def test_json_report_is_the_indented_json_encoding(extra, tmp_path):
     assert code == 0
     payload = json.loads(text)
     assert text == json.dumps(payload, indent=2) + "\n"
-    assert payload["statement"] == "text('a\"\u00e9')"
+    assert payload["statement"] == 'text("a\\"\u00e9")'
     assert ("posterior_decimal" in payload) == ("--decimal" in extra)
 
 
@@ -166,6 +187,23 @@ def test_mc_pass_and_determinism():
     assert code1 == code2 == 0
     assert text1 == text2
     assert "PASS" in text1
+
+
+def test_mc_json_report():
+    code, text = run_cli("mc", "bc-tc", "--trials", "20000", "--seed", "7", "--format", "json")
+    assert code == 0
+    payload = json.loads(text)
+    assert list(payload) == ["estimate", "stderr", "exact", "tolerance", "verdict", "trials",
+                             "statement_matches", "hits", "rejected_families", "rejected_runs",
+                             "seed", "shards"]
+    assert (payload["exact"], payload["verdict"]) == ("13/27", "PASS")
+    # bc-tc says one statement, so every run that speaks matches it
+    assert payload["statement_matches"] == payload["trials"] == 20000
+
+
+def test_mc_trials_that_are_not_a_number_exit_2(capsys):
+    assert run_cli("mc", "bc-tc", "--trials", "many") == (2, "")
+    assert "argument --trials: invalid int value: 'many'" in capsys.readouterr().err
 
 
 def test_mc_single_trial_deterministic():
@@ -312,6 +350,9 @@ def test_default_named_day_on_other_week_exits_4(capsys):
     ("run", "bc-dn", "--children", "3"),
     ("mc", "any-answer", "--p=-1/2", "--trials", "10"),
     ("mc", "gn-tc", "--week-days", "30", "--trials", "10"),  # no default day on a 30-day week
+    ("run", "bc-tc", "--day", "xyz"),
+    ("run", "any-answer", "--p", "x"),
+    ("run", "yesno", "--week-days", "0"),
 ])
 def test_bad_builtin_arguments_exit_2(argv, capsys):
     code, text = run_cli(*argv)

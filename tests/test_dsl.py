@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambiprob import dsl, mc
@@ -512,6 +512,35 @@ def test_say_holds_the_engine_statement(text, statement):
     (say,) = parse(f"procedure p {{ say {text}; }}").body
     assert say.expr == statement  # dataclass equality compares the classes too
     assert parse_statement_text(text, CFG) == statement
+
+
+_sexes = st.sampled_from(list(Sex))
+# labels over the characters the string literal escapes or a csv field quotes
+_labels = st.text(st.sampled_from(['"', "\\", "'", "\n", ",", "\u00e9", "a", " "]), max_size=8)
+
+
+@st.composite
+def _statements(draw):
+    """A statement of any kind, with the world whose week names its day."""
+    cfg = WorldConfig(draw(st.sampled_from((7, 12))), 2)
+    statement = draw(st.one_of(
+        st.builds(Claim, _sexes, st.none() | st.integers(0, cfg.week_length - 1)),
+        st.builds(AtLeastOne, _sexes),
+        st.builds(TwoOfAKind, _sexes),
+        st.builds(ProudOf, _sexes),
+        st.builds(YesNo, st.booleans()),
+        st.builds(Text, _labels | st.text(max_size=8)),
+    ))
+    return statement, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(_statements())
+@example((Text('a"\u00e9'), CFG))
+@example((Text('\\"\\'), CFG))
+def test_every_printed_statement_reads_back_as_say_input(case):
+    statement, cfg = case
+    assert parse_statement_text(render_statement(statement, cfg), cfg) == statement
 
 
 # ---------------------------------------------------------------------------

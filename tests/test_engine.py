@@ -66,6 +66,14 @@ def test_validate_flags_negative_weight():
     assert any("negative" in v for v in violations)
 
 
+def test_validate_flags_statement_day_out_of_range():
+    fams = enumerate_families(CFG)
+    rows = {f: {} for f in fams}
+    rows[fams[0]] = {Claim(Sex.BOY, 7): Fraction(1, 2)}
+    violations = validate_kernel(ProtocolKernel.from_rows(CFG, rows))
+    assert violations == ["B@0,B@0: statement day 7 out of range"]
+
+
 def test_validate_flags_missing_row():
     fams = enumerate_families(CFG)
     rows = {f: {} for f in fams[1:]}

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ambiprob.dsl import load_protocol, parse_event_text, parse_statement_text
+from ambiprob.dsl import (
+    compile_protocol, load_protocol, parse, parse_event_text, parse_statement_text,
+)
 from ambiprob.engine import AtLeastOne, Claim, Text, YesNo
 from ambiprob.errors import DegenerateProtocol
 from ambiprob.mc import McResult, agreement_check, sample_posterior
@@ -78,6 +80,18 @@ def test_degenerate_protocol_raises():
             sc.kernel, Claim(Sex.BOY, TUE), BOTH_BOYS, 10**6, seed=1,
             redraw_cap=1,
         )
+
+
+def test_a_chunk_without_a_match_counts_toward_the_redraw_cap():
+    # P(yes) = 1e-6 per draw: seed 0's first chunk of 2^18 draws matches nothing
+    kernel = compile_protocol(
+        parse("procedure p { flip 1/1000000 { say yes; } else { reject; } }"), WorldConfig(1, 1)
+    )
+    with pytest.raises(DegenerateProtocol, match="consecutive draws without a statement match"):
+        sample_posterior(kernel, YesNo(True), Always(), 1, seed=0, redraw_cap=300_000)
+    r = sample_posterior(kernel, YesNo(True), Always(), 1, seed=0)
+    assert (r.trials, r.statement_matches, r.rejected_families) == (1, 1, 0)
+    assert r.rejected_runs >= 262_144
 
 
 def test_degenerate_protocol_names_the_statement_as_the_language_writes_it():
