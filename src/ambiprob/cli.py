@@ -4,10 +4,10 @@
 and --p and refuses --say and --event, a .proc file the other way round. An
 absent --day or --p leaves `build_scenario` its default; the CLI has none.
 
-Exit codes: 0 ok, 2 usage / unknown id, 3 undefined conditional (zero statement
-mass or empty support), 4 protocol-language error, 5 a cross-check disagreed (the
-Monte Carlo with the exact answer, or a `sweep` row with (2d-1)/(4d-1)),
-6 degenerate protocol.
+Exit codes: 0 ok, 5 a cross-check disagreed (the Monte Carlo with the exact
+answer, or a `sweep` row with (2d-1)/(4d-1)); `EXIT_CODES` maps each error to
+2 usage, 3 undefined conditional, 4 protocol-language error or 6 degenerate
+protocol.
 """
 
 from __future__ import annotations
@@ -47,20 +47,24 @@ EXIT_DEGENERATE = 6
 # families) and n=5 at d=7 (537,824) fit, with room to spare.
 MAX_FAMILIES = 2_000_000
 
-# Library errors the CLI reports as an exit code; the first match wins.
+
+class CliError(Exception):
+    """A command-line argument the command cannot use."""
+
+
+# The only map from an error to its exit code; no error class falls under two rows.
 EXIT_CODES = {
+    CliError: EXIT_USAGE,
+    DayOutOfRange: EXIT_USAGE,
+    InvalidProbability: EXIT_USAGE,
+    UnsupportedConfig: EXIT_USAGE,
+    OSError: EXIT_USAGE,  # a .proc path that is missing, a directory, unreadable
     ZeroStatementMass: EXIT_UNDEFINED,
     EmptySupport: EXIT_UNDEFINED,
     DslError: EXIT_DSL,
+    RecursionError: EXIT_DSL,  # procedure text nested too deeply to compile
     DegenerateProtocol: EXIT_DEGENERATE,
-    OSError: EXIT_USAGE,  # a .proc path that is missing, a directory, unreadable
 }
-
-
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
 
 
 def _parse_day(text: str, cfg: WorldConfig) -> int:
@@ -71,7 +75,7 @@ def _parse_day(text: str, cfg: WorldConfig) -> int:
         day = int(m.group(1))
         if 0 <= day < cfg.week_length:
             return day
-    raise CliError(f"invalid day {text!r} for a {cfg.week_length}-day week", EXIT_USAGE)
+    raise CliError(f"invalid day {text!r} for a {cfg.week_length}-day week")
 
 
 def _int_at_least(low: int):
@@ -92,7 +96,7 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise CliError(f"invalid rational {text!r}", EXIT_USAGE)
+        raise CliError(f"invalid rational {text!r}")
 
 
 def _frac_str(x: Fraction, decimal: bool) -> str:
@@ -198,18 +202,15 @@ def _check_outcome_space(d: int, n: int, remedy: str) -> None:
     for _ in range(n):  # stops early, so huge n costs nothing
         families *= 2 * d
         if families > MAX_FAMILIES:
-            raise CliError(
-                f"the outcome space (2d)^n = ({2 * d})^{n} "
-                f"exceeds {MAX_FAMILIES:,} families; {remedy}",
-                EXIT_USAGE,
-            )
+            raise CliError(f"the outcome space (2d)^n = ({2 * d})^{n} "
+                           f"exceeds {MAX_FAMILIES:,} families; {remedy}")
 
 
 def _world(args) -> WorldConfig:
     try:
         cfg = WorldConfig(week_length=args.week_days, family_size=args.children)
     except ValueError as exc:
-        raise CliError(str(exc), EXIT_USAGE)
+        raise CliError(str(exc))
     _check_outcome_space(cfg.week_length, cfg.family_size, "lower --week-days or --children")
     return cfg
 
@@ -222,21 +223,18 @@ def _target(args, cfg: WorldConfig, builtin: bool):
     if builtin:
         if args.say is not None or args.event is not None:
             raise CliError("--say and --event apply to .proc targets only; "
-                           "a builtin scenario states its own", EXIT_USAGE)
+                           "a builtin scenario states its own")
         if args.target not in BUILTIN_IDS:
-            raise CliError(f"unknown scenario id {args.target!r}; see `ambiprob list`", EXIT_USAGE)
+            raise CliError(f"unknown scenario id {args.target!r}; see `ambiprob list`")
         day = None if args.day is None else _parse_day(args.day, cfg)
         p = None if args.p is None else _parse_fraction(args.p)
-        try:
-            sc = build_scenario(args.target, cfg, day=day, p=p)
-        except (DayOutOfRange, InvalidProbability, UnsupportedConfig) as exc:
-            raise CliError(str(exc), EXIT_USAGE)
+        sc = build_scenario(args.target, cfg, day=day, p=p)
         return sc.kernel, sc.canonical_statement, sc.canonical_query
     if args.say is None or args.event is None:
-        raise CliError("--say and --event are required for .proc targets", EXIT_USAGE)
+        raise CliError("--say and --event are required for .proc targets")
     if args.day is not None or args.p is not None:
         raise CliError("--day and --p apply to builtin scenarios only; "
-                       "a .proc target uses its parameters' defaults", EXIT_USAGE)
+                       "a .proc target uses its parameters' defaults")
     kernel = dsl.load_protocol(args.target, cfg)
     return kernel, dsl.parse_statement_text(args.say, cfg), dsl.parse_event_text(args.event, cfg)
 
@@ -305,7 +303,7 @@ def cmd_mc(args, out):
 
 def cmd_sweep(args, out):
     if not 1 <= args.d_min <= args.d_max:
-        raise CliError("need 1 <= d_min <= d_max", EXIT_USAGE)
+        raise CliError("need 1 <= d_min <= d_max")
     _check_outcome_space(args.d_max, 2, "lower d_max")
     rows = []
     all_match = True
@@ -388,10 +386,8 @@ def main(argv=None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args, out)
-    except (CliError, *EXIT_CODES) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"ambiprob: {exc}", file=sys.stderr)
-        if isinstance(exc, CliError):
-            return exc.code
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 

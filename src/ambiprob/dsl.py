@@ -76,6 +76,7 @@ from .errors import (
     DslSyntaxError,
     EmptyPick,
     InvalidFlipProbability,
+    InvalidProbability,
     UnboundVariable,
 )
 from .model import (
@@ -304,7 +305,7 @@ _SEXES = {"boy": Sex.BOY, "girl": Sex.GIRL}
 _SEX_STATEMENTS = {cls.__name__.lower(): cls for cls in (AtLeastOne, TwoOfAKind, ProudOf)}
 
 
-def _check_probability(p: Fraction, what: str, span: SourceSpan | None) -> Fraction:
+def _check_probability(p: Fraction, what: str, span: SourceSpan) -> Fraction:
     if not 0 <= p <= 1:
         raise InvalidFlipProbability(f"{what} {p} outside [0, 1]", span)
     return p
@@ -882,7 +883,9 @@ def _bind(ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fractio
         if prm.name not in values:
             value = prm.default if prm.kind == "prob" else _day_value(prm.default, cfg, _UNBOUND)
         elif prm.kind == "prob":
-            value = _check_probability(Fraction(values[prm.name]), f"parameter {prm.name} =", None)
+            value = Fraction(values[prm.name])
+            if not 0 <= value <= 1:
+                raise InvalidProbability(f"parameter {prm.name} = {value} outside [0, 1]")
         else:
             value = values[prm.name]
             if not 0 <= value < cfg.week_length:

@@ -19,15 +19,15 @@ class UnsupportedConfig(AmbiprobError):
 
 
 class DayOutOfRange(AmbiprobError):
-    """A day bound to a procedure parameter lies outside 0..week_length-1."""
+    """A day bound to a parameter outside 0..week_length-1, or none where one is needed."""
 
 
 class InvalidProbability(AmbiprobError):
-    """A probability parameter outside [0, 1]."""
+    """A probability bound to a procedure parameter lies outside [0, 1]."""
 
 
 class DegenerateProtocol(AmbiprobError):
-    """Monte Carlo redraw cap exceeded without a statement match."""
+    """Monte Carlo redraw cap exceeded without a statement match; nothing else."""
 
 
 class DslError(AmbiprobError):
@@ -48,8 +48,8 @@ class UnboundVariable(DslError):
     """A child variable used before any `pick` bound it."""
 
 
-class InvalidFlipProbability(DslError, InvalidProbability):
-    """A `flip` whose probability lies outside [0, 1]."""
+class InvalidFlipProbability(DslError):
+    """A flip literal or a `prob` default in the source text outside [0, 1]."""
 
 
 class EmptyPick(DslError):

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .engine import ProtocolKernel, Statement, posterior, render_statement
-from .errors import DegenerateProtocol
+from .errors import DegenerateProtocol, ZeroStatementMass
 from .model import QueryPredicate, compile_query, enumerate_families
 
 _CHUNK = 1 << 18
@@ -76,8 +76,8 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
             break
         earlier.add(st)
     else:
-        raise DegenerateProtocol(
-            f"statement {render_statement(s, k.config)} is never emitted (zero mass)"
+        raise ZeroStatementMass(
+            f"statement {render_statement(s, k.config)} is never emitted under this protocol"
         )
 
     denom = math.lcm(*{w.denominator for row in distinct for w in row.values()})
@@ -169,9 +169,9 @@ def sample_posterior(
 ) -> McResult:
     """Empirical posterior from n_trials statement-matching runs.
 
-    Raises ValueError if n_trials or shards is below 1, DegenerateProtocol if
-    the statement is never emitted or `redraw_cap` draws in a row miss it, and
-    OverflowError if the kernel's common denominator does not fit in int64.
+    Raises ValueError if n_trials or shards is below 1, ZeroStatementMass if the
+    statement is never emitted, DegenerateProtocol if `redraw_cap` draws in a row
+    miss it, and OverflowError if the common denominator does not fit in int64.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")

@@ -11,8 +11,9 @@ import pytest
 
 import ambiprob
 from ambiprob import dsl
-from ambiprob.cli import main
+from ambiprob.cli import EXIT_CODES, main
 from ambiprob.engine import render_statement
+from ambiprob.errors import AmbiprobError
 from ambiprob.model import WorldConfig
 from ambiprob.scenarios import sweep_formula
 
@@ -399,11 +400,18 @@ def test_empty_say_is_a_protocol_language_error(command, capsys):
     (("mc", "folder.proc", "--say", "yes", "--event", "all(boy)"), 2, "Is a directory"),
     (("eval", "latin1.proc", "--say", "yes", "--event", "all(boy)"), 4, "can't decode"),
     (("mc", "bc-tc", "--seed", "-1", "--trials", "10"), 2, "must be >= 0"),
+    (("eval", "empty.proc", "--say", "yes", "--event", "all(boy)"), 3, "no family in the support"),
+    (("mc", "rare.proc", "--say", "yes", "--event", "all(boy)", "--trials", "1"), 6,
+     "consecutive draws without a statement match"),
 ])
 def test_unreadable_proc_or_negative_seed_exits_cleanly(argv, code, message, tmp_path,
                                                        monkeypatch, capsys):
     (tmp_path / "folder.proc").mkdir()
     (tmp_path / "latin1.proc").write_bytes(b'procedure p { say text("\xff"); }\n')
+    (tmp_path / "empty.proc").write_text("procedure p { require count(boy) >= 3; say yes; }\n")
+    # one statement match in 10^12 draws: the 10^7 redraw cap runs out first
+    (tmp_path / "rare.proc").write_text(
+        "procedure p { flip 1/1000000000000 { say yes; } else { reject; } }\n")
     monkeypatch.chdir(tmp_path)
     assert run_cli(*argv) == (code, "")
     assert message in capsys.readouterr().err
@@ -419,6 +427,43 @@ def test_unreadable_proc_or_negative_seed_exits_cleanly(argv, code, message, tmp
 def test_options_a_command_would_ignore_exit_2(argv, capsys):
     assert run_cli(*argv) == (2, "")
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, body, event", [
+    ("eval", "say yes;", "not " * 3000 + "all(boy)"),
+    ("mc", "say yes;", "not " * 3000 + "all(boy)"),
+    ("eval", "say yes;", " and ".join(["all(boy)"] * 3000)),
+    ("mc", "say yes;", " and ".join(["all(boy)"] * 3000)),
+    ("eval", "if all(boy) { " * 2000 + "say yes; " + "} " * 2000, "all(boy)"),
+    # recurses through the lowered closure chain, not the parser
+    ("eval", "if all(boy) { } " * 1200 + "say yes;", "all(boy)"),
+], ids=["eval-not-3000", "mc-not-3000", "eval-and-3000", "mc-and-3000", "eval-nested-if-2000",
+        "eval-if-row-1200"])
+def test_procedure_text_nested_too_deeply_exits_4(command, body, event, tmp_path, capsys):
+    proc = tmp_path / "p.proc"
+    proc.write_text(f"procedure p {{\n{body}\n}}\n")
+    trials = ("--trials", "10") if command == "mc" else ()
+    assert run_cli(command, str(proc), "--say", "yes", "--event", event, *trials) == (4, "")
+    assert capsys.readouterr().err.startswith("ambiprob: ")
+
+
+def _subclasses(kind):
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_falls_under_exactly_one_exit_code_row():
+    for kind in {*_subclasses(AmbiprobError), *EXIT_CODES}:
+        rows = [row for row in EXIT_CODES if issubclass(kind, row)]
+        assert len(rows) == 1, (kind, rows)
+    # the sampler's int64 limit is a known defect that propagates, not an exit code
+    assert not any(issubclass(OverflowError, row) for row in EXIT_CODES)
+
+
+def test_usage_error_prints_one_complete_line(capsys):
+    assert run_cli("run", "bc-tc", "--day", "xyz") == (2, "")
+    assert capsys.readouterr().err == "ambiprob: invalid day 'xyz' for a 7-day week\n"
 
 
 def test_unbound_variable_before_a_syntax_error_exits_4(tmp_path, capsys):

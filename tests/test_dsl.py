@@ -113,6 +113,43 @@ def test_unexpected_character():
         parse("procedure p { say yes; } $")
 
 
+@pytest.mark.parametrize("src, message", [
+    ("procedure { say yes; }", "1:11: expected procedure name, found '{'"),
+    ("procedure p { say yes; } extra", "1:26: expected end of input, found 'extra'"),
+    ("procedure p(int X = 1) { say yes; }",
+     "1:13: expected a parameter kind ('day' or 'prob'), found 'int'"),
+    ("procedure p { yes; }", "1:15: expected a statement (if/pick/flip/say/reject), found 'yes'"),
+    ("procedure p { flip x { say yes; } else { say no; } }",
+     "1:20: expected a rational literal, found 'x'"),
+    ("procedure p { flip 1/ { say yes; } else { say no; } }",
+     "1:23: expected a denominator, found '{'"),
+    ("procedure p { flip 1/0 { say yes; } else { say no; } }", "1:20: zero denominator"),
+    ("procedure p { if exists(7) { say yes; } }",
+     "1:25: expected 'boy', 'girl', or a day, found '7'"),
+    ("procedure p { pick c where c; say yes; }",
+     "1:28: expected 'sex(var)=...' or 'day(var)=...', found 'c'"),
+    ("procedure p { pick c; pick d where sex(c)=boy; say yes; }",
+     "1:36: 'where' clause must test the picked variable 'd'"),
+    ("procedure p { pick c; if day(c) = boy { say yes; } }",
+     "1:35: expected a day literal, found 'boy'"),
+    ("procedure p { if count(boy) 2 { say yes; } }",
+     "1:29: expected a comparison operator, found '2'"),
+    ("procedure p { if count(boy) >= x { say yes; } }", "1:32: expected an integer, found 'x'"),
+    ("procedure p { if 3 { say yes; } }", "1:18: expected a predicate, found '3'"),
+    ("procedure p { say text(abc); }", "1:24: expected a string literal, found 'abc'"),
+    ("procedure p { say claim(tue); }", "1:25: expected a sex or 'sex(var)', found 'tue'"),
+    ("procedure p { say claim(boy, 3); }", "1:30: expected a day or 'day(var)', found '3'"),
+    ("all(boy) all(girl)", "1:10: expected end of input, found 'all'"),  # an --event
+])
+def test_malformed_text_names_what_it_expected(src, message):
+    with pytest.raises(DslSyntaxError) as info:
+        if src.startswith("procedure"):
+            parse(src)
+        else:
+            parse_event_text(src, CFG)
+    assert str(info.value) == message
+
+
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         parse("procedure p { say claim(sex(x), day(x)); }")
@@ -212,14 +249,14 @@ def test_require_rejects_child_tests():
 
 
 def test_flip_probability_range():
-    with pytest.raises(InvalidProbability):
+    with pytest.raises(InvalidFlipProbability):
         parse("procedure p { flip 3/2 { say yes; } else { say no; } }")
 
 
 def test_flip_probability_error_carries_span():
     with pytest.raises(DslError) as info:
         parse("procedure p {\n  say yes;\n  flip 2 { say yes; } else { say no; }\n}")
-    assert isinstance(info.value, InvalidProbability)
+    assert isinstance(info.value, InvalidFlipProbability)
     assert (info.value.span.line, info.value.span.column) == (3, 3)
 
 
@@ -479,9 +516,12 @@ def test_probability_parameter_range():
         parse("procedure p(prob P = 3/2) { say yes; }")
     assert (info.value.span.line, info.value.span.column) == (1, 22)
     ast = parse(PARAMS_SRC)
-    for bad in (Fraction(3, 2), Fraction(-1, 5)):
-        with pytest.raises(InvalidFlipProbability, match="outside"):
+    # a bound value is not source text: a plain InvalidProbability, not a DslError
+    for bad, text in ((Fraction(3, 2), "3/2"), (Fraction(-1, 5), "-1/5")):
+        with pytest.raises(InvalidProbability) as bound:
             compile_protocol(ast, CFG, {"P": bad})
+        assert str(bound.value) == f"parameter P = {text} outside [0, 1]"
+        assert not isinstance(bound.value, DslError)
 
 
 def test_bound_day_out_of_range_and_unknown_names():

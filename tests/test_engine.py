@@ -196,6 +196,10 @@ def test_marginal_pure_reject():
     assert m == {REJECT: Fraction(1)}
 
 
+def test_reject_key_prints_as_reject():
+    assert repr(REJECT) == "REJECT"
+
+
 def test_pre_filter_constant_statement_reduces_to_counting():
     # a pre-filter plus a constant statement is plain conditional counting
     pre = Exists(Sex.BOY)

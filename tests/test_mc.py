@@ -7,8 +7,8 @@ import pytest
 from ambiprob.dsl import (
     compile_protocol, load_protocol, parse, parse_event_text, parse_statement_text,
 )
-from ambiprob.engine import AtLeastOne, Claim, Text, YesNo
-from ambiprob.errors import DegenerateProtocol
+from ambiprob.engine import AtLeastOne, Claim, Text, YesNo, posterior
+from ambiprob.errors import DegenerateProtocol, ZeroStatementMass
 from ambiprob.mc import McResult, agreement_check, sample_posterior
 from ambiprob.model import AllMatch, Always, Sex, WorldConfig
 from ambiprob.scenarios import build_scenario
@@ -73,7 +73,7 @@ def test_rejection_counters():
 
 def test_degenerate_protocol_raises():
     sc = build_scenario("bc-tc", CFG, day=TUE)
-    with pytest.raises(DegenerateProtocol):
+    with pytest.raises(ZeroStatementMass):
         sample_posterior(sc.kernel, Text("never"), BOTH_BOYS, 100, seed=1)
     with pytest.raises(DegenerateProtocol):
         sample_posterior(
@@ -96,9 +96,36 @@ def test_a_chunk_without_a_match_counts_toward_the_redraw_cap():
 
 def test_degenerate_protocol_names_the_statement_as_the_language_writes_it():
     sc = build_scenario("bc-tc", CFG, day=TUE)
-    with pytest.raises(DegenerateProtocol) as exc:
+    with pytest.raises(ZeroStatementMass) as exc:
         sample_posterior(sc.kernel, Claim(Sex.GIRL, TUE), BOTH_BOYS, 100, seed=1)
-    assert str(exc.value) == "statement claim(girl,tue) is never emitted (zero mass)"
+    # the sampler and `posterior` name a statement that is never emitted alike
+    assert str(exc.value) == "statement claim(girl,tue) is never emitted under this protocol"
+    with pytest.raises(ZeroStatementMass) as exact:
+        posterior(sc.kernel, Claim(Sex.GIRL, TUE), BOTH_BOYS)
+    assert str(exact.value) == str(exc.value)
+
+
+# A copy of the benchmark's nested_primes procedure: the common denominator of
+# its four prime-denominator flips does not fit in int64.
+NESTED_PRIMES = """procedure nested_primes {
+  flip 1/999983 { say text("a"); } else {
+    flip 1/999979 { say text("b"); } else {
+      flip 1/999961 { say text("c"); } else {
+        flip 1/999959 { say text("d"); } else { pick c; say claim(sex(c)); }
+      }
+    }
+  }
+}
+"""
+
+
+def test_common_denominator_beyond_int64_raises_overflow_error():
+    # a known limit of the sampler that the benchmark's nested_primes op expects
+    cfg = WorldConfig(1, 1)
+    kernel = compile_protocol(parse(NESTED_PRIMES), cfg)
+    with pytest.raises(OverflowError, match="does not fit in int64"):
+        sample_posterior(kernel, parse_statement_text("claim(boy)", cfg),
+                         parse_event_text("all(boy)", cfg), 1, seed=0)
 
 
 def test_non_positive_trials_or_shards_raise_value_error():
