@@ -429,11 +429,15 @@ def test_options_a_command_would_ignore_exit_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+NOT_3000 = "not " * 3000 + "all(boy)"
+AND_3000 = " and ".join(["all(boy)"] * 3000)
+
+
 @pytest.mark.parametrize("command, body, event", [
-    ("eval", "say yes;", "not " * 3000 + "all(boy)"),
-    ("mc", "say yes;", "not " * 3000 + "all(boy)"),
-    ("eval", "say yes;", " and ".join(["all(boy)"] * 3000)),
-    ("mc", "say yes;", " and ".join(["all(boy)"] * 3000)),
+    ("eval", "say yes;", NOT_3000),
+    ("mc", "say yes;", NOT_3000),
+    ("eval", "say yes;", AND_3000),
+    ("mc", "say yes;", AND_3000),
     ("eval", "if all(boy) { " * 2000 + "say yes; " + "} " * 2000, "all(boy)"),
     # recurses through the lowered closure chain, not the parser
     ("eval", "if all(boy) { } " * 1200 + "say yes;", "all(boy)"),
