@@ -967,7 +967,10 @@ def load_protocol(path, cfg: WorldConfig) -> ProtocolKernel:
             f"{path} is not UTF-8: can't decode byte 0x{data[exc.start]:02x}",
             SourceSpan(before.count("\n") + 1, len(before) - before.rfind("\n")),
         )
-    return compile_protocol(parse(source), cfg)
+    try:
+        return compile_protocol(parse(source), cfg)
+    except RecursionError:
+        raise DslSyntaxError(f"{path} is nested too deeply to compile") from None
 
 
 # ---------------------------------------------------------------------------
@@ -1085,7 +1088,10 @@ def parse_statement_text(text: str, cfg: WorldConfig) -> Statement:
 def parse_event_text(text: str, cfg: WorldConfig) -> QueryPredicate:
     """Parse a bare family-level predicate, e.g. ``all(boy)``."""
     parser = _Parser(tokenize(text))
-    pred = parser.pred()
-    if parser.cur.kind != "eof":
-        parser.fail("end of input")
-    return pred_to_query(pred, cfg)
+    try:
+        pred = parser.pred()
+        if parser.cur.kind != "eof":
+            parser.fail("end of input")
+        return pred_to_query(pred, cfg)
+    except RecursionError:
+        raise DslSyntaxError("event is nested too deeply to compile") from None

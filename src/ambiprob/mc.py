@@ -12,7 +12,9 @@ Emission probabilities are exact rationals; sampling scales them to a common
 integer denominator, so no floating-point comparison enters the draw itself.
 Each draw is a family index and an integer u below that denominator, classified
 against three thresholds of the family's row (see `_compile_tables`), so a draw
-costs O(1) time and memory whatever the number of distinct statements. The common
+costs O(1) time and memory whatever the number of distinct statements. The tables
+hold one event bit and one table line per family, streamed from the product of the
+week's children: the sampler builds no list of families. The common
 denominator must fit in int64; a kernel whose denominators have a larger LCM
 raises `OverflowError`.
 """
@@ -28,7 +30,7 @@ import numpy as np
 
 from .engine import ProtocolKernel, Statement, posterior, render_statement
 from .errors import DegenerateProtocol, ZeroStatementMass
-from .model import QueryPredicate, compile_query, enumerate_families
+from .model import QueryPredicate, compile_query, week_children
 
 _CHUNK = 1 << 18
 # McResult's counters, summed over a shard's chunks and over the shards.
@@ -66,8 +68,9 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     mass and `tot` is the total emitted mass; a draw u in [lo, hi) emits the
     target and u >= tot rejects in-run.
     """
-    fams = enumerate_families(k.config)
-    event = np.fromiter(map(compile_query(q, k.config), fams), bool, len(fams))
+    cfg = k.config
+    families = itertools.product(week_children(cfg), repeat=cfg.family_size)
+    event = np.fromiter(map(compile_query(q, cfg), families), bool, cfg.n_outcomes)
     distinct = list(k.table.values())
 
     earlier: set[Statement] = set()  # statements ordered before the target
@@ -102,9 +105,9 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
         hi.append(before + target)
         tot.append(total)
     line = dict(zip(k.table, itertools.count()))
-    vectors = itertools.product(k.child_class, repeat=k.config.family_size)
+    vectors = itertools.product(k.child_class, repeat=cfg.family_size)
     which = np.fromiter(map(line.get, vectors, itertools.repeat(len(distinct))),
-                        np.intp, len(fams))
+                        np.intp, cfg.n_outcomes)
     lo, hi, tot = (np.array(t + [0], dtype=np.int64) for t in (lo, hi, tot))
     return event, which, lo, hi, tot, denom
 
@@ -113,7 +116,7 @@ def _run_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
     n_fam = which.shape[0]
     sent_home = lo.shape[0] - 1
     counters = dict.fromkeys(_COUNTERS, 0)
-    consecutive_misses = 0
+    misses = 0  # draws without a statement match since the last match
     while counters["statement_matches"] < n_matches:
         draw = rng.integers(0, n_fam, size=_CHUNK)  # each draw's family
         u = rng.integers(0, denom, size=_CHUNK)
@@ -121,40 +124,34 @@ def _run_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
         # each draw's table line; rebinding frees the families at once, which
         # keeps the chunk's page faults and peak memory at two arrays of draws
         draw = which[draw]
-        # the sent-home line is all zeros, so it never emits or matches
-        emitted = u < tot[draw]  # not emitted: sent home or in-run reject
-        match = (lo[draw] <= u) & (u < hi[draw])
-        home = draw == sent_home
-
-        n_new = int(np.count_nonzero(match))
         needed = n_matches - counters["statement_matches"]
-        if n_new >= needed:
-            cutoff = int(np.nonzero(match)[0][needed - 1]) + 1
-            home, holds, emitted, match = home[:cutoff], holds[:cutoff], emitted[:cutoff], match[:cutoff]
-            n_new = needed
+        # the sent-home line is all zeros, so it never emits or matches; the
+        # chunk ends at the last match the shard needs
+        at = np.flatnonzero((lo[draw] <= u) & (u < hi[draw]))[:needed]
+        end = int(at[-1]) + 1 if at.size == needed else _CHUNK
+        draw, u = draw[:end], u[:end]
 
-        if n_new == 0:
-            consecutive_misses += len(match)
-            longest_gap = consecutive_misses
+        # the runs of misses that the matches end: the first counts the misses
+        # carried in; a chunk without a match only lengthens the carried run
+        if at.size:
+            longest_gap = max(misses + int(at[0]), int(np.diff(at).max(initial=1)) - 1)
+            misses = end - 1 - int(at[-1])
         else:
-            positions = np.nonzero(match)[0]
-            leading = consecutive_misses + int(positions[0])
-            internal = int(np.diff(positions).max() - 1) if n_new > 1 else 0
-            longest_gap = max(leading, internal)
-            consecutive_misses = len(match) - 1 - int(positions[-1])
+            misses += end
+            longest_gap = misses
         if longest_gap > cap:
             raise DegenerateProtocol(
                 f"{longest_gap} consecutive draws without a statement match "
                 "(cap exceeded); statement mass is zero or vanishingly small"
             )
 
-        n_home = int(np.count_nonzero(home))
-        n_emitted = int(np.count_nonzero(emitted))
+        n_home = int(np.count_nonzero(draw == sent_home))
+        n_emitted = int(np.count_nonzero(u < tot[draw]))
         counters["rejected_families"] += n_home
-        counters["rejected_runs"] += len(match) - n_home - n_emitted
+        counters["rejected_runs"] += end - n_home - n_emitted  # in-run rejects
         counters["trials"] += n_emitted
-        counters["statement_matches"] += n_new
-        counters["hits"] += int(np.count_nonzero(match & holds))
+        counters["statement_matches"] += at.size
+        counters["hits"] += int(np.count_nonzero(holds[at]))
     return counters
 
 

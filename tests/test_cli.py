@@ -431,24 +431,42 @@ def test_options_a_command_would_ignore_exit_2(argv, capsys):
 
 NOT_3000 = "not " * 3000 + "all(boy)"
 AND_3000 = " and ".join(["all(boy)"] * 3000)
+AND_1000 = " and ".join(["all(boy)"] * 1000)
+DEEP_EVENT = "event is nested too deeply to compile"
+DEEP_PROC = "{proc} is nested too deeply to compile"
 
 
-@pytest.mark.parametrize("command, body, event", [
-    ("eval", "say yes;", NOT_3000),
-    ("mc", "say yes;", NOT_3000),
-    ("eval", "say yes;", AND_3000),
-    ("mc", "say yes;", AND_3000),
-    ("eval", "if all(boy) { " * 2000 + "say yes; " + "} " * 2000, "all(boy)"),
+@pytest.mark.parametrize("command, body, event, message", [
+    ("eval", "say yes;", NOT_3000, DEEP_EVENT),
+    ("mc", "say yes;", NOT_3000, DEEP_EVENT),
+    ("eval", "say yes;", AND_3000, DEEP_EVENT),
+    ("mc", "say yes;", AND_3000, DEEP_EVENT),
+    # a flat chain: `pred_to_query` recurses once per `and` operand
+    ("eval", "say yes;", AND_1000, DEEP_EVENT),
+    ("mc", "say yes;", AND_1000, DEEP_EVENT),
+    ("eval", "if all(boy) { " * 2000 + "say yes; " + "} " * 2000, "all(boy)", DEEP_PROC),
     # recurses through the lowered closure chain, not the parser
-    ("eval", "if all(boy) { } " * 1200 + "say yes;", "all(boy)"),
-], ids=["eval-not-3000", "mc-not-3000", "eval-and-3000", "mc-and-3000", "eval-nested-if-2000",
-        "eval-if-row-1200"])
-def test_procedure_text_nested_too_deeply_exits_4(command, body, event, tmp_path, capsys):
+    ("eval", "if all(boy) { } " * 1200 + "say yes;", "all(boy)", DEEP_PROC),
+], ids=["eval-not-3000", "mc-not-3000", "eval-and-3000", "mc-and-3000", "eval-and-1000",
+        "mc-and-1000", "eval-nested-if-2000", "eval-if-row-1200"])
+def test_procedure_text_nested_too_deeply_exits_4(command, body, event, message, tmp_path,
+                                                  capsys):
     proc = tmp_path / "p.proc"
     proc.write_text(f"procedure p {{\n{body}\n}}\n")
     trials = ("--trials", "10") if command == "mc" else ()
     assert run_cli(command, str(proc), "--say", "yes", "--event", event, *trials) == (4, "")
-    assert capsys.readouterr().err.startswith("ambiprob: ")
+    # the message names the input that is too deep
+    assert capsys.readouterr().err == f"ambiprob: {message.format(proc=proc)}\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "mc"])
+def test_a_900_term_event_still_runs(command, tmp_path):
+    proc = tmp_path / "p.proc"
+    proc.write_text("procedure p { say yes; }\n")
+    event = " and ".join(["all(boy)"] * 900)
+    trials = ("--trials", "10") if command == "mc" else ()
+    code, text = run_cli(command, str(proc), "--say", "yes", "--event", event, *trials)
+    assert code == 0 and text
 
 
 def _subclasses(kind):

@@ -1,7 +1,11 @@
+import math
 import os
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ambiprob.dsl import (
@@ -9,7 +13,7 @@ from ambiprob.dsl import (
 )
 from ambiprob.engine import AtLeastOne, Claim, Text, YesNo, posterior
 from ambiprob.errors import DegenerateProtocol, ZeroStatementMass
-from ambiprob.mc import McResult, agreement_check, sample_posterior
+from ambiprob.mc import _CHUNK, McResult, _compile_tables, agreement_check, sample_posterior
 from ambiprob.model import AllMatch, Always, Sex, WorldConfig
 from ambiprob.scenarios import build_scenario
 
@@ -82,16 +86,26 @@ def test_degenerate_protocol_raises():
         )
 
 
+# P(yes) = 1e-6 per draw: seed 0's first chunk of 2^18 draws matches nothing
+RARE_YES = "procedure p { flip 1/1000000 { say yes; } else { reject; } }"
+# (redraw_cap, the run of misses that exceeds it) for seed 0 and 2 trials: the
+# first run spans a chunk without a match, and the cap is checked both at the
+# end of that chunk and at each match
+RARE_YES_CAPS = [(262_143, 262_144), (262_144, 357_064), (357_064, 429_367),
+                 (691_511, 953_655)]
+
+
 def test_a_chunk_without_a_match_counts_toward_the_redraw_cap():
-    # P(yes) = 1e-6 per draw: seed 0's first chunk of 2^18 draws matches nothing
-    kernel = compile_protocol(
-        parse("procedure p { flip 1/1000000 { say yes; } else { reject; } }"), WorldConfig(1, 1)
-    )
-    with pytest.raises(DegenerateProtocol, match="consecutive draws without a statement match"):
-        sample_posterior(kernel, YesNo(True), Always(), 1, seed=0, redraw_cap=300_000)
-    r = sample_posterior(kernel, YesNo(True), Always(), 1, seed=0)
-    assert (r.trials, r.statement_matches, r.rejected_families) == (1, 1, 0)
-    assert r.rejected_runs >= 262_144
+    kernel = compile_protocol(parse(RARE_YES), WorldConfig(1, 1))
+    for cap, run in RARE_YES_CAPS:
+        with pytest.raises(DegenerateProtocol) as exc:
+            sample_posterior(kernel, YesNo(True), Always(), 2, seed=0, redraw_cap=cap)
+        assert str(exc.value) == (f"{run} consecutive draws without a statement match (cap "
+                                  "exceeded); statement mass is zero or vanishingly small")
+    for trials, rejected_runs in ((1, 357_064), (2, 1_394_713)):
+        r = sample_posterior(kernel, YesNo(True), Always(), trials, seed=0)
+        assert (r.trials, r.statement_matches, r.rejected_families) == (trials, trials, 0)
+        assert r.rejected_runs == rejected_runs
 
 
 def test_degenerate_protocol_names_the_statement_as_the_language_writes_it():
@@ -244,3 +258,96 @@ GOLDEN = [
 @pytest.mark.parametrize("run, expected", GOLDEN)
 def test_golden_results_are_bit_identical(run, expected):
     assert run() == expected
+
+
+def _reference_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
+    """`_run_shard` one draw at a time in plain Python, from the same chunks."""
+    event, which, lo, hi, tot = (t.tolist() for t in (event, which, lo, hi, tot))
+    sent_home = len(lo) - 1
+    counters = dict.fromkeys(("trials", "rejected_families", "rejected_runs", "hits",
+                              "statement_matches"), 0)
+    misses = 0
+
+    def check(run):
+        if run > cap:
+            raise DegenerateProtocol(
+                f"{run} consecutive draws without a statement match (cap exceeded); "
+                "statement mass is zero or vanishingly small"
+            )
+
+    while True:
+        families = rng.integers(0, len(which), size=_CHUNK).tolist()
+        draws = rng.integers(0, denom, size=_CHUNK).tolist()
+        matched = False
+        for fam, u in zip(families, draws):
+            line = which[fam]
+            if line == sent_home:
+                counters["rejected_families"] += 1
+            elif u < tot[line]:
+                counters["trials"] += 1
+            else:
+                counters["rejected_runs"] += 1
+            if not lo[line] <= u < hi[line]:
+                misses += 1
+                continue
+            check(misses)  # the run of misses this match ends
+            matched, misses = True, 0
+            counters["statement_matches"] += 1
+            counters["hits"] += event[fam]
+            if counters["statement_matches"] == n_matches:
+                return counters
+        if not matched:
+            check(misses)
+
+
+def _reference_posterior(kernel, s, q, n_trials, seed, shards=1, redraw_cap=10_000_000):
+    tables = _compile_tables(kernel, s, q)
+    seqs = np.random.SeedSequence(seed).spawn(min(shards, n_trials))
+    base, rem = divmod(n_trials, shards)
+    totals = Counter()
+    for i, seq in enumerate(seqs):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        totals.update(_reference_shard(rng, *tables, base + (i < rem), redraw_cap))
+    estimate = totals["hits"] / n_trials
+    return McResult(**totals, estimate=estimate,
+                    stderr=math.sqrt(estimate * (1.0 - estimate) / n_trials),
+                    seed=seed, shards=shards)
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("sid", ["gn-dn", "bc-tc", "brag", "classic-selection", "yesno"])
+def test_sampler_matches_a_per_draw_reference(sid, seed, shards):
+    sc = build_scenario(sid, CFG)
+    args = (sc.kernel, sc.canonical_statement, sc.canonical_query, 3000, seed)
+    assert sample_posterior(*args, shards=shards) == _reference_posterior(*args, shards=shards)
+
+
+def test_sampler_matches_a_per_draw_reference_across_chunks():
+    # gn-dn: 40,000 matches take three chunks; the rare yes: a chunk without a
+    # match (cap 262,143 is exceeded there), then one with (cap 262,144 at the match)
+    sc = build_scenario("gn-dn", CFG)
+    args = (sc.kernel, sc.canonical_statement, sc.canonical_query, 40000, 7)
+    assert sample_posterior(*args) == _reference_posterior(*args)
+    kernel = compile_protocol(parse(RARE_YES), WorldConfig(1, 1))
+    args = (kernel, YesNo(True), Always(), 1, 0)
+    assert sample_posterior(*args) == _reference_posterior(*args)
+    for cap in (262_143, 262_144):
+        with pytest.raises(DegenerateProtocol) as exc:
+            sample_posterior(*args, redraw_cap=cap)
+        with pytest.raises(DegenerateProtocol) as ref:
+            _reference_posterior(*args, redraw_cap=cap)
+        assert str(exc.value) == str(ref.value)
+
+
+def test_table_build_keeps_no_family_list():
+    # 40,000 families in 4 distinct rows: the tables are one bool and one
+    # line index per family, with no list of the family tuples beside them
+    sc = build_scenario("classic-coinflip", WorldConfig(100, 2))
+    tracemalloc.start()
+    try:
+        _compile_tables(sc.kernel, sc.canonical_statement, sc.canonical_query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
