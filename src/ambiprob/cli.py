@@ -19,11 +19,11 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import dsl, mc
-from .engine import PosteriorReport, posterior, render_statement
+from .engine import CaseTable, PosteriorReport, posterior, render_statement
 from .errors import (
     DayOutOfRange,
     DegenerateProtocol,
@@ -129,27 +129,26 @@ def _emit_rows(header, rows, fmt, out):
             out.write("\n".join(lines[start:start + _BATCH]) + "\n")
 
 
-def _case_cells(cases, cfg: WorldConfig):
-    """The family, prior, emission and event ("1" or "0") text of each case row.
-
-    Each child, prior and emission is rendered once: a family's text joins
-    its children's, and families that share a row share its weights, so a
-    `Fraction` is rendered once per object."""
-    child = {c: family_str((c,)) for c in week_children(cfg)}
-    texts: dict[int, str] = {}
-
-    def text(x: Fraction) -> str:
-        t = texts.get(id(x))
-        if t is None:
-            t = texts[id(x)] = str(x)
-        return t
-
-    return [(",".join(map(child.__getitem__, r.family)), text(r.prior), text(r.emission),
-             "1" if r.event else "0")
-            for r in cases]
+def _write_cases(table: CaseTable, head: str, suffix: dict, out, sep: str = "",
+                 width: int = 0) -> None:
+    """Write each case row as `head`, its family's text left-justified to
+    `width`, and the suffix of its refined vector, joined by `sep`. The suffix
+    holds the row's prior, emission and event, rendered once per vector."""
+    rows = table.families(tuple(family_str((c,)) for c in week_children(table.config)))
+    lead = ""
+    while batch := list(islice(rows, _BATCH)):
+        out.write(lead + sep.join([head + ",".join(f).ljust(width) + suffix[vec]
+                                   for vec, f in batch]))
+        lead = sep
 
 
-def _write_json_report(rep: PosteriorReport, stmt: str, cells, decimal: bool, out) -> None:
+def _cells(table: CaseTable):
+    """Each refined vector's prior, emission and event ("1" or "0") text."""
+    prior = str(table.prior)
+    return {vec: (prior, str(e), "1" if holds else "0") for vec, (e, holds) in table.vectors.items()}
+
+
+def _write_json_report(rep: PosteriorReport, stmt: str, decimal: bool, out) -> None:
     """Write the bytes `json.dump(payload, out, indent=2)` would, without
     building the payload or running the pure-Python encoder. Family and
     `Fraction` strings need no escaping; the statement may (a text label)."""
@@ -159,15 +158,11 @@ def _write_json_report(rep: PosteriorReport, stmt: str, cells, decimal: bool, ou
         f'  "joint_mass": "{rep.joint_mass}",\n'
         f'  "posterior": "{rep.posterior}",\n  "cases": ['
     )
-    cases = [
-        f'\n    {{\n      "family": "{fam}",\n      "prior": "{prior}",\n'
-        f'      "emission": "{em}",\n      "event": {"true" if ev == "1" else "false"}\n    }}'
-        for fam, prior, em, ev in cells
-    ]
-    for start in range(0, len(cases), _BATCH):
-        batch = ",".join(cases[start:start + _BATCH])
-        out.write("," + batch if start else batch)
-    out.write("\n  ]" if cases else "]")
+    suffix = {vec: f'",\n      "prior": "{prior}",\n      "emission": "{em}",\n'
+                   f'      "event": {"true" if ev == "1" else "false"}\n    }}'
+              for vec, (prior, em, ev) in _cells(rep.case_table).items()}
+    _write_cases(rep.case_table, '\n    {\n      "family": "', suffix, out, sep=",")
+    out.write("\n  ]" if len(rep.case_table) else "]")
     if decimal:
         out.write(f',\n  "posterior_decimal": {json.dumps(float(rep.posterior))}')
     out.write("\n}\n")
@@ -175,21 +170,41 @@ def _write_json_report(rep: PosteriorReport, stmt: str, cells, decimal: bool, ou
 
 def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
     stmt = render_statement(rep.statement, cfg)
-    cells = _case_cells(rep.case_table, cfg)
     if args.format == "json":
-        _write_json_report(rep, stmt, cells, args.decimal, out)
+        _write_json_report(rep, stmt, args.decimal, out)
         return
+    table = rep.case_table
+    cells = _cells(table)
     header = ("family", "prior", "emission", "event")
     if args.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        # csv quotes a field that holds its delimiter: the family of two or
+        # more children; no other case field needs quoting
+        quote = '"' if cfg.family_size > 1 else ""
+        suffix = {vec: f"{quote},{prior},{em},{ev}\n" for vec, (prior, em, ev) in cells.items()}
+        _write_cases(table, quote, suffix, out)
         # the summary rows go through the same writer, which quotes a statement
         # that holds the delimiter
-        cells += [("statement", stmt), ("statement_mass", rep.statement_mass),
-                  ("joint_mass", rep.joint_mass), ("posterior", rep.posterior)]
+        writer.writerows([("statement", stmt), ("statement_mass", rep.statement_mass),
+                          ("joint_mass", rep.joint_mass), ("posterior", rep.posterior)])
         if args.decimal:
-            cells.append(("posterior_decimal", json.dumps(float(rep.posterior))))
-        _emit_rows(header, cells, "csv", out)
+            writer.writerow(("posterior_decimal", json.dumps(float(rep.posterior))))
         return
-    _emit_rows(header, cells, "table", out)
+    # the columns `_emit_rows` pads, each as wide as its widest cell; a refined
+    # vector's widest family joins the widest child of each of its classes
+    longest: dict[int, int] = {}
+    for c, k in zip(week_children(cfg), table.child_class):
+        longest[k] = max(longest.get(k, 0), len(family_str((c,))))
+    widths = [max([len(h)] + [len(cell[i]) for cell in cells.values()])
+              for i, h in enumerate(header[1:3])]
+    family = max([len(header[0])] + [sum(map(longest.__getitem__, vec)) + len(vec) - 1
+                                     for vec in cells])
+    suffix = {vec: f"  {prior:<{widths[0]}}  {em:<{widths[1]}}  {ev}\n"
+              for vec, (prior, em, ev) in cells.items()}
+    out.write(f"{header[0]:<{family}}  {header[1]:<{widths[0]}}  {header[2]:<{widths[1]}}  "
+              f"{header[3]}\n")
+    _write_cases(table, "", suffix, out, width=family)
     out.write(f"statement = {stmt}\n")
     out.write(f"statement mass = {_frac_str(rep.statement_mass, args.decimal)}\n")
     out.write(f"joint mass = {_frac_str(rep.joint_mass, args.decimal)}\n")

@@ -11,9 +11,13 @@ sum each row's emission weights once, times its multiplicity (the number of
 families with that vector), exactly (grouped by denominator, in integers) and
 multiply by the family weight once. Neither tests the pre-filter (only
 `validate_kernel` does, to check the rows against it), and neither builds the
-per-family ``rows`` view. `posterior` generates, in `family_str` order, only
-the families of the vectors that emit the statement, to test the event and
-write the case table. `statement_mass` is one entry of `marginal`.
+per-family ``rows`` view. Nor does either walk families: `posterior` refines
+the classes by what the event reads (a child's sex, and its day where the
+event tests that day), tests the event once per refined vector that emits the
+statement, and counts it by its number of families. Its case table is a lazy
+`CaseTable`, whose length is a sum of multiplicities and whose rows, in
+`family_str` order, are generated only when it is iterated. `statement_mass`
+is one entry of `marginal`.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -30,7 +35,14 @@ from typing import NamedTuple
 
 from .errors import EmptySupport, ZeroStatementMass
 from .model import (
+    AllMatch,
+    And,
+    ChildDayIs,
+    CountAtLeast,
+    Exists,
     Family,
+    Not,
+    Or,
     QueryPredicate,
     Sex,
     WorldConfig,
@@ -209,33 +221,114 @@ class CaseRow(NamedTuple):
     event: bool
 
 
+class CaseTable:
+    """The case rows of a posterior, one per family that emits its statement,
+    in `family_str` order: a view that builds them only when iterated.
+
+    ``child_class`` refines the kernel's classes by what the event reads, so
+    every family of a refined vector has one emission and one event value;
+    ``vectors`` maps each emitting refined vector to that pair. `len` is the
+    number of rows, counted without building them. Two tables, or a table and
+    a sequence of `CaseRow`s, are equal when their rows are.
+    """
+
+    __slots__ = ("config", "prior", "child_class", "vectors", "_len")
+
+    def __init__(self, config: WorldConfig, prior: Fraction, child_class: tuple[int, ...],
+                 vectors: dict[tuple[int, ...], tuple[Fraction, bool]], length: int):
+        self.config = config
+        self.prior = prior
+        self.child_class = child_class
+        self.vectors = vectors
+        self._len = length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def families(self, labels: tuple | None = None):
+        """Each row's (refined vector, family), in `family_str` order; see
+        `_case_order` for `labels`."""
+        return _case_order(self.config, self.child_class, self.vectors, labels)
+
+    def __iter__(self):
+        prior, vectors = self.prior, self.vectors
+        for vec, f in self.families():
+            emission, holds = vectors[vec]
+            yield CaseRow(f, prior, emission, holds)
+
+    def __eq__(self, other):
+        if not isinstance(other, (CaseTable, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class PosteriorReport:
     statement: Statement
     statement_mass: Fraction
     joint_mass: Fraction
     posterior: Fraction
-    case_table: tuple[CaseRow, ...] = field(repr=False)
+    case_table: CaseTable = field(repr=False)
 
 
-def _case_order(cfg: WorldConfig, child_class: tuple[int, ...], vectors: Iterable[tuple]):
+def _case_order(cfg: WorldConfig, child_class: tuple[int, ...], vectors: Iterable[tuple],
+                labels: tuple | None = None):
     """Each family whose class vector is in `vectors`, as (vector, family), in
-    `family_str` order. That joins per-child keys ``<sex letter>@<day>`` with
-    ``,``, which sorts below every digit, so ordering the children by (sex
-    letter, day as text) orders the families without sorting them; a prefix
-    grows only by the children whose class leads on to one of `vectors`.
+    `family_str` order; a family is the tuple of its children's `labels`
+    (``labels[i]`` stands for ``week_children(cfg)[i]``; the children
+    themselves by default). `family_str` joins per-child keys
+    ``<sex letter>@<day>`` with ``,``, which sorts below every digit, so
+    ordering the children by (sex letter, day as text) orders the families
+    without sorting them; a prefix grows only by the children whose class
+    leads on to one of `vectors`.
     """
-    order = sorted(zip(week_children(cfg), child_class),
-                   key=lambda ck: (ck[0].sex.value, str(ck[0].day)))
+    children = week_children(cfg)
+    order = sorted(zip(children, labels or children, child_class),
+                   key=lambda clk: (clk[0].sex.value, str(clk[0].day)))
     leads: dict[tuple, set[int]] = {}  # prefix -> the classes that may follow it
     for vec in vectors:
         for i, k in enumerate(vec):
             leads.setdefault(vec[:i], set()).add(k)
-    grow = {p: [(c, p + (k,)) for c, k in order if k in ks] for p, ks in leads.items()}
+    grow = {p: [(c, p + (k,)) for _, c, k in order if k in ks] for p, ks in leads.items()}
     level = [((), ())]
     for _ in range(cfg.family_size):
         level = ((q, f + (c,)) for p, f in level for c, q in grow.get(p, ()))
     return level
+
+
+def _tested_days(q: QueryPredicate) -> set[int]:
+    """The days that some leaf of q compares a child's day with."""
+    days, todo = set(), [q]
+    while todo:  # a loop, not recursion: events may nest deeply
+        match todo.pop():
+            case Exists(day=d) | AllMatch(day=d) | CountAtLeast(day=d) | ChildDayIs(day=d):
+                if d is not None:
+                    days.add(d)
+            case And(left=a, right=b) | Or(left=a, right=b):
+                todo += (a, b)
+            case Not(inner=p):
+                todo.append(p)
+    return days
+
+
+def _refine(k: ProtocolKernel, q: QueryPredicate):
+    """The kernel's classes split by what q reads of a child: its sex, and its
+    day where q tests that day, so every family of a refined vector agrees on
+    q. Returns each child's refined class, named by its first child, and each
+    class's refined classes in order; None when no class splits."""
+    tested = _tested_days(q)
+    first: dict[tuple, int] = {}
+    refined = tuple(first.setdefault((cls, c.sex, c.day if c.day in tested else None), i)
+                    for i, (c, cls) in enumerate(zip(week_children(k.config), k.child_class)))
+    if len(first) == len(set(k.child_class)):
+        return None
+    parts: dict[int, dict[int, None]] = {}
+    for cls, r in zip(k.child_class, refined):
+        parts.setdefault(cls, {})[r] = None
+    return refined, parts
 
 
 def _add(acc: dict[int, int], w: Fraction, m: int = 1) -> None:
@@ -254,16 +347,22 @@ def statement_mass(k: ProtocolKernel, s: Statement) -> Fraction:
 
 
 def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorReport:
-    """Exact Bayes quotient P(q | s emitted) with the full per-family case table."""
+    """Exact Bayes quotient P(q | s emitted), with its case table as a lazy
+    `CaseTable`.
+
+    The event is tested once per vector of the kernel's classes refined by
+    what q reads (see `_refine`), on one family of it, and each vector's
+    emission counts once per family, by multiplicity; no family is walked.
+    """
     if not k.table:
         raise EmptySupport("no family in the support satisfies the predicate")
     counts = k.multiplicities()
-    emission: dict[tuple, Fraction] = {}  # class vector -> its weight of s, if not 0
+    emitting = []  # (class vector, its weight of s, its multiplicity) where the weight is not 0
     s_acc: dict[int, int] = {}
     for (vec, row), m in zip(k.table.items(), counts):
         e = row.get(s)
         if e:
-            emission[vec] = e
+            emitting.append((vec, e, m))
             _add(s_acc, e, m)
     prior = Fraction(1, sum(counts))
     s_mass = _total(s_acc) * prior
@@ -272,18 +371,22 @@ def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorRe
             f"statement {render_statement(s, k.config)} is never emitted under this protocol"
         )
     event = compile_query(q, k.config)
-    cases = []
-    hits = []  # the class vector of each emitting family where q holds
-    for vec, f in _case_order(k.config, k.child_class, emission):
-        holds = event(f)
-        cases.append(CaseRow(f, prior, emission[vec], holds))
-        if holds:
-            hits.append(vec)
+    children = week_children(k.config)
+    child_class, parts = _refine(k, q) or (k.child_class, None)
+    size = Counter(child_class)
+    cases: dict[tuple, tuple[Fraction, bool]] = {}  # refined vector -> (emission, event)
     joint_acc: dict[int, int] = {}
-    for vec, m in Counter(hits).items():
-        _add(joint_acc, emission[vec], m)
+    for vec, e, m in emitting:
+        # one test per refined vector, on its family of first children; a
+        # vector that no class splits keeps its multiplicity
+        for sub in itertools.product(*map(parts.__getitem__, vec)) if parts else (vec,):
+            holds = event(tuple(map(children.__getitem__, sub)))
+            cases[sub] = (e, holds)
+            if holds:
+                _add(joint_acc, e, math.prod(map(size.__getitem__, sub)) if parts else m)
     joint = _total(joint_acc) * prior
-    return PosteriorReport(s, s_mass, joint, joint / s_mass, tuple(cases))
+    table = CaseTable(k.config, prior, child_class, cases, sum(m for _, _, m in emitting))
+    return PosteriorReport(s, s_mass, joint, joint / s_mass, table)
 
 
 def marginal(k: ProtocolKernel) -> dict:

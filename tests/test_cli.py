@@ -11,10 +11,10 @@ import pytest
 
 import ambiprob
 from ambiprob import dsl
-from ambiprob.cli import EXIT_CODES, main
-from ambiprob.engine import render_statement
+from ambiprob.cli import EXIT_CODES, _emit_rows, _target, build_parser, main
+from ambiprob.engine import posterior, render_statement
 from ambiprob.errors import AmbiprobError
-from ambiprob.model import WorldConfig
+from ambiprob.model import WorldConfig, family_str
 from ambiprob.scenarios import sweep_formula
 
 PROC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ambiprob", "procs")
@@ -528,3 +528,55 @@ def test_main_builds_its_parser_once_and_calls_stay_independent(capsys, monkeypa
         got = capsys.readouterr()
         assert (code, got.out, got.err) == (p.returncode, p.stdout, p.stderr)
     assert len(built) <= 1
+
+
+def _generic_report(argv, fmt, decimal):
+    """The report as the generic writers lay it out from the materialized case
+    rows: `_emit_rows`' column padding, `csv.writer` or `json.dumps`."""
+    cfg = WorldConfig(int(argv[argv.index("--week-days") + 1]) if "--week-days" in argv else 7,
+                      int(argv[argv.index("--children") + 1]) if "--children" in argv else 2)
+    args = build_parser().parse_args(argv)
+    rep = posterior(*_target(args, cfg, builtin=args.command == "run"))
+    stmt = render_statement(rep.statement, cfg)
+    cells = [(family_str(r.family), str(r.prior), str(r.emission), "1" if r.event else "0")
+             for r in tuple(rep.case_table)]
+    header = ["family", "prior", "emission", "event"]
+    out = io.StringIO()
+    if fmt == "json":
+        payload = {"statement": stmt, "statement_mass": str(rep.statement_mass),
+                   "joint_mass": str(rep.joint_mass), "posterior": str(rep.posterior),
+                   "cases": [{"family": f, "prior": p, "emission": e, "event": ev == "1"}
+                             for f, p, e, ev in cells]}
+        if decimal:
+            payload["posterior_decimal"] = float(rep.posterior)
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        summary = [("statement", stmt), ("statement_mass", rep.statement_mass),
+                   ("joint_mass", rep.joint_mass), ("posterior", rep.posterior)]
+        if decimal:
+            summary.append(("posterior_decimal", json.dumps(float(rep.posterior))))
+        csv.writer(out, lineterminator="\n").writerows([header, *cells, *summary])
+        return out.getvalue()
+    _emit_rows(header, cells, "table", out)
+    out.write(f"statement = {stmt}\n")
+    for name, value in [("statement mass", rep.statement_mass), ("joint mass", rep.joint_mass),
+                        ("posterior", rep.posterior)]:
+        out.write(f"{name} = {value}" + (f" (~{float(value):.6f})" if decimal else "") + "\n")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("decimal", [(), ("--decimal",)])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ("run", "classic-coinflip", "--week-days", "100"),  # 30,000 case rows
+    # one child: the family field holds no comma, so csv leaves it unquoted
+    ("eval", os.path.join(PROC_DIR, "classic_coinflip.proc"), "--say", "atleastone(boy)",
+     "--event", "exists(d3) or all(boy)", "--children", "1", "--week-days", "12"),
+    ("eval", os.path.join(PROC_DIR, "bc_tc.proc"), "--say", "claim(boy,tue)",
+     "--event", "count(boy) >= 2 and not exists(girl,d5)", "--children", "3"),
+])
+def test_case_writers_write_the_generic_layout_byte_for_byte(argv, fmt, decimal):
+    argv = [*argv, "--format", fmt, *decimal]
+    code, text = run_cli(*argv)
+    assert code == 0
+    assert text == _generic_report(argv, fmt, bool(decimal))

@@ -21,13 +21,16 @@ from ambiprob.model import (
     AllMatch,
     And,
     Child,
+    ChildDayIs,
+    CountAtLeast,
     Exists,
+    Not,
     Sex,
     WorldConfig,
     enumerate_families,
     family_str,
 )
-from ambiprob.scenarios import build_scenario
+from ambiprob.scenarios import build_scenario, sweep_formula, week_sweep
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -309,3 +312,41 @@ def test_conditioning_and_mc_tables_never_build_the_per_family_rows():
     marginal(sc.kernel)
     mc._compile_tables(sc.kernel, s, q)
     assert "rows" not in vars(sc.kernel)
+
+
+def test_conditioning_the_sampler_and_the_sweep_never_walk_families(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walked the families of a case table")
+
+    monkeypatch.setattr(engine, "_case_order", walk)
+    cfg = WorldConfig(30, 2)
+    # (statement mass, posterior) of each builtin at d=30, target day 3
+    want = {"any-answer": ("1/4", "1/2"), "bc-dn": ("1/30", "1/3"), "bc-tc": ("1", "59/119"),
+            "brag": ("1/2", "0"), "classic-coinflip": ("1/2", "1/2"),
+            "classic-selection": ("1", "1/3"), "deemphasize": ("1/4", "1"),
+            "gn-dn": ("1/60", "1/2"), "gn-tc": ("1/2", "1/2"), "yesno": ("119/3600", "59/119")}
+    for sid, (mass, answer) in want.items():
+        sc = build_scenario(sid, cfg, day=3)
+        s, q = sc.canonical_statement, sc.canonical_query
+        assert statement_mass(sc.kernel, s) == Fraction(mass)
+        assert posterior(sc.kernel, s, q).posterior == Fraction(answer)
+    sc = build_scenario("classic-coinflip", WorldConfig(100, 2))
+    report = mc.agreement_check(sc.kernel, sc.canonical_statement, sc.canonical_query, 2000, 1)
+    assert report.result == mc.McResult(trials=3999, rejected_families=0, rejected_runs=0,
+                                        hits=1012, statement_matches=2000, estimate=0.506,
+                                        stderr=0.01117953487404552, seed=1, shards=1)
+    assert (report.exact, report.passed) == (Fraction(1, 2), True)
+    assert week_sweep(range(1, 6)) == [(d, sweep_formula(d)) for d in range(1, 6)]
+
+
+@pytest.mark.parametrize("sid, event", [
+    ("classic-coinflip", AllMatch(sex=Sex.BOY)),
+    ("classic-coinflip", Exists(Sex.GIRL, 3)),  # splits each sex's class by day 3
+    ("bc-tc", Exists(day=5)),
+    ("gn-dn", ChildDayIs(1, 0)),
+    ("any-answer", Not(CountAtLeast(2, Sex.BOY, 11))),  # a day outside the week
+])
+def test_case_table_length_is_its_number_of_rows(sid, event):
+    sc = build_scenario(sid, WorldConfig(10, 2), day=0)
+    table = posterior(sc.kernel, sc.canonical_statement, event).case_table
+    assert len(table) == sum(1 for _ in table) > 0

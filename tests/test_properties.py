@@ -1,5 +1,6 @@
 """Property-based checks over randomized kernels on small worlds."""
 
+import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -217,3 +218,39 @@ def test_counting_matches_explicit_prior(k, pre, q, rnd):
     rep = posterior(k, s, q)
     assert (rep.statement_mass, rep.joint_mass, rep.case_table) == (s_mass, joint, cases)
     assert rep.posterior == joint / s_mass
+
+
+@st.composite
+def shared_class_kernels(draw):
+    """Kernels whose children fall into a few random classes, so that classes
+    may hold both sexes or one sex across several days; every class vector
+    has a row."""
+    d, n = draw(st.sampled_from([(1, 2), (2, 2), (3, 2), (7, 2), (2, 3)]))
+    cfg = WorldConfig(d, n)
+    labels = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=2 * d, max_size=2 * d))
+    first = {}
+    child_class = tuple(first.setdefault(label, i) for i, label in enumerate(labels))
+    stmts = alphabet(cfg)
+    table = {}
+    for vec in itertools.product(first.values(), repeat=n):
+        raw = [draw(st.integers(min_value=0, max_value=3)) for _ in stmts]
+        scale = max(sum(raw), 1) + draw(st.integers(min_value=0, max_value=3))
+        table[vec] = {s: Fraction(r, scale) for s, r in zip(stmts, raw) if r}
+    return ProtocolKernel(cfg, child_class, table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_class_kernels(), query_trees, st.randoms(use_true_random=False))
+def test_per_class_posterior_matches_explicit_prior(k, q, rnd):
+    # the event is tested once per class vector refined by what it reads; the
+    # leaves name days inside and outside the week, and child indices 0 and 1
+    assert validate_kernel(k) == []
+    stmts = emitted_statements(k)
+    if not stmts:
+        return
+    s = rnd.choice(stmts)
+    s_mass, joint, cases, _ = _reference(k, s, q)
+    rep = posterior(k, s, q)
+    assert (rep.statement_mass, rep.joint_mass, rep.posterior) == (s_mass, joint, joint / s_mass)
+    assert tuple(rep.case_table) == cases
+    assert len(rep.case_table) == len(cases)
