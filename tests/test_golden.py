@@ -23,6 +23,14 @@ procedures there, whose tests read picked children, at every n in `SIZES` and
 d in `CHILD_WEEKS`. They were recorded while those tests were still lowered
 to closures of their own, before they compiled through `compile_query`.
 
+The `classes:` digests pin how each kernel names its classes: its
+`child_class`, the order of its table's vectors, and the classes that
+`posterior` refines them to for each of `CLASS_EVENTS`. The rows per family
+would not change if a class were split finer or merged, so only these digests
+see a change to the rule for when two children are alike. They cover the
+builtins at every d in `CLASS_WEEKS` and every shipped procedure at every n in
+`SIZES` and d=7.
+
 To see what changed after a failure, print `_outputs()` on both trees and diff.
 """
 
@@ -36,9 +44,11 @@ import pytest
 
 from ambiprob.cli import main
 from ambiprob.dsl import compile_protocol, load_protocol, parse
-from ambiprob.engine import REJECT, marginal, render_statement
+from ambiprob.engine import REJECT, _refine, marginal, render_statement
 from ambiprob.errors import AmbiprobError
-from ambiprob.model import WorldConfig, family_str
+from ambiprob.model import (
+    AllMatch, CountAtLeast, Exists, Not, Or, Sex, WorldConfig, family_str,
+)
 from ambiprob.scenarios import BUILTIN_IDS, build_scenario
 
 PROC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ambiprob", "procs")
@@ -48,6 +58,14 @@ EVENT = "all(boy)"
 BUILTIN_WEEKS = (1, 2, 7, 30)
 BUILTIN_PS = (Fraction(0), Fraction(1, 12), Fraction(13, 27), Fraction(1))
 CHILD_WEEKS = (1, 3, 7)
+CLASS_WEEKS = (1, 7, 30)
+# all(boy), exists(girl, wed) and not exists(tue) or count(boy) >= 1; on a
+# week shorter than 7 days, wed and tue are days outside it
+CLASS_EVENTS = (
+    AllMatch(Sex.BOY),
+    Exists(Sex.GIRL, 2),
+    Or(Not(Exists(day=1)), CountAtLeast(1, Sex.BOY)),
+)
 
 # Procedures whose tests read picked children; {mid} and {last} are the days
 # d//2 and d-1 of the week they are compiled for.
@@ -169,6 +187,13 @@ def _kernel_texts(compile_kernel, cfg: WorldConfig) -> tuple[str, str]:
     return _rows_text(kernel, cfg), _marginal_text(kernel, cfg)
 
 
+def _classes_text(kernel) -> str:
+    """The kernel's classes, its vectors in table order and each event's refinement."""
+    lines = [f"child_class={kernel.child_class!r}", f"vectors={list(kernel.table)!r}"]
+    lines += [f"{q!r}: {_refine(kernel, q)!r}" for q in CLASS_EVENTS]
+    return "\n".join(lines)
+
+
 def _builtin_text(sid: str, d: int) -> str:
     """Ordered rows and pre-filter of builtin `sid` for every target day and p."""
     cfg = WorldConfig(d, 2)
@@ -200,6 +225,9 @@ def _outputs() -> dict[str, str]:
                 out[f"kernel:{tag}"], out[f"marginal:{tag}"] = _kernel_texts(
                     lambda: load_protocol(path, cfg), cfg
                 )
+            out[f"classes:{proc}:n{n}:d7"] = _classes_text(
+                load_protocol(path, WorldConfig(7, n))
+            )
     for name, template in CHILD_TESTS.items():
         for n in SIZES:
             for d in CHILD_WEEKS:
@@ -221,6 +249,10 @@ def _outputs() -> dict[str, str]:
             )
         for d in BUILTIN_WEEKS:
             out[f"builtin:{sid}:d{d}"] = _builtin_text(sid, d)
+        for d in CLASS_WEEKS:
+            out[f"classes:{sid}:d{d}"] = _classes_text(
+                build_scenario(sid, WorldConfig(d, 2), day=1 % d).kernel
+            )
     return out
 
 
@@ -314,6 +346,126 @@ GOLDEN = {
         "aacdcd0a09129d8eaa092cf538f108ed3ab822b1aced6341af9155c719e2fd2a",
     "builtin:yesno:d7":
         "c6ab1230130c6374b2a4206fb518c35c322f4b691d766c45753526df4755887d",
+    "classes:any-answer:d1":
+        "ea664cdd30168c42783607e657e21daeac9f399c3d9b0b41a7a9496b492fccb1",
+    "classes:any-answer:d30":
+        "f2ebb993aa901399ed4e9611933b45643d177205847738826a2569e67b304c19",
+    "classes:any-answer:d7":
+        "2a56132f5dc152f5346ab375e150674fe34b940a4bc402a825f2915b19295be9",
+    "classes:any_answer:n1:d7":
+        "ba6b8272f8a5f91ad119db1f18f6a6be6723c548d363620aa716918ef6bf94b5",
+    "classes:any_answer:n2:d7":
+        "2a56132f5dc152f5346ab375e150674fe34b940a4bc402a825f2915b19295be9",
+    "classes:any_answer:n3:d7":
+        "25c7bb99a43e9bffd9c897bf4f8ae9fbba14ac43933356396fee0f330d45c80c",
+    "classes:bc-dn:d1":
+        "0d33eab21db50b9025967aa24d0d072fd0ce49deb9b750c3250c69a7b365a2ea",
+    "classes:bc-dn:d30":
+        "1766fa8b60596e704a156eed7b4094bb9a60bfbfca190690d81319dbf2507e39",
+    "classes:bc-dn:d7":
+        "e2dea2f69136d1e736593d3a91eed3f543911736607b3e464206179390cdc637",
+    "classes:bc-tc:d1":
+        "0d33eab21db50b9025967aa24d0d072fd0ce49deb9b750c3250c69a7b365a2ea",
+    "classes:bc-tc:d30":
+        "e30136c9221c4c92ad74076fc5fd7c5b2ff54e83d2f88d46d5ef03ad272d0b07",
+    "classes:bc-tc:d7":
+        "7af34dd1875fd9be82570e270cee8fc9565a59d7451c6c50206bf378a2883f7d",
+    "classes:bc_dn:n1:d7":
+        "7d96b129015ab6f04dc03de989e9c0e93dadfcf23199db64423644d4e7db73cb",
+    "classes:bc_dn:n2:d7":
+        "e2dea2f69136d1e736593d3a91eed3f543911736607b3e464206179390cdc637",
+    "classes:bc_dn:n3:d7":
+        "f90bf232e6d22d7859c6a3adf3b385919ebedd706a853718b8f15abb81bd8ffe",
+    "classes:bc_tc:n1:d7":
+        "be51fa427051060e1351857eff809155d102f6119877033f4bab83b99a69ebbe",
+    "classes:bc_tc:n2:d7":
+        "7af34dd1875fd9be82570e270cee8fc9565a59d7451c6c50206bf378a2883f7d",
+    "classes:bc_tc:n3:d7":
+        "9a8b98863750e4ea27c950f99b95291dc03c3a330144f056d87bc6d48da6cdd3",
+    "classes:brag:d1":
+        "ea664cdd30168c42783607e657e21daeac9f399c3d9b0b41a7a9496b492fccb1",
+    "classes:brag:d30":
+        "f2ebb993aa901399ed4e9611933b45643d177205847738826a2569e67b304c19",
+    "classes:brag:d7":
+        "2a56132f5dc152f5346ab375e150674fe34b940a4bc402a825f2915b19295be9",
+    "classes:brag:n1:d7":
+        "ba6b8272f8a5f91ad119db1f18f6a6be6723c548d363620aa716918ef6bf94b5",
+    "classes:brag:n2:d7":
+        "2a56132f5dc152f5346ab375e150674fe34b940a4bc402a825f2915b19295be9",
+    "classes:brag:n3:d7":
+        "25c7bb99a43e9bffd9c897bf4f8ae9fbba14ac43933356396fee0f330d45c80c",
+    "classes:classic-coinflip:d1":
+        "ea664cdd30168c42783607e657e21daeac9f399c3d9b0b41a7a9496b492fccb1",
+    "classes:classic-coinflip:d30":
+        "f2ebb993aa901399ed4e9611933b45643d177205847738826a2569e67b304c19",
+    "classes:classic-coinflip:d7":
+        "2a56132f5dc152f5346ab375e150674fe34b940a4bc402a825f2915b19295be9",
+    "classes:classic-selection:d1":
+        "0d33eab21db50b9025967aa24d0d072fd0ce49deb9b750c3250c69a7b365a2ea",
+    "classes:classic-selection:d30":
+        "44145ed5ce48be0df7e7e25e6a022490a33b2ec62dd7989a092abb3fb53ec731",
+    "classes:classic-selection:d7":
+        "5d589c29cc3d79538f017f5707849a3fcc9ac4670108949295579693f3bb41d4",
+    "classes:classic_coinflip:n1:d7":
+        "ba6b8272f8a5f91ad119db1f18f6a6be6723c548d363620aa716918ef6bf94b5",
+    "classes:classic_coinflip:n2:d7":
+        "2a56132f5dc152f5346ab375e150674fe34b940a4bc402a825f2915b19295be9",
+    "classes:classic_coinflip:n3:d7":
+        "25c7bb99a43e9bffd9c897bf4f8ae9fbba14ac43933356396fee0f330d45c80c",
+    "classes:classic_selection:n1:d7":
+        "d813bdcac1bf444800c47bf2e690814f72d848d48a651624e1025d7875ba0774",
+    "classes:classic_selection:n2:d7":
+        "5d589c29cc3d79538f017f5707849a3fcc9ac4670108949295579693f3bb41d4",
+    "classes:classic_selection:n3:d7":
+        "32f99983d9b0e3d12b8d57701692bd6147f49a72c3314deb559da8573e5627f8",
+    "classes:deemphasize:d1":
+        "ea664cdd30168c42783607e657e21daeac9f399c3d9b0b41a7a9496b492fccb1",
+    "classes:deemphasize:d30":
+        "f2ebb993aa901399ed4e9611933b45643d177205847738826a2569e67b304c19",
+    "classes:deemphasize:d7":
+        "2a56132f5dc152f5346ab375e150674fe34b940a4bc402a825f2915b19295be9",
+    "classes:deemphasize:n1:d7":
+        "ba6b8272f8a5f91ad119db1f18f6a6be6723c548d363620aa716918ef6bf94b5",
+    "classes:deemphasize:n2:d7":
+        "2a56132f5dc152f5346ab375e150674fe34b940a4bc402a825f2915b19295be9",
+    "classes:deemphasize:n3:d7":
+        "25c7bb99a43e9bffd9c897bf4f8ae9fbba14ac43933356396fee0f330d45c80c",
+    "classes:gn-dn:d1":
+        "ea664cdd30168c42783607e657e21daeac9f399c3d9b0b41a7a9496b492fccb1",
+    "classes:gn-dn:d30":
+        "d6f539fc16a4274d5cf03b1163067c628001c2bfc1ac1282e943d8b8d80e971f",
+    "classes:gn-dn:d7":
+        "ebebb01b76781b1e35c2954c2c88178acdcf472661883ea4ad8fbfe6710ea71f",
+    "classes:gn-tc:d1":
+        "ea664cdd30168c42783607e657e21daeac9f399c3d9b0b41a7a9496b492fccb1",
+    "classes:gn-tc:d30":
+        "d1afbe723aa4bc8a869dde131f30f29fe24294cd4c40e4a3ee401a52ccca6174",
+    "classes:gn-tc:d7":
+        "570ac5eb74b9ee294634b404f4b63a70eeb577520e489fe0327db9dbf412205b",
+    "classes:gn_dn:n1:d7":
+        "19390ff6ab47b3710faf94111205012462faed92ed09224f3475d902c3c09f36",
+    "classes:gn_dn:n2:d7":
+        "ebebb01b76781b1e35c2954c2c88178acdcf472661883ea4ad8fbfe6710ea71f",
+    "classes:gn_dn:n3:d7":
+        "cc4a8679204984d422aafb3929e678a50ee4f9b61efd75063cd430e8fdc06400",
+    "classes:gn_tc:n1:d7":
+        "adf9acd49029e1267de3845d01a7a0d70406a7332758671ba279d6986c422fb9",
+    "classes:gn_tc:n2:d7":
+        "570ac5eb74b9ee294634b404f4b63a70eeb577520e489fe0327db9dbf412205b",
+    "classes:gn_tc:n3:d7":
+        "8a6e32e54f9145138a9847a6748936bb89240d9806cf0badcb16c04aa7df44e2",
+    "classes:yesno:d1":
+        "ea664cdd30168c42783607e657e21daeac9f399c3d9b0b41a7a9496b492fccb1",
+    "classes:yesno:d30":
+        "8fa3eaf8789424f19dde25ee2c11ec48cfb35f47bbd6f0d0cf6f1764cceb9cfc",
+    "classes:yesno:d7":
+        "88447ec7936e62ef7b3b793df85b73dbdd947ea08c7c4b81aeb50f03811a4a2f",
+    "classes:yesno:n1:d7":
+        "dee940572833723500f3d38028d8e374b610ab1681fa18d9ae1fdde689a81f30",
+    "classes:yesno:n2:d7":
+        "88447ec7936e62ef7b3b793df85b73dbdd947ea08c7c4b81aeb50f03811a4a2f",
+    "classes:yesno:n3:d7":
+        "b8f8374d80640297d057f360b911eba95e285046332afeadd2ab3d77d8522308",
     "csv:any_answer:n1:d1":
         "5e1baf13595739f25558ccaa1c8f80a88d23970b25031676072d915259bfeeda",
     "csv:any_answer:n1:d12":
@@ -1472,7 +1624,9 @@ def test_golden_keys_cover_every_case(digests):
     assert sorted(digests) == sorted(GOLDEN)
 
 
-@pytest.mark.parametrize("kind", ["eval", "table", "csv", "run", "kernel", "marginal", "builtin"])
+@pytest.mark.parametrize(
+    "kind", ["eval", "table", "csv", "run", "kernel", "marginal", "builtin", "classes"]
+)
 def test_golden_digests(digests, kind):
     changed = [
         key for key in GOLDEN
