@@ -19,7 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import dsl, mc
@@ -106,10 +106,6 @@ def _frac_str(x: Fraction, decimal: bool) -> str:
     return s
 
 
-# Rows per write: bounded strings, few writes.
-_BATCH = 1000
-
-
 def _emit_rows(header, rows, fmt, out):
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -119,14 +115,14 @@ def _emit_rows(header, rows, fmt, out):
         json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
         out.write("\n")
     else:
-        # column by column, so the per-cell work runs in C
-        padded = []
-        for column in zip(header, *rows):
-            column = list(map(str, column))
-            padded.append(map(str.ljust, column, repeat(max(map(len, column)))))
-        lines = list(map(str.rstrip, map("  ".join, zip(*padded))))
-        for start in range(0, len(lines), _BATCH):
-            out.write("\n".join(lines[start:start + _BATCH]) + "\n")
+        cells = [list(map(str, row)) for row in (header, *rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        for row in cells:
+            out.write("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")
+
+
+# Rows per write: bounded strings, few writes.
+_BATCH = 1000
 
 
 def _write_cases(table: CaseTable, head: str, suffix: dict, out, sep: str = "",

@@ -41,10 +41,12 @@ literals are resolved and claims without child variables are built. Because of
 this, a day literal that does not fit the week is an error even in a branch no
 family reaches.
 
-The closures see a child only through its sex and whether its day is one that
-the procedure tests, so the chain runs once per class vector, a class of
-families they cannot tell apart, and the compiled kernel is the class table
-(see `compile_protocol`).
+The closures see a child only through its sex and whether its day is a tested
+day: one that some lowered query compares a child's day with
+(`engine._tested_days`), or any day once a `say` names a child's day. So the
+chain runs once per class vector, a class of families they cannot tell apart,
+and the compiled kernel is the class table (see `compile_protocol`), named by
+`engine._classes`: the one rule that `posterior` splits classes by too.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ from .engine import (
     Text,
     TwoOfAKind,
     YesNo,
+    _classes,
+    _tested_days,
     render_statement,
 )
 from .errors import (
@@ -92,6 +96,7 @@ from .model import (
     QueryPredicate,
     Sex,
     WorldConfig,
+    _leaves,
     compile_query,
     family_str,
     week_children,
@@ -638,18 +643,6 @@ def parse(source: str) -> ProtocolAst:
     return _Parser(tokenize(source)).protocol()
 
 
-def _leaves(p: Pred):
-    """The tests under a predicate's and/or/not, left to right."""
-    match p:
-        case And(left=a, right=b) | Or(left=a, right=b):
-            yield from _leaves(a)
-            yield from _leaves(b)
-        case Not(inner=i):
-            yield from _leaves(i)
-        case _:
-            yield p
-
-
 # ---------------------------------------------------------------------------
 # Compiler
 # ---------------------------------------------------------------------------
@@ -748,11 +741,9 @@ class _Lowering:
     first branch first, picked children in birth order); that order fixes the
     order of the statements in each row.
 
-    ``tested`` collects every day that a predicate, a child test or the
-    pre-filter compares a child's day with (all days once a `say` reads
-    ``day(v)``). The closures see a child only through its sex and whether
-    its day is one of those, so families whose children agree on that run
-    the same paths.
+    ``tested`` collects the days that the lowered queries test, and every
+    day once a `say` reads ``day(v)``: families whose children agree on
+    their sex and on those days run the same paths.
     """
 
     def __init__(self, cfg: WorldConfig, bound: Bound):
@@ -830,11 +821,10 @@ class _Lowering:
         return pick
 
     def query(self, p: Pred, at: Mapping[int, int] = _UNBOUND) -> QueryPredicate:
-        """`pred_to_query`, recording the days that p's tests name."""
-        for leaf in _leaves(p):
-            if isinstance(leaf, (PExists, PAll, PChildTest)) and leaf.day is not None:
-                self.tested.add(_day_value(leaf.day, self.cfg, self.bound))
-        return pred_to_query(p, self.cfg, self.bound, at)
+        """`pred_to_query`, recording the days that the lowered query tests."""
+        q = pred_to_query(p, self.cfg, self.bound, at)
+        self.tested |= _tested_days(q)
+        return q
 
     def pred(self, p: Pred) -> Callable[[Family, list[int]], bool]:
         """A test of (family, env): p compiled once for each binding of the
@@ -901,12 +891,12 @@ def compile_protocol(
 
     `values` binds parameters by name (a day index or a probability); the
     others take their defaults. The body is lowered to closures once
-    (`_Lowering`). A child's class is its sex and, if some test reads it,
-    its day; families with the same class vector are sent home alike and
-    build equal rows. So the closure chain runs once per class vector, on its
-    first family in `enumerate_families` order, and the kernel's table holds
-    that row once for every family of the vector. When every day is tested,
-    each vector is one family.
+    (`_Lowering`). A child's class (`engine._classes`) is its sex and, if
+    some test reads it, its day; families with the same class vector are
+    sent home alike and build equal rows. So the closure chain runs once per
+    class vector, on its first family in `enumerate_families` order, and the
+    kernel's table holds that row once for every family of the vector. When
+    every day is tested, each vector is one family.
     """
     bound = _bind(ast, cfg, values)
     lowering = _Lowering(cfg, bound)
@@ -917,19 +907,14 @@ def compile_protocol(
     body = lowering.block(ast.body, lowering.fall_through)
     env = [0] * lowering.slots
 
-    # child_class[i]: the class of children[i], named by the index of its first child
     children = week_children(cfg)
-    first: dict[tuple, int] = {}
-    child_class = tuple(
-        first.setdefault((c.sex, c.day if c.day in lowering.tested else None), i)
-        for i, c in enumerate(children)
-    )
+    child_class, names = _classes(cfg, lowering.tested, itertools.repeat(0))
     n = cfg.family_size
     # each class vector with its first family; the pre-filter sends a class home whole
     keep = None if pre_filter is None else compile_query(pre_filter, cfg)
     table: dict[tuple[int, ...], Row] = {}
-    for vec, f in zip(itertools.product(first.values(), repeat=n),
-                      itertools.product([children[i] for i in first.values()], repeat=n)):
+    for vec, f in zip(itertools.product(names, repeat=n),
+                      itertools.product([children[i] for i in names], repeat=n)):
         if keep is None or keep(f):
             row: Row = {}
             body(f, env, _ONE, row)

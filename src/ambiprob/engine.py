@@ -12,12 +12,16 @@ families with that vector), exactly (grouped by denominator, in integers) and
 multiply by the family weight once. Neither tests the pre-filter (only
 `validate_kernel` does, to check the rows against it), and neither builds the
 per-family ``rows`` view. Nor does either walk families: `posterior` refines
-the classes by what the event reads (a child's sex, and its day where the
-event tests that day), tests the event once per refined vector that emits the
-statement, and counts it by its number of families. Its case table is a lazy
-`CaseTable`, whose length is a sum of multiplicities and whose rows, in
-`family_str` order, are generated only when it is iterated. `statement_mass`
-is one entry of `marginal`.
+the classes by what the event reads, tests the event once per refined vector
+that emits the statement, and counts it by its number of families. Its case
+table is a lazy `CaseTable`, whose length is a sum of multiplicities and whose
+rows, in `family_str` order, are generated only when it is iterated.
+`statement_mass` is one entry of `marginal`.
+
+One rule, `_classes`, says when two children are alike: they are in one class,
+have one sex, and neither was born on a tested day, one that some test
+compares a child's day with (`_tested_days`). The compiler names a kernel's
+classes by it, and `posterior` refines them by it for the days its event tests.
 """
 
 from __future__ import annotations
@@ -36,16 +40,14 @@ from typing import NamedTuple
 from .errors import EmptySupport, ZeroStatementMass
 from .model import (
     AllMatch,
-    And,
     ChildDayIs,
     CountAtLeast,
     Exists,
     Family,
-    Not,
-    Or,
     QueryPredicate,
     Sex,
     WorldConfig,
+    _leaves,
     compile_query,
     day_name,
     enumerate_families,
@@ -300,30 +302,27 @@ def _case_order(cfg: WorldConfig, child_class: tuple[int, ...], vectors: Iterabl
 
 
 def _tested_days(q: QueryPredicate) -> set[int]:
-    """The days that some leaf of q compares a child's day with."""
-    days, todo = set(), [q]
-    while todo:  # a loop, not recursion: events may nest deeply
-        match todo.pop():
-            case Exists(day=d) | AllMatch(day=d) | CountAtLeast(day=d) | ChildDayIs(day=d):
-                if d is not None:
-                    days.add(d)
-            case And(left=a, right=b) | Or(left=a, right=b):
-                todo += (a, b)
-            case Not(inner=p):
-                todo.append(p)
-    return days
+    """The days that some test of q compares a child's day with."""
+    return {leaf.day for leaf in _leaves(q)
+            if isinstance(leaf, (Exists, AllMatch, CountAtLeast, ChildDayIs))
+            and leaf.day is not None}
+
+
+def _classes(cfg: WorldConfig, tested: set[int], within: Iterable[int]):
+    """Each child's class, named by its first child, and the names in order:
+    two children are alike when their classes in `within` are one, they have
+    one sex and neither has a day in `tested`."""
+    first: dict[tuple, int] = {}
+    keys = zip(within, [c if c.day in tested else c.sex for c in week_children(cfg)])
+    return tuple([first.setdefault(key, i) for i, key in enumerate(keys)]), tuple(first.values())
 
 
 def _refine(k: ProtocolKernel, q: QueryPredicate):
-    """The kernel's classes split by what q reads of a child: its sex, and its
-    day where q tests that day, so every family of a refined vector agrees on
-    q. Returns each child's refined class, named by its first child, and each
-    class's refined classes in order; None when no class splits."""
-    tested = _tested_days(q)
-    first: dict[tuple, int] = {}
-    refined = tuple(first.setdefault((cls, c.sex, c.day if c.day in tested else None), i)
-                    for i, (c, cls) in enumerate(zip(week_children(k.config), k.child_class)))
-    if len(first) == len(set(k.child_class)):
+    """The kernel's classes split by the days q tests (`_classes`), so every
+    family of a refined vector agrees on q: each child's refined class and
+    each class's refined classes in order, or None when no class splits."""
+    refined, names = _classes(k.config, _tested_days(q), k.child_class)
+    if len(names) == len(set(k.child_class)):
         return None
     parts: dict[int, dict[int, None]] = {}
     for cls, r in zip(k.child_class, refined):

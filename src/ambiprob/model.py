@@ -167,6 +167,20 @@ QueryPredicate = (
 )
 
 
+def _leaves(q):
+    """The leaves under q's `And`/`Or`/`Not` (which the protocol language's
+    predicates share), left to right; a loop, as predicates nest deeply."""
+    todo = [q]
+    while todo:
+        q = todo.pop()
+        if isinstance(q, (And, Or)):
+            todo += (q.right, q.left)
+        elif isinstance(q, Not):
+            todo.append(q.inner)
+        else:
+            yield q
+
+
 def _child_matches(c: Child, sex: Sex | None, day: int | None) -> bool:
     return (sex is None or c.sex == sex) and (day is None or c.day == day)
 

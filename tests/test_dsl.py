@@ -1,5 +1,4 @@
 import glob
-import itertools
 import os
 import warnings
 from fractions import Fraction
@@ -36,8 +35,8 @@ from ambiprob.errors import (
     UnboundVariable,
 )
 from ambiprob.model import (
-    AllMatch, And, CountAtLeast, Exists, Not, Sex, WorldConfig, enumerate_families, eval_query,
-    family_str,
+    AllMatch, And, ChildDayIs, ChildSexIs, CountAtLeast, Exists, Not, Or, Sex, WorldConfig,
+    enumerate_families, eval_query, family_str,
 )
 from ambiprob.scenarios import build_scenario
 from test_golden import builtin_digest_matches
@@ -718,9 +717,25 @@ def _procedures(draw):
     return source, WorldConfig(d, n), values
 
 
+def _events(cfg):
+    """Random events over cfg: and/or/not over exists/all/count leaves whose
+    day is none, a day in the week or a day past it, and child tests."""
+    sexes = st.sampled_from((None, Sex.BOY, Sex.GIRL))
+    day = st.integers(0, cfg.week_length + 1)
+    index = st.integers(0, cfg.family_size - 1)
+    leaves = (st.builds(Exists, sexes, st.none() | day)
+              | st.builds(AllMatch, sexes, st.none() | day)
+              | st.builds(CountAtLeast, st.integers(0, cfg.family_size + 1), sexes,
+                          st.none() | day)
+              | st.builds(ChildSexIs, index, st.sampled_from(Sex))
+              | st.builds(ChildDayIs, index, day))
+    return st.recursive(leaves, lambda inner: st.builds(And, inner, inner)
+                        | st.builds(Or, inner, inner) | st.builds(Not, inner), max_leaves=5)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_procedures())
-def test_class_compile_matches_per_family_compile(case):
+@given(_procedures(), st.data())
+def test_class_compile_matches_per_family_compile(case, data):
     source, cfg, values = case
     ast = parse(source)
     assert parse(render(ast)) == ast
@@ -744,14 +759,16 @@ def test_class_compile_matches_per_family_compile(case):
         return
     reference = ProtocolKernel.from_rows(cfg, rows, kernel.pre_filter)
     assert list(marginal(kernel).items()) == list(marginal(reference).items())
-    said = [s for s in marginal(reference) if s is not REJECT]
-    events = (AllMatch(sex=Sex.BOY), Exists(Sex.GIRL), CountAtLeast(1, Sex.BOY))
-    for st, event in zip(said, itertools.cycle(events)):
-        got, want = posterior(kernel, st, event), posterior(reference, st, event)
-        assert got == want
-        assert got.case_table == want.case_table
-        for a, b in zip(_sampler_view(kernel, st, event), _sampler_view(reference, st, event)):
-            assert np.array_equal(a, b)
+    for said in marginal(reference):
+        if said is REJECT:
+            continue
+        for event in data.draw(st.lists(_events(cfg), min_size=3, max_size=3)):
+            got, want = posterior(kernel, said, event), posterior(reference, said, event)
+            assert got == want
+            assert got.case_table == want.case_table
+            for a, b in zip(_sampler_view(kernel, said, event),
+                            _sampler_view(reference, said, event)):
+                assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(

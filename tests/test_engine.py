@@ -22,9 +22,11 @@ from ambiprob.model import (
     And,
     Child,
     ChildDayIs,
+    ChildSexIs,
     CountAtLeast,
     Exists,
     Not,
+    Or,
     Sex,
     WorldConfig,
     enumerate_families,
@@ -350,3 +352,35 @@ def test_case_table_length_is_its_number_of_rows(sid, event):
     sc = build_scenario(sid, WorldConfig(10, 2), day=0)
     table = posterior(sc.kernel, sc.canonical_statement, event).case_table
     assert len(table) == sum(1 for _ in table) > 0
+
+
+def test_tested_days_are_the_days_a_test_compares_with():
+    q = Or(And(Exists(Sex.BOY, TUE), Not(ChildDayIs(1, 4))),
+           Not(Or(AllMatch(day=None), CountAtLeast(1, Sex.GIRL, 9))))
+    assert engine._tested_days(q) == {TUE, 4, 9}
+    assert engine._tested_days(And(BOTH_BOYS, ChildSexIs(0, Sex.GIRL))) == set()
+
+
+def test_tested_days_walk_deep_events_without_recursion():
+    # a 100,000-deep not chain and a 100,000-term left-deep and: far past
+    # the interpreter's recursion limit
+    q = ChildDayIs(0, TUE)
+    for _ in range(100_000):
+        q = Not(q)
+    assert engine._tested_days(q) == {TUE}
+    q = Exists(Sex.BOY, 0)
+    for day in range(1, 100_000):
+        q = And(q, Exists(day=day % 7) if day % 2 else BOTH_BOYS)
+    assert engine._tested_days(q) == set(range(7))
+
+
+def test_classes_name_each_class_by_its_first_child():
+    # children are B@0..B@6 then G@0..G@6; on a tested day a child is alike
+    # only to itself, and classes never merge across `within`
+    child_class, names = engine._classes(CFG, {TUE}, [0] * 14)
+    assert child_class == (0, 1, 0, 0, 0, 0, 0, 7, 8, 7, 7, 7, 7, 7)
+    assert names == (0, 1, 7, 8)
+    within = [0] * 3 + [3] * 11
+    child_class, names = engine._classes(CFG, set(), within)
+    assert child_class == (0, 0, 0, 3, 3, 3, 3, 7, 7, 7, 7, 7, 7, 7)
+    assert names == (0, 3, 7)

@@ -16,6 +16,7 @@ from ambiprob.model import (
     Or,
     Sex,
     WorldConfig,
+    _leaves,
     count_families,
     enumerate_families,
     eval_query,
@@ -137,3 +138,10 @@ def test_rational_arithmetic_laws():
     assert (a * b) / b == a
     x = Fraction(26, 54)
     assert (x.numerator, x.denominator) == (13, 27)
+
+
+def test_leaves_walk_and_or_not_left_to_right():
+    a, b, c, d = Exists(Sex.BOY), ChildDayIs(0, TUE), AllMatch(day=3), Always()
+    q = Or(And(a, Not(b)), Not(Or(c, And(d, a))))
+    assert list(_leaves(q)) == [a, b, c, d, a]
+    assert list(_leaves(c)) == [c]
