@@ -106,6 +106,10 @@ def _frac_str(x: Fraction, decimal: bool) -> str:
     return s
 
 
+# Rows per write: bounded strings, few writes.
+_BATCH = 1000
+
+
 def _emit_rows(header, rows, fmt, out):
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -119,10 +123,6 @@ def _emit_rows(header, rows, fmt, out):
         widths = [max(map(len, column)) for column in zip(*cells)]
         for row in cells:
             out.write("  ".join(map(str.ljust, row, widths)).rstrip() + "\n")
-
-
-# Rows per write: bounded strings, few writes.
-_BATCH = 1000
 
 
 def _write_cases(table: CaseTable, head: str, suffix: dict, out, sep: str = "",

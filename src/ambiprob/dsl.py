@@ -46,7 +46,7 @@ day: one that some lowered query compares a child's day with
 (`engine._tested_days`), or any day once a `say` names a child's day. So the
 chain runs once per class vector, a class of families they cannot tell apart,
 and the compiled kernel is the class table (see `compile_protocol`), named by
-`engine._classes`: the one rule that `posterior` splits classes by too.
+`engine._classes`: the one rule that `posterior` refines classes by too.
 """
 
 from __future__ import annotations
