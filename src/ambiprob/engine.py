@@ -318,9 +318,9 @@ def _classes(cfg: WorldConfig, tested: set[int], within: Iterable[int]):
 
 
 def _refine(k: ProtocolKernel, q: QueryPredicate):
-    """The kernel's classes split by the days q tests (`_classes`), so every
-    family of a refined vector agrees on q: each child's refined class and
-    each class's refined classes in order, or None when no class splits."""
+    """The kernel's classes split by `_classes` for the days q tests, so
+    every family of a refined vector agrees on q: each child's refined class
+    and each class's refined classes in order, or None when no class splits."""
     refined, names = _classes(k.config, _tested_days(q), k.child_class)
     if len(names) == len(set(k.child_class)):
         return None
