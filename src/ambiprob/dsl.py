@@ -39,7 +39,8 @@ every test is a query built by `compile_query` (once per binding of the picked
 children it reads, with `sex(v)`/`day(v)` as `ChildSexIs`/`ChildDayIs`), day
 literals are resolved and claims without child variables are built. Because of
 this, a day literal that does not fit the week is an error even in a branch no
-family reaches.
+family reaches. A closure takes a family, a path weight and the row it adds
+to; the child that each pick binds is kept in one list the lowering owns.
 
 The closures see a child only through its sex and whether its day is a tested
 day: one that some lowered query compares a child's day with
@@ -113,7 +114,6 @@ class DslWarning(UserWarning):
 class SourceSpan:
     line: int
     column: int
-    length: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def tokenize(source: str) -> list[Token]:
         text = m.group(0)
         kind = m.lastgroup
         if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, SourceSpan(line, col, len(text))))
+            tokens.append(Token(kind, text, SourceSpan(line, col)))
         newlines = text.count("\n")
         if newlines:
             line += newlines
@@ -297,7 +297,7 @@ def tokenize(source: str) -> list[Token]:
         else:
             col += len(text)
         pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(line, col, 0)))
+    tokens.append(Token("eof", "", SourceSpan(line, col)))
     return tokens
 
 
@@ -708,11 +708,10 @@ def _const_statement(expr: StmtExpr, cfg: WorldConfig, bound: Bound) -> Statemen
 
 
 # A lowered statement runs every path of one family from that statement on:
-# step(family, env, weight, row) adds each path's weight to `row` under the
-# statement the path says. `env` holds the child index bound by each pick, in
-# a slot fixed while parsing, so an inner pick never overwrites a variable
-# that code after its block reads.
-_Step = Callable[[Family, list[int], Fraction, Row], None]
+# step(family, weight, row) adds each path's weight to `row` under the
+# statement the path says. Picks bind children in `_Lowering.env`, at slots
+# fixed while parsing, so an inner pick never overwrites an outer variable.
+_Step = Callable[[Family, Fraction, Row], None]
 
 _ONE = Fraction(1)
 
@@ -726,7 +725,7 @@ def _emit(row: Row, st: Statement, w: Fraction) -> None:
     row[st] = w if old is None else old + w
 
 
-def _reject(f, env, w, row) -> None:
+def _reject(f, w, row) -> None:
     pass
 
 
@@ -750,14 +749,14 @@ class _Lowering:
         self.cfg = cfg
         self.bound = bound
         self.tested: set[int] = set()
-        self.slots = 0  # env size: one past the highest pick slot lowered
+        self.env: list[int] = []  # each pick's child index, by slot; lowering a pick grows it
         # each family whose pick matched no child, with the first such pick
         self.empty_picks: dict[Family, Pick] = {}
         self.fell_through = False
         # shares[m]: each child's share of a pick among m matching children
         self.shares = [None] + [Fraction(1, m) for m in range(1, cfg.family_size + 1)]
 
-    def fall_through(self, f, env, w, row) -> None:
+    def fall_through(self, f, w, row) -> None:
         self.fell_through = True
 
     def block(self, stmts: tuple[Stmt, ...], after: _Step) -> _Step:
@@ -780,8 +779,8 @@ class _Lowering:
                 els = nxt if e is None else self.block(e, nxt)
                 test = self.pred(p)
 
-                def branch(f, env, w, row):
-                    (then if test(f, env) else els)(f, env, w, row)
+                def branch(f, w, row):
+                    (then if test(f) else els)(f, w, row)
                 return branch
             case Flip(prob=p, then=t, els=e):
                 if isinstance(p, ParamRef):
@@ -793,23 +792,23 @@ class _Lowering:
                 take_then = p and then is not _reject
                 take_els = q and els is not _reject
 
-                def flip(f, env, w, row):
+                def flip(f, w, row):
                     if take_then:
-                        then(f, env, _scale(w, p), row)
+                        then(f, _scale(w, p), row)
                     if take_els:
-                        els(f, env, _scale(w, q), row)
+                        els(f, _scale(w, q), row)
                 return flip
         raise TypeError(f"not a statement: {st!r}")
 
     def pick(self, st: Pick, nxt: _Step) -> _Step:
-        slot, shares, empty = st.slot, self.shares, self.empty_picks
-        self.slots = max(self.slots, slot + 1)
+        slot, shares, empty, env = st.slot, self.shares, self.empty_picks, self.env
+        env.extend([0] * (slot + 1 - len(env)))
         everyone = range(self.cfg.family_size)
         # each candidate with its `where` test, the pick's slot bound to it
         candidates = None if st.where is None else [
             (j, compile_query(self.query(st.where, {slot: j}), self.cfg)) for j in everyone]
 
-        def pick(f, env, w, row):
+        def pick(f, w, row):
             matching = everyone if candidates is None else [j for j, ok in candidates if ok(f)]
             if not matching:
                 empty.setdefault(f, st)
@@ -817,7 +816,7 @@ class _Lowering:
             w = _scale(w, shares[len(matching)])
             for j in matching:
                 env[slot] = j
-                nxt(f, env, w, row)
+                nxt(f, w, row)
         return pick
 
     def query(self, p: Pred, at: Mapping[int, int] = _UNBOUND) -> QueryPredicate:
@@ -826,19 +825,18 @@ class _Lowering:
         self.tested |= _tested_days(q)
         return q
 
-    def pred(self, p: Pred) -> Callable[[Family, list[int]], bool]:
-        """A test of (family, env): p compiled once for each binding of the
-        picked variables it reads, looked up by their slots in env."""
+    def pred(self, p: Pred) -> Callable[[Family], bool]:
+        """A test of a family: p compiled once for each binding of the picked
+        variables it reads, looked up by their slots in env."""
         slots = sorted({leaf.slot for leaf in _leaves(p) if isinstance(leaf, PChildTest)})
         if not slots:
-            test = compile_query(self.query(p), self.cfg)
-            return lambda f, env: test(f)
-        binding = operator.itemgetter(*slots)
+            return compile_query(self.query(p), self.cfg)
+        binding, env = operator.itemgetter(*slots), self.env
         tests = {}
         for indices in itertools.product(range(self.cfg.family_size), repeat=len(slots)):
             at = dict(zip(slots, indices))
             tests[binding(at)] = compile_query(self.query(p, at), self.cfg)
-        return lambda f, env: tests[binding(env)](f)
+        return lambda f: tests[binding(env)](f)
 
     def say(self, e: StmtExpr) -> _Step:
         sex, day = (e.sex, e.day) if isinstance(e, EClaim) else (None, None)
@@ -846,14 +844,15 @@ class _Lowering:
         day_slot = day.slot if isinstance(day, VarDay) else None
         if sex_slot is None and day_slot is None:
             st = _const_statement(e, self.cfg, self.bound)
-            return lambda f, env, w, row: _emit(row, st, w)
+            return lambda f, w, row: _emit(row, st, w)
         if day is not None and day_slot is None:
             day = _day_value(day, self.cfg, self.bound)
         if day_slot is not None:  # the statement names the child's own day
             self.tested.update(range(self.cfg.week_length))
         claims: dict[tuple, Claim] = {}
+        env = self.env
 
-        def say_claim(f, env, w, row):
+        def say_claim(f, w, row):
             key = (sex if sex_slot is None else f[env[sex_slot]].sex,
                    day if day_slot is None else f[env[day_slot]].day)
             st = claims.get(key)
@@ -905,7 +904,6 @@ def compile_protocol(
         q = lowering.query(p)
         pre_filter = q if pre_filter is None else And(pre_filter, q)
     body = lowering.block(ast.body, lowering.fall_through)
-    env = [0] * lowering.slots
 
     children = week_children(cfg)
     child_class, names = _classes(cfg, lowering.tested, itertools.repeat(0))
@@ -917,7 +915,7 @@ def compile_protocol(
                       itertools.product([children[i] for i in names], repeat=n)):
         if keep is None or keep(f):
             row: Row = {}
-            body(f, env, _ONE, row)
+            body(f, _ONE, row)
             table[vec] = row
     if lowering.empty_picks:  # every family of a failing class fails
         rep = [children[i] for i in child_class]

@@ -9,14 +9,14 @@ row, stored once under their class vector. The vectors in the table are the
 support; every support family weighs the same, so `posterior` and `marginal`
 sum each row's emission weights once, times its multiplicity (the number of
 families with that vector), exactly (grouped by denominator, in integers) and
-multiply by the family weight once. Neither tests the pre-filter (only
-`validate_kernel` does, to check the rows against it), and neither builds the
-per-family ``rows`` view. Nor does either walk families: `posterior` refines
-the classes by what the event reads, tests the event once per refined vector
-that emits the statement, and counts it by its number of families. Its case
-table is a lazy `CaseTable`, whose length is a sum of multiplicities and whose
-rows, in `family_str` order, are generated only when it is iterated.
-`statement_mass` is one entry of `marginal`.
+multiply by the family weight once. Neither tests the pre-filter nor walks
+families: only `validate_kernel` does, once per family, to check the table
+against the pre-filter, and no function here builds the per-family ``rows``
+view. `posterior` refines the classes by what the event reads, tests the event
+once per refined vector that emits the statement, and counts it by its number
+of families. Its case table is a lazy `CaseTable`, whose length is a sum of
+multiplicities and whose rows, in `family_str` order, are generated only when
+it is iterated. `statement_mass` is one entry of `marginal`.
 
 One rule, `_classes`, says when two children are alike: they are in one class,
 have one sex, and neither was born on a tested day, one that some test
@@ -50,7 +50,6 @@ from .model import (
     _leaves,
     compile_query,
     day_name,
-    enumerate_families,
     family_str,
     week_children,
 )
@@ -174,9 +173,6 @@ class ProtocolKernel:
                    map(self.table.get, itertools.product(self.child_class, repeat=n)))
         return MappingProxyType({f: row for f, row in rows if row is not None})
 
-    def support(self) -> list[Family]:
-        return list(self.rows)
-
     def multiplicities(self) -> list[int]:
         """The number of families of each vector in ``table``, in its order:
         the product of the sizes of the vector's classes."""
@@ -187,33 +183,38 @@ class ProtocolKernel:
 
 
 def validate_kernel(k: ProtocolKernel) -> list[str]:
-    """Invariant check; returns one message per violation, empty iff valid."""
+    """Invariant check; returns one message per violation, empty iff valid:
+    each vector of no family, then each support family without a row, then
+    each family's faults with its row, in `enumerate_families` order."""
+    cfg, n = k.config, k.config.family_size
     classes = set(k.child_class)
     violations = [f"{vec}: class vector of no family" for vec in k.table
-                  if len(vec) != k.config.family_size or not classes.issuperset(vec)]
-    in_order = enumerate_families(k.config)
-    if k.pre_filter is not None:
-        in_order = list(filter(compile_query(k.pre_filter, k.config), in_order))
-    support = set(in_order)
-    for f in in_order:  # list order: the messages must not depend on hashing
-        if f not in k.rows:
-            violations.append(f"{family_str(f)}: no row for support family")
-    for f, row in k.rows.items():
-        tag = family_str(f)
-        if f not in support:
-            violations.append(f"{tag}: row for a family outside the support")
-            continue
-        total = Fraction(0)
+                  if len(vec) != n or not classes.issuperset(vec)]
+    faults: dict[tuple[int, ...], list[str]] = {}  # each vector whose row has faults
+    for vec, row in k.table.items():
+        found = []
         for s, w in row.items():
             if w < 0:
-                violations.append(f"{tag}: negative weight {w} for {s!r}")
-            if isinstance(s, Claim) and s.day is not None:
-                if not 0 <= s.day < k.config.week_length:
-                    violations.append(f"{tag}: statement day {s.day} out of range")
-            total += w
-        if total > 1:
-            violations.append(f"{tag}: emission weights sum to {total} > 1")
-    return violations
+                found.append(f"negative weight {w} for {s!r}")
+            if isinstance(s, Claim) and s.day is not None and not 0 <= s.day < cfg.week_length:
+                found.append(f"statement day {s.day} out of range")
+        if (total := sum(row.values(), Fraction(0))) > 1:
+            found.append(f"emission weights sum to {total} > 1")
+        if found:
+            faults[vec] = found
+    keep = None if k.pre_filter is None else compile_query(k.pre_filter, cfg)
+    missing, wrong = [], []
+    for f, vec in zip(itertools.product(week_children(cfg), repeat=n),
+                      itertools.product(k.child_class, repeat=n)):
+        kept = keep is None or keep(f)
+        if vec not in k.table:
+            if kept:
+                missing.append(f"{family_str(f)}: no row for support family")
+        elif not kept:
+            wrong.append(f"{family_str(f)}: row for a family outside the support")
+        elif vec in faults:
+            wrong.extend(f"{family_str(f)}: {fault}" for fault in faults[vec])
+    return violations + missing + wrong
 
 
 class CaseRow(NamedTuple):

@@ -116,11 +116,11 @@ def test_criterion_5_four_tuesday_procedures():
     assert exact_answer("bc-tc") == Fraction(13, 27)
     assert exact_answer("gn-tc") == Fraction(1, 2)
 
-    bc = build_scenario("bc-tc", CFG).kernel.support()
+    bc = build_scenario("bc-tc", CFG).kernel.rows
     assert sum(1 for f in bc if {c.sex for c in f} == {Sex.BOY, Sex.GIRL}) == 14
     assert sum(1 for f in bc if all(c.sex == Sex.BOY for c in f)) == 13
 
-    gn = build_scenario("gn-tc", CFG).kernel.support()
+    gn = build_scenario("gn-tc", CFG).kernel.rows
     by_boys = {0: 0, 1: 0, 2: 0}
     for f in gn:
         by_boys[sum(c.sex == Sex.BOY for c in f)] += 1

@@ -595,12 +595,11 @@ def _per_family(ast, cfg, values):
     pre = [pred_to_query(p, cfg, bound) for p in ast.requires]
     lowering = dsl._Lowering(cfg, bound)
     body = lowering.block(ast.body, lowering.fall_through)
-    env = [0] * lowering.slots
     rows = {}
     for f in enumerate_families(cfg):
         if all(eval_query(q, f) for q in pre):
             row = {}
-            body(f, env, dsl._ONE, row)
+            body(f, dsl._ONE, row)
             rows[f] = row
     failed = list(lowering.empty_picks)
     span = lowering.empty_picks[failed[0]].span if failed else None

@@ -296,7 +296,7 @@ def test_families_sharing_one_row_object_condition_like_copies():
     assert validate_kernel(shared) == validate_kernel(copies) == []
     assert (len(shared.table), len(copies.table)) == (3, 147)
     assert shared.multiplicities() == [49, 49, 49]
-    assert sum(shared.multiplicities()) == sum(copies.multiplicities()) == len(copies.support())
+    assert sum(shared.multiplicities()) == sum(copies.multiplicities()) == len(copies.rows)
 
     assert list(marginal(shared).items()) == list(marginal(copies).items())
     for s in (AtLeastOne(Sex.BOY), YesNo(True)):
@@ -307,12 +307,32 @@ def test_families_sharing_one_row_object_condition_like_copies():
                 == mc.sample_posterior(copies, s, BOTH_BOYS, 5000, seed=3))
 
 
+def test_an_invalid_shared_row_is_reported_for_each_of_its_families():
+    # the boy-first vectors share one overweight row: validation names every
+    # family of it, in family order, as it does for a copy per family
+    boy_first = {AtLeastOne(Sex.BOY): Fraction(1, 2), YesNo(True): Fraction(2, 3)}
+    girl_first = {YesNo(True): Fraction(1, 4), AtLeastOne(Sex.BOY): Fraction(1, 5)}
+    support = Exists(Sex.BOY)
+    boy, girl = 0, 7
+    table = {(boy, boy): boy_first, (boy, girl): boy_first, (girl, boy): girl_first}
+    shared = ProtocolKernel(CFG, (boy,) * 7 + (girl,) * 7, table, pre_filter=support)
+    copies = ProtocolKernel.from_rows(
+        CFG, {f: dict(row) for f, row in shared.rows.items()}, pre_filter=support
+    )
+    violations = validate_kernel(shared)
+    assert violations == validate_kernel(copies)
+    assert violations == [f"{family_str(f)}: emission weights sum to 7/6 > 1"
+                          for f in enumerate_families(CFG) if f[0].sex is Sex.BOY]
+    assert len(violations) == 98
+
+
 def test_conditioning_and_mc_tables_never_build_the_per_family_rows():
     sc = build_scenario("classic-coinflip", WorldConfig(100, 2))
     s, q = sc.canonical_statement, sc.canonical_query
     posterior(sc.kernel, s, q)
     marginal(sc.kernel)
     mc._compile_tables(sc.kernel, s, q)
+    assert validate_kernel(sc.kernel) == []
     assert "rows" not in vars(sc.kernel)
 
 

@@ -72,7 +72,7 @@ def test_bc_dn_details():
 
 def test_bc_tc_support_counts():
     sc = build_scenario("bc-tc", CFG, day=TUE)
-    support = sc.kernel.support()
+    support = sc.kernel.rows
     mixed = [f for f in support if {c.sex for c in f} == {Sex.BOY, Sex.GIRL}]
     two_sons = [f for f in support if all(c.sex == Sex.BOY for c in f)]
     assert len(mixed) == 14
@@ -83,7 +83,7 @@ def test_bc_tc_support_counts():
 
 def test_gn_tc_support_counts_and_symmetry():
     sc = build_scenario("gn-tc", CFG, day=TUE)
-    support = sc.kernel.support()
+    support = sc.kernel.rows
     by_boys = {0: 0, 1: 0, 2: 0}
     for f in support:
         by_boys[sum(c.sex == Sex.BOY for c in f)] += 1
