@@ -1,4 +1,5 @@
 import glob
+import math
 import os
 import warnings
 from fractions import Fraction
@@ -335,6 +336,18 @@ def test_pick_uniformity():
             assert all(w == Fraction(1, 2) for w in row.values())
         else:
             assert row[Claim(f[0].sex, f[0].day)] == 1
+
+
+@pytest.mark.parametrize("n, answer", [(3, Fraction(1, 2)), (4, Fraction(2, 7)),
+                                       (5, Fraction(5, 32))])
+def test_three_independent_picks_closed_form(n, answer):
+    # a family of b boys says yes with probability (b/n)^3, so
+    # P(all boys | yes) = n^3 / sum_b C(n, b) b^3
+    src = ("procedure p { pick a; pick b; pick c;"
+           " if sex(a) = boy and sex(b) = boy and sex(c) = boy { say yes; } else { say no; } }")
+    kernel = compile_protocol(parse(src), WorldConfig(1, n))
+    assert answer == Fraction(n ** 3, sum(math.comb(n, b) * b ** 3 for b in range(n + 1)))
+    assert posterior(kernel, YesNo(True), AllMatch(Sex.BOY)).posterior == answer
 
 
 def test_per_family_weights_account_for_all_paths():

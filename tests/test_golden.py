@@ -19,9 +19,11 @@ the summary rows quoted by `csv.writer` (a `claim(...)` statement holds the
 delimiter).
 
 The `kernel:` and `marginal:` digests keyed by a `CHILD_TESTS` name pin the
-procedures there, whose tests read picked children, at every n in `SIZES` and
-d in `CHILD_WEEKS`. They were recorded while those tests were still lowered
-to closures of their own, before they compiled through `compile_query`.
+procedures there, whose tests read picked children, in every world of
+`CHILD_WORLDS`. Most were recorded while those tests were still lowered to
+closures of their own, before they compiled through `compile_query`. The
+`repick` digests and those at n=4, d=3 were recorded while a pick still bound
+its child at run time, before the lowering bound each picked child itself.
 
 The `classes:` digests pin how each kernel names its classes: its
 `child_class`, the order of its table's vectors, and the classes that
@@ -134,7 +136,20 @@ procedure three_picks {
   }
 }
 """,
+    # one name picked twice in one block, its first binding read before the second
+    "repick": """
+procedure repick {
+  require exists(girl);
+  pick c;
+  if sex(c) = girl and day(c) = d0 { reject; }
+  pick c where sex(c) = girl;
+  if day(c) = {last} { say claim(sex(c), day(c)); } else { say yes; }
 }
+""",
+}
+# The worlds each CHILD_TESTS procedure is compiled in: every n in SIZES and d
+# in CHILD_WEEKS, and a world where a test reads 3 of 4 children.
+CHILD_WORLDS = tuple((n, d) for n in SIZES for d in CHILD_WEEKS) + ((4, 3),)
 
 
 def _statements(proc: str, d: int) -> tuple[str, str]:
@@ -229,13 +244,12 @@ def _outputs() -> dict[str, str]:
                 load_protocol(path, WorldConfig(7, n))
             )
     for name, template in CHILD_TESTS.items():
-        for n in SIZES:
-            for d in CHILD_WEEKS:
-                source = template.replace("{mid}", f"d{d // 2}").replace("{last}", f"d{d - 1}")
-                tag, cfg = f"{name}:n{n}:d{d}", WorldConfig(d, n)
-                out[f"kernel:{tag}"], out[f"marginal:{tag}"] = _kernel_texts(
-                    lambda: compile_protocol(parse(source), cfg), cfg
-                )
+        for n, d in CHILD_WORLDS:
+            source = template.replace("{mid}", f"d{d // 2}").replace("{last}", f"d{d - 1}")
+            tag, cfg = f"{name}:n{n}:d{d}", WorldConfig(d, n)
+            out[f"kernel:{tag}"], out[f"marginal:{tag}"] = _kernel_texts(
+                lambda: compile_protocol(parse(source), cfg), cfg
+            )
     out["table:list"] = _cli("list")
     out["table:sweep:1-12"] = _cli("sweep", "1", "12")
     out["table:mc:bc-tc"] = _cli("mc", "bc-tc", "--trials", "20000", "--seed", "7")
@@ -916,6 +930,8 @@ GOLDEN = {
         "a2aea0a1f2a2340de75d9e435472b79eb7f6c820deba885b157dcec35547b51b",
     "kernel:child_or_not:n3:d7":
         "624681e4e3d0114a5b9719c8f356f93d413e58a9cc04281d463c533b33030a6b",
+    "kernel:child_or_not:n4:d3":
+        "52d015e19b923becdbb331acdf4d91bb53c96cac8bace057da5d9aaa9ef604b7",
     "kernel:classic_coinflip:n1:d1":
         "206d2e3e89364b95d23a0bd8af6a3bd2562ba5f8ad28cb34999797cb06c243a6",
     "kernel:classic_coinflip:n1:d12":
@@ -988,6 +1004,8 @@ GOLDEN = {
         "829a311f1e456d4baf454867573d6cf0c48ba43d931ccb4e9c528831bde5b7c6",
     "kernel:exists_and_child:n3:d7":
         "cfff03c2c4ef91f6efce4293cdb5513a60b877b9d7e89eaae9338fdc59ceedf9",
+    "kernel:exists_and_child:n4:d3":
+        "62cde2260f8349e61e98ad25b1339c407b7ceb8cd02d09376af677cfba7e3a2b",
     "kernel:gn_dn:n1:d1":
         "f3af11ae6f331458d835da07b781a11024909cf58af43aed907cabb0dafdd62b",
     "kernel:gn_dn:n1:d12":
@@ -1024,6 +1042,26 @@ GOLDEN = {
         "46fa12619330e1dff2100f421f6f10fbf020ffdd5fc4eaa882c1f3c0404438b3",
     "kernel:gn_tc:n3:d7":
         "ed65a7c42383f287c7436359fc1e45803e65d674fa1c2bb187eabdfb9f83e858",
+    "kernel:repick:n1:d1":
+        "32764e83986eec1c7b4e73f4737f77d0538ab7577e4d240a78479fe28f824785",
+    "kernel:repick:n1:d3":
+        "092f965575a6d5e3dafc8e257635215f746a8b2f9266e6de96722ba252639dbc",
+    "kernel:repick:n1:d7":
+        "0b89e7e784dcafddfc7c2e2f659db0652b42f74427634262fa52555bc96be873",
+    "kernel:repick:n2:d1":
+        "ddb971adea3596042d2348f5b96970251cdd7dcba3e8dea0929a088fe96e063a",
+    "kernel:repick:n2:d3":
+        "3d3944f0f24ce13e0ea6c75a072945db70c9136ec0696ebab60db9e7066ce9e4",
+    "kernel:repick:n2:d7":
+        "196a0bfaa3f392a5f8703ef13097eeedbf4467444d9878a02cb215d3b51afa1d",
+    "kernel:repick:n3:d1":
+        "d2b080c64c1d1239427fb20f4c122b6433ee219e6b274d29e3cdaf5d0d0a4c38",
+    "kernel:repick:n3:d3":
+        "6482a6105870d5188641eafff10101797f9fde83f159ae14869da904474880b6",
+    "kernel:repick:n3:d7":
+        "121f5a7e1bc5d59f080d3571edab2c58ed294fe886d7466cec8cb342339b7493",
+    "kernel:repick:n4:d3":
+        "58d5145f1284d1da82dddfd11fa8a3b1ffeebf063d3c1b496dda36e01c896ce6",
     "kernel:shadow:n1:d1":
         "ea13e23e2aec98830f452fe285b8264eb2aba66948a963f4a5ae77be9eb2b018",
     "kernel:shadow:n1:d3":
@@ -1042,6 +1080,8 @@ GOLDEN = {
         "afd8d7fdbd09e1a67fbbcad611945a7af4ec237335efd34018af6d951702dda5",
     "kernel:shadow:n3:d7":
         "46390f85f76a7771f323f356a592a7eab09759f0c35e8c9a3dd645f8caf24a40",
+    "kernel:shadow:n4:d3":
+        "975787c07f38d5f9e3e105b4634248724ef6436e0adf2b05a257deea578c0ad6",
     "kernel:three_picks:n1:d1":
         "581833eb844b19d15643e5bff0059b6f8addbe9c7f726930749baf6a4de447e0",
     "kernel:three_picks:n1:d3":
@@ -1060,6 +1100,8 @@ GOLDEN = {
         "1169ade793d317c4074e2ed2dfc37f412537eb1a3bbea69cb2f545f5227cfdc7",
     "kernel:three_picks:n3:d7":
         "b28319ed3d18865925ab8c6be717c39bafec37baec9e5bd18c8cc06a33d80032",
+    "kernel:three_picks:n4:d3":
+        "0d3a86543b9caa74f4614eb0010890115997a83def464b4f22d502a169ce72d9",
     "kernel:where_sex_day:n1:d1":
         "a4b9eb2cc849d81b4ff3c03eca2b8a5fe6c3c6c930b287826784b994bc1fc0fe",
     "kernel:where_sex_day:n1:d3":
@@ -1078,6 +1120,8 @@ GOLDEN = {
         "de180df91c4ce038a742408c9189be24a1f7cefa245b99bd8b45d8e18337da8b",
     "kernel:where_sex_day:n3:d7":
         "775b6a305d69317d115fdb279964beca415236d885d8c02588ff4d74be14997b",
+    "kernel:where_sex_day:n4:d3":
+        "30279f37a2c3e325e072ae6660adfaecc2bdd9c09777c7c8383c8cdae5432ed0",
     "kernel:yesno:n1:d1":
         "46fa12619330e1dff2100f421f6f10fbf020ffdd5fc4eaa882c1f3c0404438b3",
     "kernel:yesno:n1:d12":
@@ -1202,6 +1246,8 @@ GOLDEN = {
         "0d7617d6476734a4bf4dcdbfec7a305cb578e5186266972c84bb8c0f6645f159",
     "marginal:child_or_not:n3:d7":
         "d4dec24ba6a3c12e5e977cac130910bcd40302ddf0e2412714db2267e73a8cf2",
+    "marginal:child_or_not:n4:d3":
+        "3edc1e12483c27d2e247837ea33bd985a9fa2a67200f44115fbe05d1d4103099",
     "marginal:classic-coinflip:d30":
         "a52abfa1626966d71821273d80fe3ad5a2d509f5ffb781e2278aa17895818f46",
     "marginal:classic-coinflip:d7":
@@ -1286,6 +1332,8 @@ GOLDEN = {
         "781af8936e0c8dd379b37c30935ffd72e75144ccd0c2be40eee1671adb666282",
     "marginal:exists_and_child:n3:d7":
         "9f8d77dac1c1c319ff9268cae95431e7a75a79a5343070360571cb859ee7010d",
+    "marginal:exists_and_child:n4:d3":
+        "dd25b90b1fbaf209133a6081fcab11810044f94f0633af4809ff10ffc5d888d6",
     "marginal:gn-dn:d30":
         "d673258ba86ba6966b6cd311bb717d12bbed926028327bcd019077019a199a39",
     "marginal:gn-dn:d7":
@@ -1330,6 +1378,26 @@ GOLDEN = {
         "46fa12619330e1dff2100f421f6f10fbf020ffdd5fc4eaa882c1f3c0404438b3",
     "marginal:gn_tc:n3:d7":
         "a7848f670f14b38b9f3a3b67b6672551bc97fdedbb3261b93ce9c91d444c2a6a",
+    "marginal:repick:n1:d1":
+        "c5b48f01e3f258eac8e9b2aedb11c908c8a79f2e7bf86b1fd34eb95b582f5f8f",
+    "marginal:repick:n1:d3":
+        "8dc5dc6d635337d579d0f93c987b734f7ca56ab9f8c55c09c9101287b1ecc4ca",
+    "marginal:repick:n1:d7":
+        "0c2d9380aaf378b243d94b11e411a17ed8dfdac70adbb06989aa71d94f4de915",
+    "marginal:repick:n2:d1":
+        "31546e0e92a1fc15aa477230433c3045079a06786e159086f9c6e3486220ddaf",
+    "marginal:repick:n2:d3":
+        "cc0e1c2f69e8609be43a01b433a8db9546c9e03940b966364330265e34eb1bb9",
+    "marginal:repick:n2:d7":
+        "bbeb3f140d52d39dd555e491f83fcbc45307443f1219560abcbb83d4933b3061",
+    "marginal:repick:n3:d1":
+        "a5a6578557f389c883cdb2f3ac7237499cda7261acc440d1c113aeda4bd42c69",
+    "marginal:repick:n3:d3":
+        "6959fc2ef65ec8f12b03feee60cb274b9ea0c9cbdb11e602c1198c78caa8da7b",
+    "marginal:repick:n3:d7":
+        "58748fe7254497cb5feaba11b0302d6dfe684f8a48ebf29f6954c4e2f9cf881c",
+    "marginal:repick:n4:d3":
+        "4f2f1e6202eb663ca360bbf17fd731ddc42e121e042c11e968f4d8311be1f992",
     "marginal:shadow:n1:d1":
         "a0f981525188a98bf59680bc9b18a87f60c97c58a6721af436ac1d7a7aaa285d",
     "marginal:shadow:n1:d3":
@@ -1348,6 +1416,8 @@ GOLDEN = {
         "f6bc524afb9df9714dd2080a82cc37ee113cd44a79cad314508804aec416c774",
     "marginal:shadow:n3:d7":
         "03ce51f289570ad300552affaf2a906d7bd915f6e891617f08da0a4d526a9e47",
+    "marginal:shadow:n4:d3":
+        "eed3c3f6c4907b47079fe2da7085a6c70abb7d4ca5dcff9463466ecd3500a6db",
     "marginal:three_picks:n1:d1":
         "0ccf0073f8f0b8ba5ce8c2bf2e03522aacb18f64f6f495c5c9e50689fdc774cf",
     "marginal:three_picks:n1:d3":
@@ -1366,6 +1436,8 @@ GOLDEN = {
         "d359f9dfce345839a4b00ade0bc78fea2e5f1615de563761168f6404c8764826",
     "marginal:three_picks:n3:d7":
         "43d3549254bf30d814e5b392180a47d554e9241e377e16156c63408314c7aa9f",
+    "marginal:three_picks:n4:d3":
+        "19139f62c67b877555eaf7a40e61ef6df0c6b327f7163bb84aa968f01b4a8d9c",
     "marginal:where_sex_day:n1:d1":
         "b4590b3ef47b166f63e75f03523bfbcbac9ce3b54a2d56477b7b80d627afc588",
     "marginal:where_sex_day:n1:d3":
@@ -1384,6 +1456,8 @@ GOLDEN = {
         "e155d48b87b14e8ba926264e37925bdb2362152189dbb9c257b73a2da1acb46e",
     "marginal:where_sex_day:n3:d7":
         "7e2f2eb0677e24e2a0ec48e5a7b8db02a5fd41d0a0d5062c285e932b18dda382",
+    "marginal:where_sex_day:n4:d3":
+        "50fa01d816d19c2a78fda2df9d1d27f0f931e50a2d604958552c292fed5c6815",
     "marginal:yesno:d30":
         "8f9c19bbd612111c34aecbf898ea9eb1894215f491243e06db7eef83e725948a",
     "marginal:yesno:d7":
