@@ -21,9 +21,8 @@ symbolically into rational path weights; nothing is sampled. A path that falls
 off the end of the procedure is an implicit reject (with a warning).
 
 A `pick` binds its variable to the end of the enclosing block. The parser
-resolves every child variable: each pick gets an env slot fixed while parsing,
-every `sex(v)`/`day(v)` use carries that slot, and a variable no pick binds is
-an `UnboundVariable` at the statement (or `require`) that uses it.
+resolves every child variable by name: a variable no pick binds is an
+`UnboundVariable` at the statement (or `require`) that uses it.
 
 A `say` holds the engine's statement (`AtLeastOne`, `YesNo`, `Text`, ...)
 from parsing on, and `and`/`or`/`not` are the engine's `And`/`Or`/`Not`. Only
@@ -35,12 +34,13 @@ sex and day may read a picked child. A statement has one spelling,
 the CLI prints is valid `--say` input.
 
 Lowering happens once per compile: the body becomes nested closures in which
-every test is a query built by `compile_query` (once per binding of the picked
-children it reads, with `sex(v)`/`day(v)` as `ChildSexIs`/`ChildDayIs`), day
-literals are resolved and claims without child variables are built. Because of
-this, a day literal that does not fit the week is an error even in a branch no
-family reaches. A closure takes a family, a path weight and the row it adds
-to; the child that each pick binds is kept in one list the lowering owns.
+every test is a query built by `compile_query`, day literals are resolved and
+claims without child variables are built. A pick lowers the rest of its block
+once for each child it may bind, so every `sex(v)`/`day(v)` is a
+`ChildSexIs`/`ChildDayIs` at a fixed index and nothing is bound at run time.
+Because of this, a day literal that does not fit the week is an error even in
+a branch no family reaches. A closure takes a family, a path weight and the
+row it adds to.
 
 The closures see a child only through its sex and whether its day is a tested
 day: one that some lowered query compares a child's day with
@@ -53,7 +53,6 @@ and the compiled kernel is the class table (see `compile_protocol`), named by
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 import warnings
 from collections.abc import Callable, Mapping
@@ -97,7 +96,6 @@ from .model import (
     QueryPredicate,
     Sex,
     WorldConfig,
-    _leaves,
     compile_query,
     family_str,
     week_children,
@@ -160,13 +158,12 @@ class PAll:
 
 @dataclass(frozen=True)
 class PChildTest:
-    """`sex(v)=...` or `day(v)=...`; `slot` is v's env slot."""
+    """`sex(v)=...` or `day(v)=...`."""
 
     var: str
     kind: str  # "sex" or "day"
     sex: Sex | None = None
     day: Day | None = None
-    slot: int | None = None
 
 
 # The engine's And/Or/Not combine the language's own leaves.
@@ -174,19 +171,14 @@ Pred = PExists | PCount | PAll | PChildTest | And | Or | Not
 
 
 @dataclass(frozen=True)
-class VarSex:
+class Var:
+    """A picked child, as a claim's `sex(v)` or `day(v)`."""
+
     var: str
-    slot: int
 
 
-@dataclass(frozen=True)
-class VarDay:
-    var: str
-    slot: int
-
-
-SexArg = Sex | VarSex
-DayArg = Day | VarDay
+SexArg = Sex | Var
+DayArg = Day | Var
 
 
 @dataclass(frozen=True)
@@ -210,7 +202,6 @@ class If:
 @dataclass(frozen=True)
 class Pick:
     var: str
-    slot: int
     where: PChildTest | None = None
     span: SourceSpan | None = field(default=None, compare=False)
 
@@ -321,8 +312,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.params: dict[str, Param] = {}
-        self.scope: dict[str, int] = {}  # child variable -> its pick's env slot
-        self.picks = 0
+        self.scope: frozenset[str] = frozenset()  # the child variables picks bind here
         self.stmt_span: SourceSpan | None = None  # where an unbound variable is reported
 
     @property
@@ -433,14 +423,12 @@ class _Parser:
         if tok.text == "pick":
             self.advance()
             var = self.expect_ident("variable name").text
-            slot = self.picks
-            self.picks += 1
-            self.scope = {**self.scope, var: slot}
+            self.scope |= {var}
             where = None
             if self.accept("where"):
                 where = self.child_test(picked=var)
             self.expect(";")
-            return Pick(var, slot, where, span=tok.span)
+            return Pick(var, where, span=tok.span)
         if tok.text == "flip":
             self.advance()
             if self.cur.text in self.params:
@@ -508,14 +496,14 @@ class _Parser:
             return DayLit(int(m.group(1)), named=False, span=tok.span)
         return None
 
-    def var(self) -> tuple[str, int]:
-        """`(VAR)`: a child variable and the env slot of the pick that binds it."""
+    def var(self) -> str:
+        """`(VAR)`: a child variable that a pick binds."""
         self.expect("(")
         var = self.expect_ident("variable name").text
         self.expect(")")
         if var not in self.scope:
             raise UnboundVariable(f"variable '{var}' is not bound by a pick", self.stmt_span)
-        return var, self.scope[var]
+        return var
 
     def child_test(self, picked: str | None = None) -> PChildTest:
         """A test of a bound child, or of the candidates of the pick of `picked`."""
@@ -523,18 +511,18 @@ class _Parser:
         if tok.text not in ("sex", "day"):
             self.fail("'sex(var)=...' or 'day(var)=...'")
         kind = self.advance().text
-        var, slot = self.var()
+        var = self.var()
         self.expect("=")
         if picked is not None and var != picked:
             raise DslSyntaxError(
                 f"'where' clause must test the picked variable '{picked}'", tok.span
             )
         if kind == "sex":
-            return PChildTest(var, "sex", sex=self.sex(), slot=slot)
+            return PChildTest(var, "sex", sex=self.sex())
         day = self.try_day()
         if day is None:
             self.fail("a day literal")
-        return PChildTest(var, "day", day=day, slot=slot)
+        return PChildTest(var, "day", day=day)
 
     def pred(self) -> Pred:
         left = self.pred_and()
@@ -626,7 +614,7 @@ class _Parser:
         if self.cur.text in _SEXES:
             return _SEXES[self.advance().text]
         if self.accept("sex"):
-            return VarSex(*self.var())
+            return Var(self.var())
         self.fail("a sex or 'sex(var)'")
 
     def day_arg(self) -> DayArg:
@@ -634,7 +622,7 @@ class _Parser:
         if day is not None:
             return day
         if self.accept("day"):
-            return VarDay(*self.var())
+            return Var(self.var())
         self.fail("a day or 'day(var)'")
 
 
@@ -667,9 +655,9 @@ def _day_value(day: Day, cfg: WorldConfig, bound: Bound) -> int:
 
 
 def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND,
-                  at: Mapping[int, int] = _UNBOUND) -> QueryPredicate:
-    """Lower a DSL predicate to an engine event predicate. `at` maps the env
-    slot of each picked variable that a child test reads to a child index."""
+                  at: Mapping[str, int] = _UNBOUND) -> QueryPredicate:
+    """Lower a DSL predicate to an engine event predicate. `at` maps each
+    picked variable that a child test reads to a child index."""
     match p:
         case PExists(sex=s, day=d):
             return Exists(s, None if d is None else _day_value(d, cfg, bound))
@@ -687,10 +675,10 @@ def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND,
                     return Not(CountAtLeast(n, s))
                 case "=":
                     return And(CountAtLeast(n, s), Not(CountAtLeast(n + 1, s)))
-        case PChildTest(kind="sex", sex=s, slot=slot) if slot in at:
-            return ChildSexIs(at[slot], s)
-        case PChildTest(kind="day", day=d, slot=slot) if slot in at:
-            return ChildDayIs(at[slot], _day_value(d, cfg, bound))
+        case PChildTest(var=v, kind="sex", sex=s) if v in at:
+            return ChildSexIs(at[v], s)
+        case PChildTest(var=v, kind="day", day=d) if v in at:
+            return ChildDayIs(at[v], _day_value(d, cfg, bound))
         case And(left=a, right=b):
             return And(pred_to_query(a, cfg, bound, at), pred_to_query(b, cfg, bound, at))
         case Or(left=a, right=b):
@@ -709,8 +697,8 @@ def _const_statement(expr: StmtExpr, cfg: WorldConfig, bound: Bound) -> Statemen
 
 # A lowered statement runs every path of one family from that statement on:
 # step(family, weight, row) adds each path's weight to `row` under the
-# statement the path says. Picks bind children in `_Lowering.env`, at slots
-# fixed while parsing, so an inner pick never overwrites an outer variable.
+# statement the path says. Each picked child is bound while lowering, so a
+# step reads a child only at an index fixed before any family runs.
 _Step = Callable[[Family, Fraction, Row], None]
 
 _ONE = Fraction(1)
@@ -732,13 +720,16 @@ def _reject(f, w, row) -> None:
 class _Lowering:
     """Turns a procedure body into nested closures, once per compile.
 
-    Every test becomes a compiled query, one per binding of the picked
-    children it reads, with ``sex(v)``/``day(v)`` as ``ChildSexIs``/
-    ``ChildDayIs`` at v's index. Day literals are resolved, constant
-    statements are built and flips carry ``1 - p`` here, so nothing is
-    lowered again per family. Paths run depth-first in source order (a flip's
-    first branch first, picked children in birth order); that order fixes the
-    order of the statements in each row.
+    A pick lowers the rest of its block once for each child index, in birth
+    order, with `at` mapping its variable to that index; an inner block's
+    bindings never reach the statements after it. So every test is one
+    compiled query over fixed indices (``sex(v)``/``day(v)`` as
+    ``ChildSexIs``/``ChildDayIs``), and a claim reads its child at a fixed
+    index. After k picks in a row, the rest of their block is lowered n^k
+    times. Day literals are resolved, constant statements are built and flips
+    carry ``1 - p`` here, so nothing is lowered again per family. Paths run
+    depth-first in source order (a flip's first branch first, picked children
+    in birth order); that order fixes the order of the statements in each row.
 
     ``tested`` collects the days that the lowered queries test, and every
     day once a `say` reads ``day(v)``: families whose children agree on
@@ -749,35 +740,41 @@ class _Lowering:
         self.cfg = cfg
         self.bound = bound
         self.tested: set[int] = set()
-        self.env: list[int] = []  # each pick's child index, by slot; lowering a pick grows it
         # each family whose pick matched no child, with the first such pick
         self.empty_picks: dict[Family, Pick] = {}
         self.fell_through = False
         # shares[m]: each child's share of a pick among m matching children
         self.shares = [None] + [Fraction(1, m) for m in range(1, cfg.family_size + 1)]
+        self.claims: dict[tuple, Claim] = {}  # every say shares one Claim per (sex, day)
 
     def fall_through(self, f, w, row) -> None:
         self.fell_through = True
 
-    def block(self, stmts: tuple[Stmt, ...], after: _Step) -> _Step:
-        """Lower a block; `after` runs for paths that reach its end."""
+    def block(self, stmts: tuple[Stmt, ...], after: _Step,
+              at: Mapping[str, int] = _UNBOUND) -> _Step:
+        """Lower a block; `after` runs for paths that reach its end, and `at`
+        maps each picked variable in scope to its child index."""
         step = after
+        for k, st in enumerate(stmts):
+            if isinstance(st, Pick):
+                step = self.pick(st, [self.block(stmts[k + 1:], after, {**at, st.var: j})
+                                      for j in range(self.cfg.family_size)])
+                stmts = stmts[:k]
+                break
         for st in reversed(stmts):
-            step = self.stmt(st, step)
+            step = self.stmt(st, step, at)
         return step
 
-    def stmt(self, st: Stmt, nxt: _Step) -> _Step:
+    def stmt(self, st: Stmt, nxt: _Step, at: Mapping[str, int]) -> _Step:
         match st:
             case Say(expr=e):
-                return self.say(e)
+                return self.say(e, at)
             case Reject():
                 return _reject
-            case Pick():
-                return self.pick(st, nxt)
             case If(pred=p, then=t, els=e):
-                then = self.block(t, nxt)
-                els = nxt if e is None else self.block(e, nxt)
-                test = self.pred(p)
+                then = self.block(t, nxt, at)
+                els = nxt if e is None else self.block(e, nxt, at)
+                test = compile_query(self.query(p, at), self.cfg)
 
                 def branch(f, w, row):
                     (then if test(f) else els)(f, w, row)
@@ -786,8 +783,8 @@ class _Lowering:
                 if isinstance(p, ParamRef):
                     p = self.bound[p.name]
                 q = 1 - p
-                then = self.block(t, nxt)
-                els = self.block(e, nxt)
+                then = self.block(t, nxt, at)
+                els = self.block(e, nxt, at)
                 # a branch that only rejects emits nothing, so its weight is not needed
                 take_then = p and then is not _reject
                 take_els = q and els is not _reject
@@ -800,61 +797,46 @@ class _Lowering:
                 return flip
         raise TypeError(f"not a statement: {st!r}")
 
-    def pick(self, st: Pick, nxt: _Step) -> _Step:
-        slot, shares, empty, env = st.slot, self.shares, self.empty_picks, self.env
-        env.extend([0] * (slot + 1 - len(env)))
-        everyone = range(self.cfg.family_size)
-        # each candidate with its `where` test, the pick's slot bound to it
-        candidates = None if st.where is None else [
-            (j, compile_query(self.query(st.where, {slot: j}), self.cfg)) for j in everyone]
+    def pick(self, st: Pick, rests: list[_Step]) -> _Step:
+        """A uniform pick among the children that pass `where`; rests[j] is
+        the rest of the block with the picked variable bound to child j."""
+        shares, empty = self.shares, self.empty_picks
+        tests = None if st.where is None else [
+            compile_query(self.query(st.where, {st.var: j}), self.cfg) for j in range(len(rests))]
 
         def pick(f, w, row):
-            matching = everyone if candidates is None else [j for j, ok in candidates if ok(f)]
+            matching = rests if tests is None else [
+                rest for ok, rest in zip(tests, rests) if ok(f)]
             if not matching:
                 empty.setdefault(f, st)
                 return
             w = _scale(w, shares[len(matching)])
-            for j in matching:
-                env[slot] = j
-                nxt(f, w, row)
+            for rest in matching:
+                rest(f, w, row)
         return pick
 
-    def query(self, p: Pred, at: Mapping[int, int] = _UNBOUND) -> QueryPredicate:
+    def query(self, p: Pred, at: Mapping[str, int] = _UNBOUND) -> QueryPredicate:
         """`pred_to_query`, recording the days that the lowered query tests."""
         q = pred_to_query(p, self.cfg, self.bound, at)
         self.tested |= _tested_days(q)
         return q
 
-    def pred(self, p: Pred) -> Callable[[Family], bool]:
-        """A test of a family: p compiled once for each binding of the picked
-        variables it reads, looked up by their slots in env."""
-        slots = sorted({leaf.slot for leaf in _leaves(p) if isinstance(leaf, PChildTest)})
-        if not slots:
-            return compile_query(self.query(p), self.cfg)
-        binding, env = operator.itemgetter(*slots), self.env
-        tests = {}
-        for indices in itertools.product(range(self.cfg.family_size), repeat=len(slots)):
-            at = dict(zip(slots, indices))
-            tests[binding(at)] = compile_query(self.query(p, at), self.cfg)
-        return lambda f: tests[binding(env)](f)
-
-    def say(self, e: StmtExpr) -> _Step:
+    def say(self, e: StmtExpr, at: Mapping[str, int]) -> _Step:
         sex, day = (e.sex, e.day) if isinstance(e, EClaim) else (None, None)
-        sex_slot = sex.slot if isinstance(sex, VarSex) else None
-        day_slot = day.slot if isinstance(day, VarDay) else None
-        if sex_slot is None and day_slot is None:
+        sex_at = at[sex.var] if isinstance(sex, Var) else None
+        day_at = at[day.var] if isinstance(day, Var) else None
+        if sex_at is None and day_at is None:
             st = _const_statement(e, self.cfg, self.bound)
             return lambda f, w, row: _emit(row, st, w)
-        if day is not None and day_slot is None:
-            day = _day_value(day, self.cfg, self.bound)
-        if day_slot is not None:  # the statement names the child's own day
+        if day_at is not None:  # the statement names the child's own day
             self.tested.update(range(self.cfg.week_length))
-        claims: dict[tuple, Claim] = {}
-        env = self.env
+        elif day is not None:
+            day = _day_value(day, self.cfg, self.bound)
+        claims = self.claims
 
         def say_claim(f, w, row):
-            key = (sex if sex_slot is None else f[env[sex_slot]].sex,
-                   day if day_slot is None else f[env[day_slot]].day)
+            key = (sex if sex_at is None else f[sex_at].sex,
+                   day if day_at is None else f[day_at].day)
             st = claims.get(key)
             if st is None:
                 st = claims[key] = Claim(*key)
@@ -999,10 +981,10 @@ def _render_pred(p: Pred, parent_prec: int = 0) -> str:
 def _render_stmt_expr(e: StmtExpr) -> str:
     match e:
         case EClaim(sex=s, day=d):
-            sex = f"sex({s.var})" if isinstance(s, VarSex) else _render_sex(s)
+            sex = f"sex({s.var})" if isinstance(s, Var) else _render_sex(s)
             if d is None:
                 return f"claim({sex})"
-            day = f"day({d.var})" if isinstance(d, VarDay) else _render_day(d)
+            day = f"day({d.var})" if isinstance(d, Var) else _render_day(d)
             return f"claim({sex}, {day})"
     # the engine's own statement; only a Claim reads the config
     return render_statement(e, WorldConfig())

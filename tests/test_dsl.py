@@ -11,9 +11,17 @@ from hypothesis import strategies as st
 
 from ambiprob import dsl, mc
 from ambiprob.dsl import (
+    DayLit,
     DslWarning,
+    EClaim,
+    Flip,
+    If,
     PAll,
+    ParamRef,
     PExists,
+    Pick,
+    Reject,
+    Say,
     compile_protocol,
     load_protocol,
     parse,
@@ -40,7 +48,7 @@ from ambiprob.model import (
     enumerate_families, eval_query, family_str,
 )
 from ambiprob.scenarios import build_scenario
-from test_golden import builtin_digest_matches
+from test_golden import CHILD_TESTS, builtin_digest_matches
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -600,23 +608,67 @@ def test_every_printed_statement_reads_back_as_say_input(case):
 # ---------------------------------------------------------------------------
 
 def _per_family(ast, cfg, values):
-    """The per-family reference of `compile_protocol`: the lowered body run
-    on every family that passes the pre-filter (tested with the reference
-    interpreter), each with a row of its own. Returns (rows, empty-pick
-    families, span of the first failing pick, whether a path fell through)."""
+    """The per-family reference of `compile_protocol`: an interpreter of the
+    AST that runs every family passing the pre-filter on its own, each with a
+    row of its own. It binds picked variables in a dict per path and tests
+    with `eval_query`, so it shares no lowering with the compiler. Returns
+    (rows, empty-pick families, span of the first failing pick, whether a
+    path fell through)."""
     bound = dsl._bind(ast, cfg, values)
     pre = [pred_to_query(p, cfg, bound) for p in ast.requires]
-    lowering = dsl._Lowering(cfg, bound)
-    body = lowering.block(ast.body, lowering.fall_through)
+    empty, fell_through = {}, []
+
+    def holds(p, f, at):
+        return eval_query(pred_to_query(p, cfg, bound, at), f)
+
+    def statement(e, f, at):
+        if not isinstance(e, EClaim):
+            return e
+        sex = e.sex if isinstance(e.sex, Sex) else f[at[e.sex.var]].sex
+        if e.day is None or isinstance(e.day, (DayLit, ParamRef)):
+            day = None if e.day is None else dsl._day_value(e.day, cfg, bound)
+        else:
+            day = f[at[e.day.var]].day
+        return Claim(sex, day)
+
+    def run(stmts, f, w, at, row, after):
+        """Run `stmts` on family f; a path that reaches their end calls after(w)."""
+        for k, st in enumerate(stmts):
+            def rest(w, k=k):
+                run(stmts[k + 1:], f, w, at, row, after)
+            match st:
+                case Say(expr=e):
+                    said = statement(e, f, at)
+                    row[said] = row.get(said, 0) + w
+                    return
+                case Reject():
+                    return
+                case If(pred=p, then=t, els=e):
+                    run(t if holds(p, f, at) else e or (), f, w, at, row, rest)
+                    return
+                case Flip(prob=p, then=t, els=e):
+                    p = bound[p.name] if isinstance(p, ParamRef) else p
+                    for branch, q in ((t, p), (e, 1 - p)):
+                        if q:  # the compiler never runs a branch of weight 0
+                            run(branch, f, w * q, at, row, rest)
+                    return
+                case Pick(var=v, where=c):
+                    matching = [j for j in range(cfg.family_size)
+                                if c is None or holds(c, f, {v: j})]
+                    if not matching:
+                        empty.setdefault(f, st)
+                    for j in matching:
+                        run(stmts[k + 1:], f, w / len(matching), {**at, v: j}, row, after)
+                    return
+        after(w)
+
     rows = {}
     for f in enumerate_families(cfg):
         if all(eval_query(q, f) for q in pre):
-            row = {}
-            body(f, dsl._ONE, row)
-            rows[f] = row
-    failed = list(lowering.empty_picks)
-    span = lowering.empty_picks[failed[0]].span if failed else None
-    return rows, failed, span, lowering.fell_through
+            rows[f] = {}
+            run(ast.body, f, Fraction(1), {}, rows[f], fell_through.append)
+    failed = list(empty)
+    return rows, failed, empty[failed[0]].span if failed else None, bool(fell_through)
 
 
 def _sampler_view(kernel, st, event):
@@ -652,7 +704,6 @@ def _procedures(draw):
         probs.append("P")
         if draw(st.booleans()):
             values["P"] = Fraction(draw(st.sampled_from(_PROBS)))
-    picks = iter(range(100))
 
     def sex():
         return draw(st.sampled_from(("boy", "girl")))
@@ -703,11 +754,12 @@ def _procedures(draw):
         for _ in range(draw(st.integers(0, 2))):
             kind = draw(st.sampled_from(("pick", "if", "flip") if depth < 3 else ("pick",)))
             if kind == "pick":
-                v = f"v{next(picks)}"
+                v = f"v{draw(st.integers(0, 2))}"  # a name in scope is shadowed
                 where = draw(st.sampled_from(("", "", f" where sex({v})={sex()}",
                                               f" where day({v})={day()}")))
                 lines.append(f"pick {v}{where};")
-                scope.append(v)
+                if v not in scope:
+                    scope.append(v)
             elif kind == "if":
                 text = f"if {pred(scope)} {{ {block(scope, depth + 1)} }}"
                 if draw(st.booleans()):
@@ -781,6 +833,16 @@ def test_class_compile_matches_per_family_compile(case, data):
             for a, b in zip(_sampler_view(kernel, said, event),
                             _sampler_view(reference, said, event)):
                 assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(CHILD_TESTS))
+def test_child_tests_match_the_per_family_reference(name):
+    # three children, so a picked child bound at the wrong index changes a row
+    cfg = WorldConfig(3, 3)
+    ast = parse(CHILD_TESTS[name].replace("{mid}", "d1").replace("{last}", "d2"))
+    rows, failed, _, fell_through = _per_family(ast, cfg, {})
+    assert failed == [] and not fell_through
+    assert _rows_text(compile_protocol(ast, cfg).rows, cfg) == _rows_text(rows, cfg)
 
 
 @pytest.mark.parametrize(
