@@ -159,9 +159,16 @@ class ProtocolKernel:
     def from_rows(cls, config: WorldConfig, rows: Mapping[Family, Row],
                   pre_filter: QueryPredicate | None = None) -> ProtocolKernel:
         """The kernel whose support families emit ``rows``; every child is
-        its own class, so each family is its own vector."""
+        its own class, so each family is its own vector. A family with a
+        child outside the week is a ValueError."""
         index = {c: i for i, c in enumerate(week_children(config))}
-        table = {tuple(map(index.__getitem__, f)): row for f, row in rows.items()}
+        table = {}
+        for f, row in rows.items():
+            try:
+                table[tuple(map(index.__getitem__, f))] = row
+            except KeyError:
+                raise ValueError(f"family {family_str(f)} has a child outside the "
+                                 f"{config.week_length}-day week") from None
         return cls(config, tuple(index.values()), table, pre_filter)
 
     @functools.cached_property

@@ -86,6 +86,15 @@ def test_validate_flags_missing_row():
     assert any("no row" in v for v in violations)
 
 
+def test_from_rows_names_a_family_with_a_child_outside_the_week():
+    rows = {(Child(Sex.BOY, 9), Child(Sex.BOY, 0)): {YesNo(True): Fraction(1)}}
+    with pytest.raises(ValueError, match="^family B@9,B@0 has a child outside the 7-day week$"):
+        ProtocolKernel.from_rows(CFG, rows)
+    # a family of the wrong size is left to validate_kernel
+    short = ProtocolKernel.from_rows(CFG, {(Child(Sex.BOY, 0),): {}})
+    assert validate_kernel(short)[0] == "(0,): class vector of no family"
+
+
 def test_validate_flags_class_vectors_of_no_family():
     # child 14 does not exist in a 7-day week, and a vector has one class per child
     row = {YesNo(True): Fraction(1)}
