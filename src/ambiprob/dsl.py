@@ -745,7 +745,8 @@ class _Lowering:
         self.fell_through = False
         # shares[m]: each child's share of a pick among m matching children
         self.shares = [None] + [Fraction(1, m) for m in range(1, cfg.family_size + 1)]
-        self.claims: dict[tuple, Claim] = {}  # every say shares one Claim per (sex, day)
+        # one Claim per (sex, day) for every say, so that equal claims are one object
+        self.claims: dict[tuple, Claim] = {}
 
     def fall_through(self, f, w, row) -> None:
         self.fell_through = True
