@@ -4,6 +4,7 @@ was obtained, and this package makes the "how" a first-class, computable object.
 """
 
 from .engine import (
+    OTHER,
     AtLeastOne,
     Claim,
     PosteriorReport,
@@ -47,7 +48,7 @@ from .scenarios import BUILTIN_IDS, Scenario, build_scenario, sweep_formula, wee
 __all__ = [
     "AllMatch", "Always", "And", "AtLeastOne", "BUILTIN_IDS", "Child",
     "ChildDayIs", "ChildSexIs", "Claim", "CountAtLeast", "Exists", "Family",
-    "Not", "Or", "PosteriorReport", "ProtocolKernel", "ProudOf",
+    "Not", "OTHER", "Or", "PosteriorReport", "ProtocolKernel", "ProudOf",
     "QueryPredicate", "REJECT", "Scenario", "Sex", "Statement", "Text",
     "TwoOfAKind", "WorldConfig", "YesNo", "build_scenario", "compile_query",
     "count_families", "enumerate_families", "eval_query", "family_str",

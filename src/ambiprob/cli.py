@@ -2,7 +2,9 @@
 
 `run`, `eval` and `mc` resolve their target in `_target`: a builtin takes --day
 and --p and refuses --say and --event, a .proc file the other way round. An
-absent --day or --p leaves `build_scenario` its default; the CLI has none.
+absent --day or --p leaves `bind_builtin` its default; the CLI has none.
+`run` and `eval` compile the kernel for their statement; `mc` samples the
+full kernel.
 
 Exit codes: 0 ok, 5 a cross-check disagreed (the Monte Carlo with the exact
 answer, or a `sweep` row with (2d-1)/(4d-1)); `EXIT_CODES` maps each error to
@@ -23,7 +25,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import dsl, mc
-from .engine import CaseTable, PosteriorReport, posterior, render_statement
+from .engine import CaseTable, PosteriorReport, YesNo, posterior, render_statement
 from .errors import (
     DayOutOfRange,
     DegenerateProtocol,
@@ -34,7 +36,7 @@ from .errors import (
     ZeroStatementMass,
 )
 from .model import DAY_NAMES, WorldConfig, family_str, week_children
-from .scenarios import BUILTIN_IDS, build_scenario, sweep_formula, week_sweep
+from .scenarios import BUILTIN_IDS, bind_builtin, build_scenario, sweep_formula, week_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -226,11 +228,13 @@ def _world(args) -> WorldConfig:
     return cfg
 
 
-def _target(args, cfg: WorldConfig, builtin: bool):
+def _target(args, cfg: WorldConfig, builtin: bool, lumped: bool = True):
     """The kernel, statement and event that `run`, `eval` and `mc` condition on.
 
     A builtin states its own and reads only --day and --p, where an absent flag
-    leaves `build_scenario` its default; a .proc file reads only --say and --event."""
+    leaves `bind_builtin` its default; a .proc file reads only --say and --event.
+    With `lumped`, the kernel is compiled for the statement (see
+    `dsl.compile_protocol`); else it tells every statement apart."""
     if builtin:
         if args.say is not None or args.event is not None:
             raise CliError("--say and --event apply to .proc targets only; "
@@ -239,15 +243,23 @@ def _target(args, cfg: WorldConfig, builtin: bool):
             raise CliError(f"unknown scenario id {args.target!r}; see `ambiprob list`")
         day = None if args.day is None else _parse_day(args.day, cfg)
         p = None if args.p is None else _parse_fraction(args.p)
-        sc = build_scenario(args.target, cfg, day=day, p=p)
-        return sc.kernel, sc.canonical_statement, sc.canonical_query
+        b = bind_builtin(args.target, cfg, day=day, p=p)
+        kernel = dsl.compile_protocol(b.ast, cfg, b.values, b.statement if lumped else None)
+        return kernel, b.statement, b.query
     if args.say is None or args.event is None:
         raise CliError("--say and --event are required for .proc targets")
     if args.day is not None or args.p is not None:
         raise CliError("--day and --p apply to builtin scenarios only; "
                        "a .proc target uses its parameters' defaults")
-    kernel = dsl.load_protocol(args.target, cfg)
-    return kernel, dsl.parse_statement_text(args.say, cfg), dsl.parse_event_text(args.event, cfg)
+    try:
+        say = dsl.parse_statement_text(args.say, cfg)
+    except DslError:
+        # the file's own errors come first; a compile for a statement that
+        # names no day raises them all and tells few days apart
+        dsl.load_protocol(args.target, cfg, YesNo(True))
+        raise
+    kernel = dsl.load_protocol(args.target, cfg, say if lumped else None)
+    return kernel, say, dsl.parse_event_text(args.event, cfg)
 
 
 def cmd_list(args, out):
@@ -271,7 +283,8 @@ def cmd_posterior(args, out):
 
 def cmd_mc(args, out):
     cfg = _world(args)
-    target = _target(args, cfg, builtin=not args.target.endswith(".proc"))
+    # the sampler draws from the full kernel, so that it stays independent of the lumping
+    target = _target(args, cfg, builtin=not args.target.endswith(".proc"), lumped=False)
     report = mc.agreement_check(*target, args.trials, args.seed, shards=args.shards)
     r = report.result
     verdict = "PASS" if report.passed else "FAIL"

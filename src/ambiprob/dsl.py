@@ -44,7 +44,8 @@ row it adds to.
 
 The closures see a child only through its sex and whether its day is a tested
 day: one that some lowered query compares a child's day with
-(`engine._tested_days`), or any day once a `say` names a child's day. So the
+(`engine._tested_days`), or, once a `say` names a child's day, any day (the
+statement's day only, in a kernel compiled for one statement). So the
 chain runs once per class vector, a class of families they cannot tell apart,
 and the compiled kernel is the class table (see `compile_protocol`), named by
 `engine._classes`: the one rule that `posterior` refines classes by too.
@@ -55,13 +56,14 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
 from . import model
 from .engine import (
+    OTHER,
     AtLeastOne,
     Claim,
     ProtocolKernel,
@@ -731,15 +733,24 @@ class _Lowering:
     depth-first in source order (a flip's first branch first, picked children
     in birth order); that order fixes the order of the statements in each row.
 
-    ``tested`` collects the days that the lowered queries test, and every
-    day once a `say` reads ``day(v)``: families whose children agree on
-    their sex and on those days run the same paths.
+    ``tested`` collects the days that the lowered queries test, and the
+    days ``said`` once a `say` reads ``day(v)``: every day, or only the day
+    of the statement the compile is for. Families whose children agree on
+    their sex and on those days run the same paths. Such a `say` emits
+    `OTHER` for a child whose day is not tested. A pick's ``where`` tests
+    are compiled once and shared by every copy of the pick.
     """
 
-    def __init__(self, cfg: WorldConfig, bound: Bound):
+    def __init__(self, cfg: WorldConfig, bound: Bound, statement: Statement | None = None):
         self.cfg = cfg
         self.bound = bound
         self.tested: set[int] = set()
+        if statement is None:
+            self.said: Iterable[int] = range(cfg.week_length)
+        else:
+            dated = isinstance(statement, Claim) and statement.day is not None
+            self.said = (statement.day,) if dated else ()
+        self.where_tests: dict[Pick, list] = {}
         # each family whose pick matched no child, with the first such pick
         self.empty_picks: dict[Family, Pick] = {}
         self.fell_through = False
@@ -802,8 +813,13 @@ class _Lowering:
         """A uniform pick among the children that pass `where`; rests[j] is
         the rest of the block with the picked variable bound to child j."""
         shares, empty = self.shares, self.empty_picks
-        tests = None if st.where is None else [
-            compile_query(self.query(st.where, {st.var: j}), self.cfg) for j in range(len(rests))]
+        tests = None
+        if st.where is not None:
+            tests = self.where_tests.get(st)
+            if tests is None:
+                tests = self.where_tests[st] = [
+                    compile_query(self.query(st.where, {st.var: j}), self.cfg)
+                    for j in range(len(rests))]
 
         def pick(f, w, row):
             matching = rests if tests is None else [
@@ -830,12 +846,15 @@ class _Lowering:
             st = _const_statement(e, self.cfg, self.bound)
             return lambda f, w, row: _emit(row, st, w)
         if day_at is not None:  # the statement names the child's own day
-            self.tested.update(range(self.cfg.week_length))
+            self.tested.update(self.said)
         elif day is not None:
             day = _day_value(day, self.cfg, self.bound)
-        claims = self.claims
+        claims, tested = self.claims, self.tested  # tested is complete before any family runs
 
         def say_claim(f, w, row):
+            if day_at is not None and f[day_at].day not in tested:
+                _emit(row, OTHER, w)
+                return
             key = (sex if sex_at is None else f[sex_at].sex,
                    day if day_at is None else f[day_at].day)
             st = claims.get(key)
@@ -867,7 +886,8 @@ def _bind(ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fractio
 
 
 def compile_protocol(
-    ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fraction] = _UNBOUND
+    ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fraction] = _UNBOUND,
+    statement: Statement | None = None,
 ) -> ProtocolKernel:
     """Exact lowering: expand every flip and pick into rational path weights.
 
@@ -879,9 +899,17 @@ def compile_protocol(
     class vector, on its first family in `enumerate_families` order, and the
     kernel's table holds that row once for every family of the vector. When
     every day is tested, each vector is one family.
+
+    A `say` that names a child's own day tests every day, unless the kernel
+    is compiled for one `statement`: then it tests only the day that the
+    statement names (none if it is not a dated `Claim`), and for a child of
+    any other day it emits `engine.OTHER`, which stands for every statement
+    the kernel does not tell apart. Such a kernel gives `posterior` of that
+    statement, its case table and its mass exactly as the full kernel does,
+    from fewer class vectors; its `marginal` lumps those claims into OTHER.
     """
     bound = _bind(ast, cfg, values)
-    lowering = _Lowering(cfg, bound)
+    lowering = _Lowering(cfg, bound, statement)
     pre_filter: QueryPredicate | None = None
     for p in ast.requires:
         q = lowering.query(p)
@@ -922,7 +950,9 @@ def compile_protocol(
     return ProtocolKernel(cfg, child_class, table, pre_filter)
 
 
-def load_protocol(path, cfg: WorldConfig) -> ProtocolKernel:
+def load_protocol(path, cfg: WorldConfig, statement: Statement | None = None) -> ProtocolKernel:
+    """Read, parse and compile a `.proc` file (for `statement`, as
+    `compile_protocol` does)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -934,7 +964,7 @@ def load_protocol(path, cfg: WorldConfig) -> ProtocolKernel:
             SourceSpan(before.count("\n") + 1, len(before) - before.rfind("\n")),
         )
     try:
-        return compile_protocol(parse(source), cfg)
+        return compile_protocol(parse(source), cfg, statement=statement)
     except RecursionError:
         raise DslSyntaxError(f"{path} is nested too deeply to compile") from None
 

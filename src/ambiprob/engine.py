@@ -22,6 +22,13 @@ One rule, `_classes`, says when two children are alike: they are in one class,
 have one sex, and neither was born on a tested day, one that some test
 compares a child's day with (`_tested_days`). The compiler names a kernel's
 classes by it, and `posterior` refines them by it for the days its event tests.
+
+A kernel compiled for one statement (`dsl.compile_protocol`) tests fewer days:
+where the full kernel would emit a claim of a day it does not test, it emits
+`OTHER`, a key beside `REJECT` that stands for every statement it does not
+tell apart. Nothing here treats OTHER apart from any other key, so
+`posterior` of the statement the kernel was compiled for is the full kernel's,
+and `marginal` reports OTHER's mass as one entry.
 """
 
 from __future__ import annotations
@@ -95,21 +102,27 @@ class Text:
 Statement = Claim | AtLeastOne | TwoOfAKind | ProudOf | YesNo | Text
 
 
-class _Reject:
-    """Distinguished marginal key for unassigned (reject) mass."""
+class _Key:
+    """A distinguished key of a row or of `marginal` that is not a statement;
+    it copies and pickles as itself."""
 
-    _instance = None
+    __slots__ = ("_name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self._name = name
 
     def __repr__(self):
-        return "REJECT"
+        return self._name
+
+    def __reduce__(self):
+        return self._name
 
 
-REJECT = _Reject()
+# the mass that no statement takes
+REJECT = _Key("REJECT")
+# the statements that a kernel compiled for one statement does not tell apart
+# from each other (see `dsl.compile_protocol`); no `--say` text reads as it
+OTHER = _Key("OTHER")
 
 
 def render_statement(s: Statement, cfg: WorldConfig) -> str:

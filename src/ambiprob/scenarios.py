@@ -18,6 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from . import dsl
 from .engine import ProtocolKernel, Statement, posterior
@@ -110,15 +111,25 @@ def _builtin_ast(file: str) -> dsl.ProtocolAst:
     return dsl.parse(source)
 
 
-def build_scenario(
+class Binding(NamedTuple):
+    """A builtin with its parameters bound, ready to compile: its procedure,
+    parameter values, canonical statement and query, and answer."""
+
+    ast: dsl.ProtocolAst
+    values: dsl.Bound
+    statement: Statement
+    query: QueryPredicate
+    answer: Fraction
+
+
+def bind_builtin(
     scenario_id: str,
     cfg: WorldConfig,
     day: int | None = None,
     p: Fraction | None = None,
-) -> Scenario:
-    """Compile builtin `scenario_id`, binding `day` to its day parameter and
-    `p` to its probability parameter, where it has them; None means the
-    default."""
+) -> Binding:
+    """Bind `day` to builtin `scenario_id`'s day parameter and `p` to its
+    probability parameter, where it has them; None means the default."""
     builtin = _BUILTINS.get(scenario_id)
     if builtin is None:
         raise KeyError(f"unknown scenario id: {scenario_id}")
@@ -133,17 +144,25 @@ def build_scenario(
                                 f"week; the default, Tuesday, needs a 7-day week")
         day = _default_day(cfg)
     p = Fraction(1, 2) if p is None else p
-    values = {prm.name: day if prm.kind == "day" else p for prm in ast.params}
-    kernel = dsl.compile_protocol(ast, cfg, values)
+    # bound before the statement is read, so a bad day is a DayOutOfRange
+    values = dsl._bind(ast, cfg, {prm.name: day if prm.kind == "day" else p
+                                  for prm in ast.params})
     statement = builtin.statement.format(day=day, default_day=_default_day(cfg))
-    return Scenario(
-        scenario_id,
-        builtin.description,
-        kernel,
-        dsl.parse_statement_text(statement, cfg),
-        dsl.parse_event_text(_QUERY, cfg),
-        builtin.answer(cfg.week_length, Fraction(p)),
-    )
+    return Binding(ast, values, dsl.parse_statement_text(statement, cfg),
+                   dsl.parse_event_text(_QUERY, cfg), builtin.answer(cfg.week_length, Fraction(p)))
+
+
+def build_scenario(
+    scenario_id: str,
+    cfg: WorldConfig,
+    day: int | None = None,
+    p: Fraction | None = None,
+) -> Scenario:
+    """Compile builtin `scenario_id` as `bind_builtin` binds it; the kernel
+    tells every statement apart."""
+    b = bind_builtin(scenario_id, cfg, day, p)
+    return Scenario(scenario_id, _BUILTINS[scenario_id].description,
+                    dsl.compile_protocol(b.ast, cfg, b.values), b.statement, b.query, b.answer)
 
 
 def week_sweep(d_range) -> list[tuple[int, Fraction]]:

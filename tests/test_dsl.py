@@ -31,10 +31,11 @@ from ambiprob.dsl import (
     render,
 )
 from ambiprob.engine import (
-    REJECT, AtLeastOne, Claim, ProtocolKernel, ProudOf, Text, TwoOfAKind, YesNo, marginal,
-    posterior, render_statement, validate_kernel,
+    OTHER, REJECT, AtLeastOne, Claim, ProtocolKernel, ProudOf, Text, TwoOfAKind, YesNo,
+    marginal, posterior, render_statement, statement_mass, validate_kernel,
 )
 from ambiprob.errors import (
+    AmbiprobError,
     DayOutOfRange,
     DslError,
     DslSyntaxError,
@@ -45,10 +46,10 @@ from ambiprob.errors import (
 )
 from ambiprob.model import (
     AllMatch, And, ChildDayIs, ChildSexIs, CountAtLeast, Exists, Not, Or, Sex, WorldConfig,
-    enumerate_families, eval_query, family_str,
+    _leaves, enumerate_families, eval_query, family_str,
 )
 from ambiprob.scenarios import build_scenario
-from test_golden import CHILD_TESTS, builtin_digest_matches
+from test_golden import CHILD_TESTS, CHILD_WORLDS, CLASS_EVENTS, builtin_digest_matches
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -607,16 +608,43 @@ def test_every_printed_statement_reads_back_as_say_input(case):
 # Class-compiled kernels against a per-family reference
 # ---------------------------------------------------------------------------
 
-def _per_family(ast, cfg, values):
+def _days_tested(ast, cfg, bound):
+    """Every day that a predicate of the procedure compares a child's day with."""
+    preds = list(ast.requires)
+
+    def walk(stmts):
+        for st in stmts:
+            match st:
+                case If(pred=p, then=t, els=e):
+                    preds.append(p)
+                    walk(t)
+                    walk(e or ())
+                case Flip(then=t, els=e):
+                    walk(t)
+                    walk(e)
+                case Pick(where=w) if w is not None:
+                    preds.append(w)
+    walk(ast.body)
+    return {dsl._day_value(leaf.day, cfg, bound)
+            for p in preds for leaf in _leaves(p) if getattr(leaf, "day", None) is not None}
+
+
+def _per_family(ast, cfg, values, statement=None):
     """The per-family reference of `compile_protocol`: an interpreter of the
     AST that runs every family passing the pre-filter on its own, each with a
     row of its own. It binds picked variables in a dict per path and tests
-    with `eval_query`, so it shares no lowering with the compiler. Returns
-    (rows, empty-pick families, span of the first failing pick, whether a
-    path fell through)."""
+    with `eval_query`, so it shares no lowering with the compiler. For a
+    `statement`, a claim of a child's own day says OTHER unless a predicate
+    tests that day or the statement names it. Returns (rows, empty-pick
+    families, span of the first failing pick, whether a path fell through)."""
     bound = dsl._bind(ast, cfg, values)
     pre = [pred_to_query(p, cfg, bound) for p in ast.requires]
     empty, fell_through = {}, []
+    told = None  # the days a claim of a child's own day names; None for every day
+    if statement is not None:
+        told = _days_tested(ast, cfg, bound)
+        if isinstance(statement, Claim) and statement.day is not None:
+            told.add(statement.day)
 
     def holds(p, f, at):
         return eval_query(pred_to_query(p, cfg, bound, at), f)
@@ -629,6 +657,8 @@ def _per_family(ast, cfg, values):
             day = None if e.day is None else dsl._day_value(e.day, cfg, bound)
         else:
             day = f[at[e.day.var]].day
+            if told is not None and day not in told:
+                return OTHER
         return Claim(sex, day)
 
     def run(stmts, f, w, at, row, after):
@@ -679,7 +709,8 @@ def _sampler_view(kernel, st, event):
 
 
 def _rows_text(rows, cfg):
-    return [(family_str(f), [(render_statement(s, cfg), str(w)) for s, w in row.items()])
+    return [(family_str(f), [("OTHER" if s is OTHER else render_statement(s, cfg), str(w))
+                             for s, w in row.items()])
             for f, row in rows.items()]
 
 
@@ -688,9 +719,13 @@ _PROBS = ("0", "1", "1/2", "1/3", "2/7")
 
 @st.composite
 def _procedures(draw):
-    """Random procedure text over a small world, with parameter values."""
+    """Random procedure text over a small world, with parameter values.
+
+    Most worlds have two or three children, where the order in which a pick
+    binds them shows, and most picks with a `where` run under an `if` that
+    guarantees a match, so that few procedures end in `EmptyPick`."""
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 3))
+    n = draw(st.sampled_from((2, 3, 2, 3, 1)))
     days = [f"d{i}" for i in range(d)]
     params, values = [], {}
     if draw(st.booleans()):
@@ -740,7 +775,7 @@ def _procedures(draw):
     def say(scope):
         forms = ["claim(boy)", f"claim({sex()}, {day()})", "atleastone(boy)",
                  "twoofakind(girl)", "proudof(boy)", "yes", "no", 'text("t")']
-        if scope and draw(st.booleans()):
+        if scope and draw(st.integers(0, 3)):  # most says after a pick read its child
             v = draw(st.sampled_from(scope))
             forms = [f"claim(sex({v}))", f"claim(sex({v}), day({v}))",
                      f"claim({sex()}, day({v}))", f"claim(sex({v}), {day()})"]
@@ -755,8 +790,14 @@ def _procedures(draw):
             kind = draw(st.sampled_from(("pick", "if", "flip") if depth < 3 else ("pick",)))
             if kind == "pick":
                 v = f"v{draw(st.integers(0, 2))}"  # a name in scope is shadowed
-                where = draw(st.sampled_from(("", "", f" where sex({v})={sex()}",
-                                              f" where day({v})={day()}")))
+                test, value = draw(st.sampled_from((("", ""), ("", ""), ("sex", sex()),
+                                                    ("day", day()))))
+                where = f" where {test}({v})={value}" if test else ""
+                if test and depth < 5 and draw(st.integers(0, 4)):
+                    # the rest of the block runs under a guard that the pick matches
+                    inner = block(scope + [v], depth + 1)
+                    lines.append(f"if exists({value}) {{ pick {v}{where}; {inner} }}")
+                    break
                 lines.append(f"pick {v}{where};")
                 if v not in scope:
                     scope.append(v)
@@ -833,6 +874,123 @@ def test_class_compile_matches_per_family_compile(case, data):
             for a, b in zip(_sampler_view(kernel, said, event),
                             _sampler_view(reference, said, event)):
                 assert np.array_equal(a, b)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the library error it raises."""
+    try:
+        return f(*args)
+    except AmbiprobError as exc:
+        return type(exc), str(exc)
+
+
+def _check_compiled_for_each_statement(ast, cfg, values, events, reference=False):
+    """Compile ast for each statement the full kernel emits and for one it
+    never emits, and check the kernel against the full one: equal posteriors
+    (with case tables) for each event of `events()`, an equal statement and
+    reject mass, and OTHER holding just the mass of the claims it lumps;
+    or the same error. With `reference`, its rows must be the per-family
+    reference's for that statement."""
+    def compile_for(statement=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return compile_protocol(ast, cfg, values, statement)
+
+    try:
+        full = compile_for()
+    except EmptyPick as exc:
+        for statement in (Claim(Sex.BOY, 0), YesNo(True)):
+            with pytest.raises(EmptyPick) as got:
+                compile_for(statement)
+            assert (str(got.value), got.value.families, got.value.span) == \
+                (str(exc), exc.families, exc.span)
+        return
+    whole = marginal(full) if full.table else {REJECT: Fraction(1)}
+    said = [s for s in whole if s is not REJECT]
+    never = [Claim(sex, day) for sex in Sex for day in range(cfg.week_length)] + [Text("never")]
+    for statement in said + [next(s for s in never if s not in whole)]:
+        kernel = compile_for(statement)
+        assert validate_kernel(kernel) == []
+        if reference:
+            rows = _per_family(ast, cfg, values, statement)[0]
+            assert _rows_text(kernel.rows, cfg) == _rows_text(rows, cfg)
+        for event in events():
+            # reports are equal when their masses, posteriors and case rows are
+            assert _outcome(posterior, kernel, statement, event) == \
+                _outcome(posterior, full, statement, event)
+        if not full.table:
+            continue
+        lumped = marginal(kernel)
+        assert statement_mass(kernel, statement) == statement_mass(full, statement)
+        assert lumped[REJECT] == whole[REJECT]
+        short = {s: whole[s] - lumped.get(s, 0) for s in said}
+        assert set(lumped) <= set(whole) | {OTHER}
+        assert lumped.get(OTHER, 0) == sum(short.values())
+        # only claims of a day the statement does not name lose mass to OTHER
+        for s, w in short.items():
+            assert w == 0 or (w > 0 and isinstance(s, Claim) and s.day is not None
+                              and s.day != getattr(statement, "day", None))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_procedures(), st.data())
+def test_a_kernel_compiled_for_its_statement_conditions_like_the_full_kernel(case, data):
+    source, cfg, values = case
+    _check_compiled_for_each_statement(
+        parse(source), cfg, values,
+        lambda: data.draw(st.lists(_events(cfg), min_size=2, max_size=2)), reference=True)
+
+
+@pytest.mark.parametrize("name", [os.path.basename(p)[:-5] for p in proc_files()]
+                         + sorted(CHILD_TESTS))
+def test_procedures_compiled_for_their_statement_condition_like_the_full_kernel(name):
+    for n, d in CHILD_WORLDS:
+        cfg = WorldConfig(d, n)
+        if name in CHILD_TESTS:
+            source = CHILD_TESTS[name].replace("{mid}", f"d{d // 2}").replace("{last}", f"d{d - 1}")
+        else:
+            with open(os.path.join(PROC_DIR, f"{name}.proc")) as fh:
+                source = fh.read().replace("tue", "d0")  # a day in every week
+        events = CLASS_EVENTS + (ChildDayIs(n - 1, d - 1), And(ChildSexIs(0, Sex.BOY), Exists(day=0)))
+        _check_compiled_for_each_statement(parse(source), cfg, {}, lambda: events,
+                                           reference=cfg.n_outcomes <= 216)  # the reference is slow
+
+
+@pytest.mark.parametrize("name, vectors", [("gn_dn", 16), ("bc_dn", 12)])
+def test_a_claim_of_a_childs_day_tells_apart_only_the_statements_day(name, vectors):
+    # boys and girls of day 0, and of any other day: 4 classes, and bc_dn's
+    # pre-filter sends the 4 vectors of two girls home
+    kernel = load_protocol(os.path.join(PROC_DIR, f"{name}.proc"), WorldConfig(365, 2),
+                           Claim(Sex.BOY, 0))
+    assert len(kernel.table) == vectors
+    assert sum(kernel.multiplicities()) == 730 ** 2 - 365 ** 2 * (name == "bc_dn")
+
+
+def test_other_is_no_statement():
+    with pytest.raises(TypeError):
+        render_statement(OTHER, CFG)
+    for text in ("OTHER", "other", "other()", "REJECT"):
+        with pytest.raises(DslSyntaxError):
+            parse_statement_text(text, CFG)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_pick_compiles_its_where_tests_once(k, monkeypatch):
+    # the tests of a pick read only its child, so the n^(k-1) copies of the
+    # k-th pick in a row share its n tests, and equal picks share them too
+    queries = []
+
+    def compile_query(q, cfg, real=dsl.compile_query):
+        queries.append(q)
+        return real(q, cfg)
+
+    monkeypatch.setattr(dsl, "compile_query", compile_query)
+    distinct = "".join(f"pick v{i} where day(v{i})=d0; " for i in range(k)) + "say claim(sex(v0));"
+    repeated = "pick v where day(v)=d0; " * k + "say claim(sex(v));"
+    for body, calls in ((distinct, k * 5), (repeated, 5)):
+        queries.clear()
+        compile_protocol(parse(f"procedure p {{ require exists(d0); {body} }}"), WorldConfig(7, 5))
+        assert sum(isinstance(q, ChildDayIs) for q in queries) == calls
 
 
 @pytest.mark.parametrize("name", sorted(CHILD_TESTS))

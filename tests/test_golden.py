@@ -31,7 +31,9 @@ The `classes:` digests pin how each kernel names its classes: its
 would not change if a class were split finer or merged, so only these digests
 see a change to the rule for when two children are alike. They cover the
 builtins at every d in `CLASS_WEEKS` and every shipped procedure at every n in
-`SIZES` and d=7.
+`SIZES` and d=7. Those keyed by a statement as well pin the `LUMPED`
+procedures compiled for that statement at n=2, d=7; they were recorded when
+the compile for one statement came in.
 
 To see what changed after a failure, print `_outputs()` on both trees and diff.
 """
@@ -45,7 +47,7 @@ from fractions import Fraction
 import pytest
 
 from ambiprob.cli import main
-from ambiprob.dsl import compile_protocol, load_protocol, parse
+from ambiprob.dsl import compile_protocol, load_protocol, parse, parse_statement_text
 from ambiprob.engine import REJECT, _refine, marginal, render_statement
 from ambiprob.errors import AmbiprobError
 from ambiprob.model import (
@@ -147,6 +149,9 @@ procedure repick {
 }
 """,
 }
+# Shipped procedures whose `say` names a child's own day, so that a kernel
+# compiled for one statement has fewer classes than the full kernel.
+LUMPED = ("bc_dn", "gn_dn")
 # The worlds each CHILD_TESTS procedure is compiled in: every n in SIZES and d
 # in CHILD_WEEKS, and a world where a test reads 3 of 4 children.
 CHILD_WORLDS = tuple((n, d) for n in SIZES for d in CHILD_WEEKS) + ((4, 3),)
@@ -243,6 +248,11 @@ def _outputs() -> dict[str, str]:
             out[f"classes:{proc}:n{n}:d7"] = _classes_text(
                 load_protocol(path, WorldConfig(7, n))
             )
+    for proc in LUMPED:  # compiled for the first statement that `eval` asks of them
+        cfg = WorldConfig(7, 2)
+        say = _statements(proc, 7)[0]
+        out[f"classes:{proc}:n2:d7:{say}"] = _classes_text(load_protocol(
+            os.path.join(PROC_DIR, f"{proc}.proc"), cfg, parse_statement_text(say, cfg)))
     for name, template in CHILD_TESTS.items():
         for n, d in CHILD_WORLDS:
             source = template.replace("{mid}", f"d{d // 2}").replace("{last}", f"d{d - 1}")
@@ -388,6 +398,8 @@ GOLDEN = {
         "7d96b129015ab6f04dc03de989e9c0e93dadfcf23199db64423644d4e7db73cb",
     "classes:bc_dn:n2:d7":
         "e2dea2f69136d1e736593d3a91eed3f543911736607b3e464206179390cdc637",
+    "classes:bc_dn:n2:d7:claim(boy,d0)":
+        "8a0af8963cad47f5b5732fef39d490798296b766a7277b7ef6d753d6381d6c42",
     "classes:bc_dn:n3:d7":
         "f90bf232e6d22d7859c6a3adf3b385919ebedd706a853718b8f15abb81bd8ffe",
     "classes:bc_tc:n1:d7":
@@ -460,6 +472,8 @@ GOLDEN = {
         "19390ff6ab47b3710faf94111205012462faed92ed09224f3475d902c3c09f36",
     "classes:gn_dn:n2:d7":
         "ebebb01b76781b1e35c2954c2c88178acdcf472661883ea4ad8fbfe6710ea71f",
+    "classes:gn_dn:n2:d7:claim(boy,d0)":
+        "97132b3b9ebc9c56048e5f2bb39be30d946d843a715f43bf134e4291775aca47",
     "classes:gn_dn:n3:d7":
         "cc4a8679204984d422aafb3929e678a50ee4f9b61efd75063cd430e8fdc06400",
     "classes:gn_tc:n1:d7":
