@@ -36,7 +36,7 @@ from .errors import (
     ZeroStatementMass,
 )
 from .model import DAY_NAMES, WorldConfig, family_str, week_children
-from .scenarios import BUILTIN_IDS, bind_builtin, build_scenario, sweep_formula, week_sweep
+from .scenarios import BUILTIN_IDS, bind_builtin, sweep_formula, week_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -263,12 +263,10 @@ def _target(args, cfg: WorldConfig, builtin: bool, lumped: bool = True):
 
 
 def cmd_list(args, out):
-    cfg = WorldConfig()
     rows = []
     for sid in sorted(BUILTIN_IDS):
-        sc = build_scenario(sid, cfg)
-        answer = str(sc.expected_answer) if sid != "any-answer" else "p"
-        rows.append([sid, answer, sc.description])
+        b = bind_builtin(sid, WorldConfig())  # the answer and description; no compile
+        rows.append([sid, str(b.answer) if sid != "any-answer" else "p", b.description])
     _emit_rows(["id", "answer", "description"], rows, args.format, out)
     return EXIT_OK
 

@@ -4,9 +4,16 @@ It samples the table, not the procedure, so it checks the Bayes quotient that
 `posterior` computes from the same table, not the compiler that built it. The
 "sent home" step is a genuine rejection loop on sampled families: a family
 with no kernel row is redrawn. In-run reject mass triggers a redraw of the
-whole run. The generator is numpy's PCG64 (a published, seedable algorithm),
-driven in fixed-size chunks so results are bit-identical for identical (seed,
-config, protocol, trial count, shards).
+whole run. The generator is numpy's PCG64 (a published, seedable algorithm).
+Each shard draws its families 2^18 at a time (a chunk) and each chunk's u values
+2^14 at a time (a block), and classifies one block at a time, so its temporaries
+stay cache-sized. numpy's bounded draws take their values from the generator in
+turn, so a chunk's blocks draw what one draw per chunk would, and results are
+bit-identical for identical (seed, config, protocol, trial count, shards). A
+shard stops at the block that holds its last needed match. The redraw cap is
+checked at each match, against the run of misses that the match ends, and at
+the end of a chunk only if the chunk had no match; the first run above the cap
+raises DegenerateProtocol and is named in its message.
 
 Emission probabilities are exact rationals; sampling scales them to a common
 integer denominator, so no floating-point comparison enters the draw itself.
@@ -32,7 +39,8 @@ from .engine import ProtocolKernel, Statement, posterior, render_statement
 from .errors import DegenerateProtocol, ZeroStatementMass
 from .model import QueryPredicate, compile_query, week_children
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 18  # family draws per chunk
+_BLOCK = 1 << 14  # draws classified at a time, so temporaries stay in cache
 # McResult's counters, summed over a shard's chunks and over the shards.
 _COUNTERS = ("trials", "rejected_families", "rejected_runs", "hits", "statement_matches")
 
@@ -112,47 +120,60 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     return event, which, lo, hi, tot, denom
 
 
+def _cap_exceeded(run):
+    return DegenerateProtocol(
+        f"{run} consecutive draws without a statement match "
+        "(cap exceeded); statement mass is zero or vanishingly small"
+    )
+
+
 def _run_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
     n_fam = which.shape[0]
     sent_home = lo.shape[0] - 1
     counters = dict.fromkeys(_COUNTERS, 0)
     misses = 0  # draws without a statement match since the last match
-    while counters["statement_matches"] < n_matches:
-        draw = rng.integers(0, n_fam, size=_CHUNK)  # each draw's family
-        u = rng.integers(0, denom, size=_CHUNK)
-        holds = event[draw]
-        # each draw's table line; rebinding frees the families at once, which
-        # keeps the chunk's page faults and peak memory at two arrays of draws
-        draw = which[draw]
-        needed = n_matches - counters["statement_matches"]
-        # the sent-home line is all zeros, so it never emits or matches; the
-        # chunk ends at the last match the shard needs
-        at = np.flatnonzero((lo[draw] <= u) & (u < hi[draw]))[:needed]
-        end = int(at[-1]) + 1 if at.size == needed else _CHUNK
-        draw, u = draw[:end], u[:end]
+    while True:
+        chunk = rng.integers(0, n_fam, size=_CHUNK)  # each draw's family
+        matched = False
+        for start in range(0, _CHUNK, _BLOCK):
+            fam = chunk[start:start + _BLOCK]
+            # the block's u values continue the chunk's stream: split bounded
+            # draws equal one draw of their total size
+            u = rng.integers(0, denom, size=_BLOCK)
+            line = which.take(fam)  # each draw's table line
+            needed = n_matches - counters["statement_matches"]
+            # the sent-home line is all zeros, so it never emits or matches;
+            # the block ends at the last match the shard needs
+            at = np.flatnonzero((lo.take(line) <= u) & (u < hi.take(line)))[:needed]
+            last = at.size == needed
+            end = int(at[-1]) + 1 if last else _BLOCK
 
-        # the runs of misses that the matches end: the first counts the misses
-        # carried in; a chunk without a match only lengthens the carried run
-        if at.size:
-            longest_gap = max(misses + int(at[0]), int(np.diff(at).max(initial=1)) - 1)
-            misses = end - 1 - int(at[-1])
-        else:
-            misses += end
-            longest_gap = misses
-        if longest_gap > cap:
-            raise DegenerateProtocol(
-                f"{longest_gap} consecutive draws without a statement match "
-                "(cap exceeded); statement mass is zero or vanishingly small"
-            )
+            if at.size:
+                # the runs of misses that the matches end, the first with the
+                # misses carried in; the first run above the cap is named
+                gaps = np.diff(at, prepend=-1 - misses) - 1
+                over = np.flatnonzero(gaps > cap)
+                if over.size:
+                    raise _cap_exceeded(int(gaps[over[0]]))
+                misses = end - 1 - int(at[-1])
+                matched = True
+            else:
+                misses += _BLOCK
 
-        n_home = int(np.count_nonzero(draw == sent_home))
-        n_emitted = int(np.count_nonzero(u < tot[draw]))
-        counters["rejected_families"] += n_home
-        counters["rejected_runs"] += end - n_home - n_emitted  # in-run rejects
-        counters["trials"] += n_emitted
-        counters["statement_matches"] += at.size
-        counters["hits"] += int(np.count_nonzero(holds[at]))
-    return counters
+            line, u = line[:end], u[:end]
+            n_home = int(np.count_nonzero(line == sent_home))
+            n_emitted = int(np.count_nonzero(u < tot.take(line)))
+            counters["rejected_families"] += n_home
+            counters["rejected_runs"] += end - n_home - n_emitted  # in-run rejects
+            counters["trials"] += n_emitted
+            counters["statement_matches"] += at.size
+            counters["hits"] += int(np.count_nonzero(event.take(fam[at])))
+            if last:
+                return counters
+        # a chunk without a match only lengthens the carried run
+        if not matched and misses > cap:
+            raise _cap_exceeded(misses)
+        del chunk, fam  # so the next chunk is not drawn beside this one
 
 
 def sample_posterior(

@@ -113,13 +113,14 @@ def _builtin_ast(file: str) -> dsl.ProtocolAst:
 
 class Binding(NamedTuple):
     """A builtin with its parameters bound, ready to compile: its procedure,
-    parameter values, canonical statement and query, and answer."""
+    parameter values, canonical statement and query, answer and description."""
 
     ast: dsl.ProtocolAst
     values: dsl.Bound
     statement: Statement
     query: QueryPredicate
     answer: Fraction
+    description: str
 
 
 def bind_builtin(
@@ -149,7 +150,8 @@ def bind_builtin(
                                   for prm in ast.params})
     statement = builtin.statement.format(day=day, default_day=_default_day(cfg))
     return Binding(ast, values, dsl.parse_statement_text(statement, cfg),
-                   dsl.parse_event_text(_QUERY, cfg), builtin.answer(cfg.week_length, Fraction(p)))
+                   dsl.parse_event_text(_QUERY, cfg), builtin.answer(cfg.week_length, Fraction(p)),
+                   builtin.description)
 
 
 def build_scenario(
@@ -161,8 +163,8 @@ def build_scenario(
     """Compile builtin `scenario_id` as `bind_builtin` binds it; the kernel
     tells every statement apart."""
     b = bind_builtin(scenario_id, cfg, day, p)
-    return Scenario(scenario_id, _BUILTINS[scenario_id].description,
-                    dsl.compile_protocol(b.ast, cfg, b.values), b.statement, b.query, b.answer)
+    return Scenario(scenario_id, b.description, dsl.compile_protocol(b.ast, cfg, b.values),
+                    b.statement, b.query, b.answer)
 
 
 def week_sweep(d_range) -> list[tuple[int, Fraction]]:

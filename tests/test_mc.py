@@ -13,7 +13,9 @@ from ambiprob.dsl import (
 )
 from ambiprob.engine import AtLeastOne, Claim, Text, YesNo, posterior
 from ambiprob.errors import DegenerateProtocol, ZeroStatementMass
-from ambiprob.mc import _CHUNK, McResult, _compile_tables, agreement_check, sample_posterior
+from ambiprob.mc import (
+    _BLOCK, _CHUNK, McResult, _compile_tables, agreement_check, sample_posterior,
+)
 from ambiprob.model import AllMatch, Always, Sex, WorldConfig
 from ambiprob.scenarios import build_scenario
 
@@ -260,8 +262,28 @@ def test_golden_results_are_bit_identical(run, expected):
     assert run() == expected
 
 
+# Bounds of a draw below 2^31, one that Lemire's method rejects about 30% of
+# the time, and one above 2^32, which numpy draws on its 64-bit path.
+BOUNDS = [12, 3_000_000_019, 9_000_000_057]
+
+
+@pytest.mark.parametrize("m", BOUNDS)
+@pytest.mark.parametrize("sizes", [(1, 2, 5, 17, 999, 4), (3, 3, 3),
+                                   (_BLOCK,) * (_CHUNK // _BLOCK)])
+def test_split_bounded_draws_equal_one_draw(m, sizes):
+    # the sampler draws a chunk's u values block by block; its results are
+    # those of one draw per chunk only if split draws continue one stream
+    whole = np.random.Generator(np.random.PCG64(5))
+    split = np.random.Generator(np.random.PCG64(5))
+    one = whole.integers(0, m, size=sum(sizes))
+    parts = np.concatenate([split.integers(0, m, size=k) for k in sizes])
+    assert np.array_equal(one, parts)
+    assert whole.bit_generator.state == split.bit_generator.state
+
+
 def _reference_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
-    """`_run_shard` one draw at a time in plain Python, from the same chunks."""
+    """`_run_shard` one draw at a time in plain Python, drawing each chunk's
+    u values at once where the sampler draws them block by block."""
     event, which, lo, hi, tot = (t.tolist() for t in (event, which, lo, hi, tot))
     sent_home = len(lo) - 1
     counters = dict.fromkeys(("trials", "rejected_families", "rejected_runs", "hits",
@@ -338,6 +360,61 @@ def test_sampler_matches_a_per_draw_reference_across_chunks():
         with pytest.raises(DegenerateProtocol) as ref:
             _reference_posterior(*args, redraw_cap=cap)
         assert str(exc.value) == str(ref.value)
+
+
+# Flips whose common denominator Lemire's method rejects about 30% of the
+# time (3,000,000,019), and one above 2^32 (9,000,000,057) with in-run rejects.
+WIDE_FLIPS = [
+    pytest.param("procedure p { flip 1000000000/3000000019 { say yes; } else { say no; } }",
+                 id="lemire-rejects"),
+    pytest.param("procedure p { flip 1500000000/3000000019 { say yes; } "
+                 "else { flip 1/3 { say no; } else { reject; } } }", id="above-2^32"),
+]
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("text", WIDE_FLIPS)
+def test_sampler_matches_a_per_draw_reference_for_wide_denominators(text, shards):
+    # 150,000 matches take two chunks in one shard and several blocks in each of three
+    kernel = compile_protocol(parse(text), CFG)
+    args = (kernel, YesNo(True), BOTH_BOYS, 150_000, 3)
+    assert sample_posterior(*args, shards=shards) == _reference_posterior(*args, shards=shards)
+
+
+def _outcome(sample, *args, **kwargs):
+    try:
+        return sample(*args, **kwargs)
+    except DegenerateProtocol as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cap", [30_000, 60_000])
+def test_redraw_cap_names_the_first_run_that_exceeds_it(cap):
+    # P(yes) = 1/20000: a chunk holds several runs of misses, and the message
+    # names the first above the cap, as the per-draw reference does, not the longest
+    kernel = compile_protocol(parse("procedure p { flip 1/20000 { say yes; } else { reject; } }"),
+                              WorldConfig(1, 1))
+    for seed in range(6):
+        args = (kernel, YesNo(True), Always(), 50, seed)
+        assert (_outcome(sample_posterior, *args, redraw_cap=cap)
+                == _outcome(_reference_posterior, *args, redraw_cap=cap)), seed
+
+
+@pytest.mark.parametrize("sid, trials", [("bc-tc", 20_000), ("gn-dn", 40_000)])
+def test_a_shard_classifies_its_draws_in_blocks(sid, trials):
+    # the chunk's 2^18 family draws (2 MiB) are the one chunk-sized array, and
+    # gn-dn's three chunks are drawn one after another, not beside each other;
+    # the u values and every temporary are one block long
+    sc = build_scenario(sid, CFG)
+    args = (sc.kernel, sc.canonical_statement, sc.canonical_query)
+    sample_posterior(*args, 1, seed=0)  # numpy's first-use allocations are not the sampler's
+    tracemalloc.start()
+    try:
+        sample_posterior(*args, trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_table_build_keeps_no_family_list():
