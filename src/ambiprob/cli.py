@@ -3,8 +3,8 @@
 `run`, `eval` and `mc` resolve their target in `_target`: a builtin takes --day
 and --p and refuses --say and --event, a .proc file the other way round. An
 absent --day or --p leaves `bind_builtin` its default; the CLI has none.
-`run` and `eval` compile the kernel for their statement; `mc` samples the
-full kernel.
+Each compiles the kernel for its statement once: `run` and `eval` condition on
+it, and `mc` samples it.
 
 Exit codes: 0 ok, 5 a cross-check disagreed (the Monte Carlo with the exact
 answer, or a `sweep` row with (2d-1)/(4d-1)); `EXIT_CODES` maps each error to
@@ -228,13 +228,13 @@ def _world(args) -> WorldConfig:
     return cfg
 
 
-def _target(args, cfg: WorldConfig, builtin: bool, lumped: bool = True):
-    """The kernel, statement and event that `run`, `eval` and `mc` condition on.
+def _target(args, cfg: WorldConfig, builtin: bool):
+    """The target's kernel, compiled for its statement (see
+    `dsl.compile_protocol`), the statement and the event: what `run` and
+    `eval` condition on and `mc` samples.
 
     A builtin states its own and reads only --day and --p, where an absent flag
-    leaves `bind_builtin` its default; a .proc file reads only --say and --event.
-    With `lumped`, the kernel is compiled for the statement (see
-    `dsl.compile_protocol`); else it tells every statement apart."""
+    leaves `bind_builtin` its default; a .proc file reads only --say and --event."""
     if builtin:
         if args.say is not None or args.event is not None:
             raise CliError("--say and --event apply to .proc targets only; "
@@ -244,8 +244,7 @@ def _target(args, cfg: WorldConfig, builtin: bool, lumped: bool = True):
         day = None if args.day is None else _parse_day(args.day, cfg)
         p = None if args.p is None else _parse_fraction(args.p)
         b = bind_builtin(args.target, cfg, day=day, p=p)
-        kernel = dsl.compile_protocol(b.ast, cfg, b.values, b.statement if lumped else None)
-        return kernel, b.statement, b.query
+        return dsl.compile_protocol(b.ast, cfg, b.values, b.statement), b.statement, b.query
     if args.say is None or args.event is None:
         raise CliError("--say and --event are required for .proc targets")
     if args.day is not None or args.p is not None:
@@ -258,8 +257,7 @@ def _target(args, cfg: WorldConfig, builtin: bool, lumped: bool = True):
         # names no day raises them all and tells few days apart
         dsl.load_protocol(args.target, cfg, YesNo(True))
         raise
-    kernel = dsl.load_protocol(args.target, cfg, say if lumped else None)
-    return kernel, say, dsl.parse_event_text(args.event, cfg)
+    return dsl.load_protocol(args.target, cfg, say), say, dsl.parse_event_text(args.event, cfg)
 
 
 def cmd_list(args, out):
@@ -281,9 +279,8 @@ def cmd_posterior(args, out):
 
 def cmd_mc(args, out):
     cfg = _world(args)
-    # the sampler draws from the full kernel, so that it stays independent of the lumping
-    target = _target(args, cfg, builtin=not args.target.endswith(".proc"), lumped=False)
-    report = mc.agreement_check(*target, args.trials, args.seed, shards=args.shards)
+    report = mc.agreement_check(*_target(args, cfg, builtin=not args.target.endswith(".proc")),
+                                args.trials, args.seed, shards=args.shards)
     r = report.result
     verdict = "PASS" if report.passed else "FAIL"
     if args.format == "json":

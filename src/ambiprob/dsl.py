@@ -53,6 +53,7 @@ and the compiled kernel is the class table (see `compile_protocol`), named by
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import re
 import warnings
@@ -954,7 +955,7 @@ def load_protocol(path, cfg: WorldConfig, statement: Statement | None = None) ->
     """Read, parse and compile a `.proc` file (for `statement`, as
     `compile_protocol` does)."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)  # a byte-order mark is not text
     try:
         source = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -10,12 +10,12 @@ from fractions import Fraction
 import pytest
 
 import ambiprob
-from ambiprob import dsl
+from ambiprob import dsl, mc
 from ambiprob.cli import EXIT_CODES, _emit_rows, _target, build_parser, main
 from ambiprob.engine import posterior, render_statement
 from ambiprob.errors import AmbiprobError
 from ambiprob.model import WorldConfig, family_str
-from ambiprob.scenarios import sweep_formula
+from ambiprob.scenarios import BUILTIN_IDS, sweep_formula
 
 PROC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ambiprob", "procs")
 
@@ -200,6 +200,52 @@ def test_mc_json_report():
     assert (payload["exact"], payload["verdict"]) == ("13/27", "PASS")
     # bc-tc says one statement, so every run that speaks matches it
     assert payload["statement_matches"] == payload["trials"] == 20000
+
+
+@pytest.mark.parametrize("argv, vectors", [
+    (("gn-dn", "--week-days", "365"), 16),  # not the (2d)^2 = 532,900 of every claim
+    ((os.path.join(PROC_DIR, "gn_dn.proc"), "--children", "4", "--say", "claim(boy,tue)",
+      "--event", "all(boy)"), 256),  # not 14^4 = 38,416
+])
+def test_mc_samples_the_kernel_compiled_for_its_statement(argv, vectors, monkeypatch):
+    sampled = []
+
+    def agreement_check(kernel, *rest, real=mc.agreement_check, **kwargs):
+        sampled.append(kernel)
+        return real(kernel, *rest, **kwargs)
+
+    monkeypatch.setattr(mc, "agreement_check", agreement_check)
+    assert run_cli("mc", *argv, "--trials", "2000", "--seed", "1")[0] == 0
+    assert [len(k.table) for k in sampled] == [vectors]
+
+
+def _proc_argv(name, children):
+    return (os.path.join(PROC_DIR, name), "--children", str(children),
+            "--say", "claim(boy,tue)", "--event", "all(boy)")
+
+
+# the targets whose `say` reads a child's own day, so their kernel lumps the
+# days it does not name into OTHER
+DAY_READING = [
+    ("gn-dn", "--week-days", "30", "--day", "d3"),
+    ("bc-dn", "--week-days", "30", "--day", "d3"),
+    _proc_argv("gn_dn.proc", 3),
+    _proc_argv("bc_dn.proc", 3),
+]
+
+
+@pytest.mark.parametrize("argv", [(sid,) for sid in sorted(BUILTIN_IDS)] + DAY_READING)
+def test_mc_exact_is_the_posterior_run_and_eval_report(argv):
+    command = "eval" if argv[0].endswith(".proc") else "run"
+    code, text = run_cli(command, *argv, "--format", "json")
+    assert code == 0
+    seeds = (1, 2, 3) if argv in DAY_READING else (1,)
+    for seed in seeds:
+        code, report = run_cli("mc", *argv, "--trials", "20000", "--seed", str(seed),
+                               "--format", "json")
+        payload = json.loads(report)
+        assert payload["exact"] == json.loads(text)["posterior"]
+        assert (code, payload["verdict"]) == (0, "PASS")
 
 
 def test_mc_trials_that_are_not_a_number_exit_2(capsys):

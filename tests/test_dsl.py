@@ -1,3 +1,4 @@
+import codecs
 import glob
 import math
 import os
@@ -207,6 +208,20 @@ def test_non_utf8_file_is_a_syntax_error_with_a_position(tmp_path):
         load_protocol(path, CFG)
     assert (info.value.span.line, info.value.span.column) == (1, 25)
     assert f"{path} is not UTF-8: can't decode byte 0xff" in str(info.value)
+
+
+def test_leading_byte_order_mark_is_skipped_and_positions_stay(tmp_path):
+    text = b'procedure p {\n  say claim(boy, tue);\n}\n'
+    plain, marked = tmp_path / "plain.proc", tmp_path / "marked.proc"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    assert load_protocol(marked, CFG).table == load_protocol(plain, CFG).table
+    # a bad byte or character after the mark is placed as if the mark were absent
+    for bad, span in [(b'say text("\xff");', (2, 13)), (b"say @;", (2, 7))]:
+        marked.write_bytes(codecs.BOM_UTF8 + b"procedure p {\n  " + bad + b"\n}\n")
+        with pytest.raises(DslSyntaxError) as info:
+            load_protocol(marked, CFG)
+        assert (info.value.span.line, info.value.span.column) == span
 
 
 def test_day_out_of_range_carries_span():
