@@ -2,7 +2,9 @@
 
 `run`, `eval` and `mc` resolve their target in `_target`: a builtin takes --day
 and --p and refuses --say and --event, a .proc file the other way round. An
-absent --day or --p leaves `bind_builtin` its default; the CLI has none.
+absent --day or --p leaves `bind_builtin` its default; the CLI has none. `mc`
+takes a target that is not a builtin id for a file when its name ends in .proc
+or it is given --say or --event.
 Each compiles the kernel for its statement once: `run` and `eval` condition on
 it, and `mc` samples it.
 
@@ -20,8 +22,8 @@ import functools
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import dsl, mc
@@ -108,10 +110,6 @@ def _frac_str(x: Fraction, decimal: bool) -> str:
     return s
 
 
-# Rows per write: bounded strings, few writes.
-_BATCH = 1000
-
-
 def _emit_rows(header, rows, fmt, out):
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -131,12 +129,31 @@ def _write_cases(table: CaseTable, head: str, suffix: dict, out, sep: str = "",
                  width: int = 0) -> None:
     """Write each case row as `head`, its family's text left-justified to
     `width`, and the suffix of its refined vector, joined by `sep`. The suffix
-    holds the row's prior, emission and event, rendered once per vector."""
-    rows = table.families(tuple(family_str((c,)) for c in week_children(table.config)))
+    holds the row's prior, emission and event, rendered once per vector.
+
+    Rows are written a prefix at a time: the text of each family's first n-1
+    children grows down `CaseTable.prefix_tree`, and a prefix's rows are one
+    `str.join` of its tails, each the last child padded to what is left of
+    `width` plus the suffix. Tails depend only on the prefix vector and that
+    padding; they are kept for reuse where the vector holds a class of two or
+    more children, since only there can a second prefix share the key."""
+    cfg = table.config
+    grow = table.prefix_tree(tuple(family_str((c,)) for c in week_children(cfg)))
+    level = [((), "")]
+    for _ in range(cfg.family_size - 1):
+        level = ((q, f + c + ",") for p, f in level for c, q in grow.get(p, ()))
+    shared = {k for k, m in Counter(table.child_class).items() if m > 1}
+    kept: dict[tuple, list[str]] = {}
     lead = ""
-    while batch := list(islice(rows, _BATCH)):
-        out.write(lead + sep.join([head + ",".join(f).ljust(width) + suffix[vec]
-                                   for vec, f in batch]))
+    for p, f in level:
+        pad = width and width - len(f)  # no padding in csv or JSON
+        tails = kept.get((p, pad))
+        if tails is None:
+            tails = [c.ljust(pad) + suffix[q] for c, q in grow.get(p, ())]
+            if not shared.isdisjoint(p):
+                kept[p, pad] = tails
+        f = head + f
+        out.write(lead + f + (sep + f).join(tails))
         lead = sep
 
 
@@ -279,7 +296,9 @@ def cmd_posterior(args, out):
 
 def cmd_mc(args, out):
     cfg = _world(args)
-    report = mc.agreement_check(*_target(args, cfg, builtin=not args.target.endswith(".proc")),
+    builtin = args.target in BUILTIN_IDS or not (
+        args.target.endswith(".proc") or args.say is not None or args.event is not None)
+    report = mc.agreement_check(*_target(args, cfg, builtin=builtin),
                                 args.trials, args.seed, shards=args.shards)
     r = report.result
     verdict = "PASS" if report.passed else "FAIL"

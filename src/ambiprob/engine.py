@@ -268,10 +268,14 @@ class CaseTable:
     def __len__(self) -> int:
         return self._len
 
-    def families(self, labels: tuple | None = None):
-        """Each row's (refined vector, family), in `family_str` order; see
-        `_case_order` for `labels`."""
-        return _case_order(self.config, self.child_class, self.vectors, labels)
+    def families(self):
+        """Each row's (refined vector, family), in `family_str` order (`_case_order`)."""
+        return _case_order(self.config, self.child_class, self.vectors)
+
+    def prefix_tree(self, labels: tuple | None = None):
+        """The `_prefix_tree` that `families` walks, for writers that grow the
+        rows' text a prefix at a time."""
+        return _prefix_tree(self.config, self.child_class, self.vectors, labels)
 
     def __iter__(self):
         prior, vectors = self.prior, self.vectors
@@ -297,16 +301,15 @@ class PosteriorReport:
     case_table: CaseTable = field(repr=False)
 
 
-def _case_order(cfg: WorldConfig, child_class: tuple[int, ...], vectors: Iterable[tuple],
-                labels: tuple | None = None):
-    """Each family whose class vector is in `vectors`, as (vector, family), in
-    `family_str` order; a family is the tuple of its children's `labels`
-    (``labels[i]`` stands for ``week_children(cfg)[i]``; the children
-    themselves by default). `family_str` joins per-child keys
-    ``<sex letter>@<day>`` with ``,``, which sorts below every digit, so
-    ordering the children by (sex letter, day as text) orders the families
-    without sorting them; a prefix grows only by the children whose class
-    leads on to one of `vectors`.
+def _prefix_tree(cfg: WorldConfig, child_class: tuple[int, ...], vectors: Iterable[tuple],
+                 labels: tuple | None = None) -> dict[tuple, list]:
+    """Each prefix of a vector in `vectors` -> the children that may follow
+    it, as [(label, longer prefix)] in `family_str` order; ``labels[i]``
+    stands for ``week_children(cfg)[i]``, the children themselves by default.
+    `family_str` joins per-child keys ``<sex letter>@<day>`` with ``,``, which
+    sorts below every digit, so ordering the children by (sex letter, day as
+    text) orders the families without sorting them; a prefix grows only by
+    the children whose class leads on to one of `vectors`.
     """
     children = week_children(cfg)
     order = sorted(zip(children, labels or children, child_class),
@@ -315,7 +318,13 @@ def _case_order(cfg: WorldConfig, child_class: tuple[int, ...], vectors: Iterabl
     for vec in vectors:
         for i, k in enumerate(vec):
             leads.setdefault(vec[:i], set()).add(k)
-    grow = {p: [(c, p + (k,)) for _, c, k in order if k in ks] for p, ks in leads.items()}
+    return {p: [(c, p + (k,)) for _, c, k in order if k in ks] for p, ks in leads.items()}
+
+
+def _case_order(cfg: WorldConfig, child_class: tuple[int, ...], vectors: Iterable[tuple]):
+    """Each family whose class vector is in `vectors`, as (vector, family), in
+    `family_str` order: the walk down `_prefix_tree`."""
+    grow = _prefix_tree(cfg, child_class, vectors)
     level = [((), ())]
     for _ in range(cfg.family_size):
         level = ((q, f + (c,)) for p, f in level for c, q in grow.get(p, ()))

@@ -1,20 +1,22 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import ambiprob
-from ambiprob import dsl, mc
+from ambiprob import cli, dsl, mc
 from ambiprob.cli import EXIT_CODES, _emit_rows, _target, build_parser, main
 from ambiprob.engine import posterior, render_statement
 from ambiprob.errors import AmbiprobError
-from ambiprob.model import WorldConfig, family_str
+from ambiprob.model import WorldConfig, family_str, week_children
 from ambiprob.scenarios import BUILTIN_IDS, sweep_formula
 
 PROC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "ambiprob", "procs")
@@ -269,6 +271,27 @@ def test_mc_proc_target_requires_specs(tmp_path):
         "--trials", "1000", "--seed", "1",
     )
     assert code2 == 0
+
+
+def test_mc_reads_a_target_with_say_and_event_as_a_file_whatever_its_name(tmp_path):
+    proc = tmp_path / "p.txt"
+    proc.write_text("procedure p { say yes; }\n")
+    flags = ("--say", "yes", "--event", "all(boy)")
+    code, text = run_cli("eval", str(proc), *flags)
+    assert (code, "posterior = 1/4\n" in text) == (0, True)
+    code, text = run_cli("mc", str(proc), *flags, "--trials", "10", "--seed", "1")
+    assert (code, text.splitlines()[3].split()) == (0, ["exact", "1/4"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    # not a builtin id, and nothing to read it as a file by
+    (("bc_tc",), "unknown scenario id 'bc_tc'; see `ambiprob list`"),
+    ((os.path.join(PROC_DIR, "gn_dn.proc"),), "--say and --event are required for .proc targets"),
+    (("bc-tc", "--say", "yes"), "--say and --event apply to .proc targets only"),
+])
+def test_mc_target_rule_keeps_its_usage_errors(argv, message, capsys):
+    assert run_cli("mc", *argv, "--trials", "10") == (2, "")
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--day", "wed"), ("--p", "1/5")])
@@ -620,9 +643,79 @@ def _generic_report(argv, fmt, decimal):
      "--event", "exists(d3) or all(boy)", "--children", "1", "--week-days", "12"),
     ("eval", os.path.join(PROC_DIR, "bc_tc.proc"), "--say", "claim(boy,tue)",
      "--event", "count(boy) >= 2 and not exists(girl,d5)", "--children", "3"),
+    # labels 3 and 4 characters wide, so one prefix vector pads its tails two
+    # ways; the event tests a day, which refines the classes
+    ("eval", os.path.join(PROC_DIR, "bc_dn.proc"), "--say", "claim(boy,d1)",
+     "--event", "exists(girl,d10) or all(boy)", "--children", "3", "--week-days", "12"),
+    ("eval", os.path.join(PROC_DIR, "gn_dn.proc"), "--say", "claim(boy,d3)",
+     "--event", "all(boy)", "--children", "4", "--week-days", "11"),
 ])
 def test_case_writers_write_the_generic_layout_byte_for_byte(argv, fmt, decimal):
     argv = [*argv, "--format", fmt, *decimal]
     code, text = run_cli(*argv)
     assert code == 0
-    assert text == _generic_report(argv, fmt, bool(decimal))
+    _assert_same_lines(text, _generic_report(argv, fmt, bool(decimal)))
+
+
+def _assert_same_lines(text, want):
+    """`text == want`, reporting the first lines that differ: pytest's own
+    diff of two reports of 30,000 rows runs for minutes."""
+    got, want = text.splitlines(keepends=True), want.splitlines(keepends=True)
+    assert [pair for pair in zip(got, want) if pair[0] != pair[1]][:3] == []
+    assert len(got) == len(want)
+
+
+def test_case_writer_pads_166531_rows_at_n5_as_the_generic_table():
+    argv = ["eval", os.path.join(PROC_DIR, "gn_dn.proc"), "--children", "5",
+            "--say", "claim(boy,tue)", "--event", "all(boy)", "--format", "table"]
+    code, text = run_cli(*argv)
+    assert code == 0
+    assert text.count("\n") == 166_536  # header, rows, four summary lines
+    _assert_same_lines(text, _generic_report(argv, "table", False))
+
+
+def _per_row_writer(table, head, suffix, out, sep="", width=0):
+    """The case rows as they were written before a prefix at a time: each
+    family's labels joined and padded on its own, a thousand rows a write."""
+    cfg = table.config
+    grow = table.prefix_tree(tuple(family_str((c,)) for c in week_children(cfg)))
+    rows = [((), ())]
+    for _ in range(cfg.family_size):
+        rows = ((q, f + (c,)) for p, f in rows for c, q in grow.get(p, ()))
+    lead = ""
+    while batch := list(itertools.islice(rows, 1000)):
+        out.write(lead + sep.join([head + ",".join(f).ljust(width) + suffix[vec]
+                                   for vec, f in batch]))
+        lead = sep
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_case_writer_keeps_no_tails_when_every_child_is_its_own_class(fmt, monkeypatch):
+    # an event that tests every day puts each child in a class of its own, so
+    # no prefix vector repeats and a kept tail would never be read again
+    d = 60
+    argv = ["eval", os.path.join(PROC_DIR, "classic_coinflip.proc"), "--say", "atleastone(boy)",
+            "--event", " or ".join(f"exists(d{k})" for k in range(d)),
+            "--week-days", str(d), "--format", fmt]
+    args = build_parser().parse_args(argv)
+    cfg = WorldConfig(d, 2)
+    rep = posterior(*_target(args, cfg, builtin=False))
+    assert len(set(rep.case_table.child_class)) == 2 * d
+
+    def peak():
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            cli._print_report(rep, cfg, args, out)
+            return tracemalloc.get_traced_memory()[1], out.getvalue()
+        finally:
+            tracemalloc.stop()
+
+    peak()  # anything a first report caches
+    mine = peak()
+    monkeypatch.setattr(cli, "_write_cases", _per_row_writer)
+    per_row = peak()
+    assert mine[1] == per_row[1], "the writers wrote different bytes"
+    # both peak while the prefix tree is built (4.4 MB); keeping every tail
+    # would add 0.5 to 1.2 MB, and the allocator's noise is a few hundred bytes
+    assert mine[0] <= per_row[0] + 4096, (mine[0], per_row[0])

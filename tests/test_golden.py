@@ -35,6 +35,13 @@ builtins at every d in `CLASS_WEEKS` and every shipped procedure at every n in
 procedures compiled for that statement at n=2, d=7; they were recorded when
 the compile for one statement came in.
 
+The `LARGEST` digests pin the two largest case tables the CLI writes, in every
+format: `run classic-coinflip --week-days 365` (399,675 rows) and `eval
+gn_dn.proc --children 5` for `claim(boy,tue)` (166,531 rows). They are the
+digests of stdout alone, hashed as it is written, and were recorded while each
+row was still joined and padded on its own, before rows were written a prefix
+at a time.
+
 To see what changed after a failure, print `_outputs()` on both trees and diff.
 """
 
@@ -1721,3 +1728,36 @@ def test_golden_digests(digests, kind):
         if key.startswith(f"{kind}:") and digests.get(key) != GOLDEN[key]
     ]
     assert changed == []
+
+
+LARGEST = {
+    ("run", "classic-coinflip", "--week-days", "365"): {
+        "table": "fc85bc6b6d13458541fceca4bb1617db60e6eae3f5e5d7f36b993bc4a281225a",
+        "csv": "2578e1c3adf0ba9ddce2c8400a875898e738e1c36953671abac42567bfa17f5f",
+        "json": "a7929c94f922b134498fab09a2a21b548c47ffdd6c875fb01de4edce76929a7b",
+    },
+    ("eval", os.path.join(PROC_DIR, "gn_dn.proc"), "--children", "5",
+     "--say", "claim(boy,tue)", "--event", "all(boy)"): {
+        "table": "67e2d44987d0df8fa139897a83f0b8e5c05733da02b9e9589513e550f1360e44",
+        "csv": "67f67139c9a46ba7ec01e7c03da3038c79efffc669eaf732cc5ff1a32e7a946a",
+        "json": "64a8f49647d717beef01e08486dcf860bcad81c32330a369c16e7c3da1f38218",
+    },
+}
+
+
+class _HashingOut:
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("argv", list(LARGEST))
+def test_largest_case_tables(argv, fmt):
+    out = _HashingOut()
+    assert main([*argv, "--format", fmt], out=out) == 0
+    assert out.sha256.hexdigest() == LARGEST[argv][fmt]
