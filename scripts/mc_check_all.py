@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Monte Carlo cross-check of every builtin scenario at one million trials."""
+"""Monte Carlo cross-check of every builtin scenario, by default at one million
+trials on one shard."""
 
 import argparse
 import time
@@ -12,6 +13,7 @@ from ambiprob.scenarios import BUILTIN_IDS, build_scenario
 parser = argparse.ArgumentParser()
 parser.add_argument("--trials", type=int, default=1_000_000)
 parser.add_argument("--seed", type=int, default=42)
+parser.add_argument("--shards", type=int, default=1)
 args = parser.parse_args()
 
 cfg = WorldConfig(week_length=7, family_size=2)
@@ -21,7 +23,7 @@ for sid in sorted(BUILTIN_IDS):
     start = time.monotonic()
     rep = agreement_check(
         sc.kernel, sc.canonical_statement, sc.canonical_query,
-        args.trials, args.seed,
+        args.trials, args.seed, shards=args.shards,
     )
     elapsed = time.monotonic() - start
     r = rep.result

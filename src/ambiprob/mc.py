@@ -13,17 +13,27 @@ bit-identical for identical (seed, config, protocol, trial count, shards). A
 shard stops at the block that holds its last needed match. The redraw cap is
 checked at each match, against the run of misses that the match ends, and at
 the end of a chunk only if the chunk had no match; the first run above the cap
-raises DegenerateProtocol and is named in its message.
+raises DegenerateProtocol and is named in its message. A block's runs between
+matches are measured only when its first and last match lie more than the cap
+apart, as only then can one of them exceed it.
 
 Emission probabilities are exact rationals; sampling scales them to a common
 integer denominator, so no floating-point comparison enters the draw itself.
-Each draw is a family index and an integer u below that denominator, classified
-against three thresholds of the family's row (see `_compile_tables`), so a draw
-costs O(1) time and memory whatever the number of distinct statements. The tables
-hold one event bit and one table line per family, streamed from the product of the
-week's children: the sampler builds no list of families. The common
-denominator must fit in int64; a kernel whose denominators have a larger LCM
-raises `OverflowError`.
+Each draw is a family index and an integer u below that denominator.
+`_compile_tables` gives each line of the class table three thresholds, and once
+per `sample_posterior` call, shared by every shard, `_family_bounds` turns them
+into bounds per family: a draw matches when u minus the family's `lo`, read
+unsigned, is below its `width` (one subtraction and one comparison). Whether
+any family is sent home and whether any line rejects in-run is decided once per
+table. With neither, every draw is a trial and no counting pass runs; otherwise
+one lookup of the family's emitted mass (-1: sent home) per draw gives both
+counts. A family keeps one event byte plus 4 bytes for `lo`, for `width` and,
+where counts are needed, for its mass: 9 or 13 bytes, or 8 bytes per bound when
+the denominator does not fit int32. So a draw costs O(1) time and memory
+whatever the number of distinct statements, and the sampler builds no list of
+families: the tables are streamed from the product of the week's children. The
+common denominator must fit in int64; a kernel whose denominators have a larger
+LCM raises `OverflowError`.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +131,44 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     return event, which, lo, hi, tot, denom
 
 
+class _Bounds(NamedTuple):
+    """The per-family tables every shard of one call classifies against.
+
+    A draw u of family f matches when ``u - lo[f]``, read unsigned, is below
+    ``width[f] = hi - lo``: a u below `lo` wraps past every width. `tot[f]` is
+    the family's emitted mass, -1 if it is sent home. `home` and `rejects`
+    say whether any family is sent home and whether any line rejects in-run;
+    with neither, `tot` is None and every draw is a trial. When the common
+    denominator fits int32, so do the tables and the draws of u.
+    """
+
+    event: np.ndarray
+    lo: np.ndarray
+    width: np.ndarray
+    tot: np.ndarray | None
+    home: bool
+    rejects: bool
+    denom: int
+
+
+def _family_bounds(event, which, lo, hi, tot, denom) -> _Bounds:
+    """`_Bounds` from `_compile_tables`' per-line tables."""
+    sent_home = lo.shape[0] - 1  # the line of a family with no row
+    home = int(which.max()) == sent_home
+    rejects = bool((tot[:sent_home] < denom).any())
+    small = denom <= np.iinfo(np.int32).max
+    signed, unsigned = (np.int32, np.uint32) if small else (np.int64, np.uint64)
+    width = (hi - lo).astype(unsigned).take(which)
+    lo = lo.astype(signed).take(which)
+    if home or rejects:
+        tot = tot.astype(signed)
+        tot[sent_home] = -1
+        tot = tot.take(which)
+    else:
+        tot = None
+    return _Bounds(event, lo, width, tot, home, rejects, denom)
+
+
 def _cap_exceeded(run):
     return DegenerateProtocol(
         f"{run} consecutive draws without a statement match "
@@ -127,9 +176,8 @@ def _cap_exceeded(run):
     )
 
 
-def _run_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
-    n_fam = which.shape[0]
-    sent_home = lo.shape[0] - 1
+def _run_shard(rng, event, lo, width, tot, home, rejects, denom, n_matches, cap):
+    n_fam = lo.shape[0]
     counters = dict.fromkeys(_COUNTERS, 0)
     misses = 0  # draws without a statement match since the last match
     while True:
@@ -138,36 +186,46 @@ def _run_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
         for start in range(0, _CHUNK, _BLOCK):
             fam = chunk[start:start + _BLOCK]
             # the block's u values continue the chunk's stream: split bounded
-            # draws equal one draw of their total size
-            u = rng.integers(0, denom, size=_BLOCK)
-            line = which.take(fam)  # each draw's table line
+            # draws equal one draw of their total size, in int32 as in int64
+            u = rng.integers(0, denom, size=_BLOCK, dtype=lo.dtype)
             needed = n_matches - counters["statement_matches"]
-            # the sent-home line is all zeros, so it never emits or matches;
             # the block ends at the last match the shard needs
-            at = np.flatnonzero((lo.take(line) <= u) & (u < hi.take(line)))[:needed]
+            off = (u - lo.take(fam)).view(width.dtype)
+            at = np.flatnonzero(off < width.take(fam))[:needed]
             last = at.size == needed
-            end = int(at[-1]) + 1 if last else _BLOCK
 
             if at.size:
-                # the runs of misses that the matches end, the first with the
-                # misses carried in; the first run above the cap is named
-                gaps = np.diff(at, prepend=-1 - misses) - 1
-                over = np.flatnonzero(gaps > cap)
-                if over.size:
-                    raise _cap_exceeded(int(gaps[over[0]]))
-                misses = end - 1 - int(at[-1])
+                first, final = int(at[0]), int(at[-1])
+                end = final + 1 if last else _BLOCK
+                # the runs of misses that the matches end: the first, with the
+                # misses carried in, and those between matches only if the
+                # block's matches are far enough apart for one to exceed the cap
+                if misses + first > cap:
+                    raise _cap_exceeded(misses + first)
+                if final - first > cap + 1:
+                    gaps = np.diff(at) - 1
+                    over = np.flatnonzero(gaps > cap)
+                    if over.size:
+                        raise _cap_exceeded(int(gaps[over[0]]))
+                misses = end - 1 - final
                 matched = True
             else:
+                end = _BLOCK
                 misses += _BLOCK
 
-            line, u = line[:end], u[:end]
-            n_home = int(np.count_nonzero(line == sent_home))
-            n_emitted = int(np.count_nonzero(u < tot.take(line)))
+            n_home, n_emitted = 0, end
+            if tot is not None:
+                t = tot.take(fam[:end])
+                if home:
+                    n_home = int(np.count_nonzero(t < 0))
+                    n_emitted -= n_home
+                if rejects:  # a sent-home family's -1 is below every u
+                    n_emitted = int(np.count_nonzero(u[:end] < t))
             counters["rejected_families"] += n_home
             counters["rejected_runs"] += end - n_home - n_emitted  # in-run rejects
             counters["trials"] += n_emitted
             counters["statement_matches"] += at.size
-            counters["hits"] += int(np.count_nonzero(event.take(fam[at])))
+            counters["hits"] += int(np.count_nonzero(event.take(fam.take(at))))
             if last:
                 return counters
         # a chunk without a match only lengthens the carried run
@@ -195,7 +253,7 @@ def sample_posterior(
         raise ValueError("n_trials must be >= 1")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    tables = _compile_tables(kernel, s, q)
+    tables = _family_bounds(*_compile_tables(kernel, s, q))
 
     # A spawned stream depends only on its index, so shards beyond n_trials,
     # which would get no trials, need no stream.

@@ -217,13 +217,59 @@ def _matching_children(cfg: WorldConfig, sex: Sex | None, day: int | None) -> fr
     return frozenset(Child(s, d) for s in sexes for d in days)
 
 
+def _chain(q: And | Or) -> list[QueryPredicate]:
+    """The terms of the chain of q's connective at q, left to right; a loop,
+    as the parser folds a chain into a tree as deep as it is long."""
+    kind = type(q)
+    terms, todo = [], [q]
+    while todo:
+        p = todo.pop()
+        if type(p) is kind:
+            todo += (p.right, p.left)
+        else:
+            terms.append(p)
+    return terms
+
+
+def _compile_chain(q: And | Or, cfg: WorldConfig) -> Callable[[Family], bool]:
+    """One test for a chain of `Or` or of `And`: under `or` its `Exists` terms
+    merge into one `isdisjoint` on the union of the children they match, and
+    under `and` its `AllMatch` terms into one `issuperset` on the
+    intersection; the other terms are tested with `any`/`all` over a tuple."""
+    is_or = type(q) is Or
+    merged = Exists if is_or else AllMatch
+    children = None  # the children the merged terms match
+    tests = []
+    for term in _chain(q):
+        if type(term) is merged:
+            m = _matching_children(cfg, term.sex, term.day)
+            children = m if children is None else (children | m if is_or else children & m)
+        else:
+            tests.append(compile_query(term, cfg))
+    if children is not None:
+        if is_or:
+            disjoint = children.isdisjoint
+            tests.insert(0, lambda f: not disjoint(f))
+        else:
+            tests.insert(0, children.issuperset)
+    if len(tests) == 1:
+        return tests[0]
+    if len(tests) == 2:  # as fast as a binary node: a generator costs twice that
+        ta, tb = tests
+        return (lambda f: ta(f) or tb(f)) if is_or else (lambda f: ta(f) and tb(f))
+    tests = tuple(tests)
+    if is_or:
+        return lambda f: any(t(f) for t in tests)
+    return lambda f: all(t(f) for t in tests)
+
+
 def compile_query(q: QueryPredicate, cfg: WorldConfig) -> Callable[[Family], bool]:
     """A test of one family equal to ``eval_query(q, f)`` for every family f
     of cfg.
 
     `Exists`, `AllMatch` and `CountAtLeast` become set operations on the
     frozenset of cfg's children that match, so they run in C with no Python
-    call per child.
+    call per child. A chain of one connective is one test (`_compile_chain`).
     """
     match q:
         case Always():
@@ -240,12 +286,8 @@ def compile_query(q: QueryPredicate, cfg: WorldConfig) -> Callable[[Family], boo
         case CountAtLeast(k=k, sex=s, day=d):
             count = _matching_children(cfg, s, d).__contains__
             return lambda f: sum(map(count, f)) >= k
-        case And(left=a, right=b):
-            ta, tb = compile_query(a, cfg), compile_query(b, cfg)
-            return lambda f: ta(f) and tb(f)
-        case Or(left=a, right=b):
-            ta, tb = compile_query(a, cfg), compile_query(b, cfg)
-            return lambda f: ta(f) or tb(f)
+        case And() | Or():
+            return _compile_chain(q, cfg)
         case Not(inner=p):
             tp = compile_query(p, cfg)
             return lambda f: not tp(f)

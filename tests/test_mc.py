@@ -14,7 +14,8 @@ from ambiprob.dsl import (
 from ambiprob.engine import AtLeastOne, Claim, Text, YesNo, posterior
 from ambiprob.errors import DegenerateProtocol, ZeroStatementMass
 from ambiprob.mc import (
-    _BLOCK, _CHUNK, McResult, _compile_tables, agreement_check, sample_posterior,
+    _BLOCK, _CHUNK, McResult, _compile_tables, _family_bounds, agreement_check,
+    sample_posterior,
 )
 from ambiprob.model import AllMatch, Always, Sex, WorldConfig
 from ambiprob.scenarios import build_scenario
@@ -281,6 +282,18 @@ def test_split_bounded_draws_equal_one_draw(m, sizes):
     assert whole.bit_generator.state == split.bit_generator.state
 
 
+@pytest.mark.parametrize("m", [1, 2, 14, 3_000_019, 2**31 - 1])
+def test_int32_bounded_draws_equal_int64_draws(m):
+    # a common denominator that fits int32 has its u values drawn as int32;
+    # the results stay bit-identical only if they are int64's values and stream
+    wide = np.random.Generator(np.random.PCG64(5))
+    narrow = np.random.Generator(np.random.PCG64(5))
+    for size in (1, 999, _BLOCK):
+        assert np.array_equal(wide.integers(0, m, size=size),
+                              narrow.integers(0, m, size=size, dtype=np.int32))
+    assert wide.bit_generator.state == narrow.bit_generator.state
+
+
 def _reference_shard(rng, event, which, lo, hi, tot, denom, n_matches, cap):
     """`_run_shard` one draw at a time in plain Python, drawing each chunk's
     u values at once where the sampler draws them block by block."""
@@ -381,6 +394,33 @@ def test_sampler_matches_a_per_draw_reference_for_wide_denominators(text, shards
     assert sample_posterior(*args, shards=shards) == _reference_posterior(*args, shards=shards)
 
 
+# Tables that send families home and reject in-run at once. With the builtins
+# above (sent home only: bc-tc, classic-selection; in-run rejects only: brag;
+# neither: gn-dn, yesno), every combination of a shard's counting passes is
+# compared with the per-draw reference.
+HOME_AND_REJECT = [
+    pytest.param("procedure p { require exists(boy); flip 1/3 { say yes; } else { reject; } }",
+                 id="require-flip"),
+    pytest.param("procedure p { require exists(girl); if all(girl) { flip 2/7 { say yes; } "
+                 "else { reject; } } else { flip 1/2 { say yes; } else { say no; } } }",
+                 id="require-if-flip"),
+]
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("text", HOME_AND_REJECT)
+def test_sampler_matches_a_per_draw_reference_when_families_go_home_and_runs_reject(
+        text, seed, shards):
+    kernel = compile_protocol(parse(text), CFG)
+    args = (kernel, YesNo(True), BOTH_BOYS, 3000, seed)
+    bounds = _family_bounds(*_compile_tables(*args[:3]))
+    assert bounds.home and bounds.rejects
+    r = sample_posterior(*args, shards=shards)
+    assert r.rejected_families > 0 and r.rejected_runs > 0
+    assert r == _reference_posterior(*args, shards=shards)
+
+
 def _outcome(sample, *args, **kwargs):
     try:
         return sample(*args, **kwargs)
@@ -396,6 +436,19 @@ def test_redraw_cap_names_the_first_run_that_exceeds_it(cap):
                               WorldConfig(1, 1))
     for seed in range(6):
         args = (kernel, YesNo(True), Always(), 50, seed)
+        assert (_outcome(sample_posterior, *args, redraw_cap=cap)
+                == _outcome(_reference_posterior, *args, redraw_cap=cap)), seed
+
+
+@pytest.mark.parametrize("cap", [4_000, 8_000])
+def test_redraw_cap_below_a_block_names_the_first_run_that_exceeds_it(cap):
+    # P(yes) = 1/3000: a block holds about five matches, often more than the
+    # cap apart, so a run between two matches of one block can be the first to
+    # exceed it; one seed at the larger cap passes
+    kernel = compile_protocol(parse("procedure p { flip 1/3000 { say yes; } else { reject; } }"),
+                              WorldConfig(1, 1))
+    for seed in range(6):
+        args = (kernel, YesNo(True), Always(), 20, seed)
         assert (_outcome(sample_posterior, *args, redraw_cap=cap)
                 == _outcome(_reference_posterior, *args, redraw_cap=cap)), seed
 

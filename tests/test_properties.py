@@ -1,5 +1,6 @@
 """Property-based checks over randomized kernels on small worlds."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -100,16 +101,39 @@ query_trees = st.recursive(
     | st.builds(Not, inner),
     max_leaves=6,
 )
+# Chains of one connective, folded left (as the parser folds them) or right,
+# whose terms mix the leaves that compile_query merges with small trees.
+_merged = st.builds(Exists, _sexes, _days) | st.builds(AllMatch, _sexes, _days)
+query_chains = st.builds(
+    lambda op, left, terms: (functools.reduce(op, terms) if left
+                             else functools.reduce(lambda a, b: op(b, a), reversed(terms))),
+    st.sampled_from([And, Or]), st.booleans(),
+    st.lists(_merged | query_trees, min_size=2, max_size=40),
+)
 
 
 @settings(max_examples=60, deadline=None)
-@given(query_trees)
+@given(query_trees | query_chains)
 def test_compiled_query_matches_eval_query(q):
     for cfg in WORLDS:
         test = compile_query(q, cfg)
         assert [test(f) for f in enumerate_families(cfg)] == [
             eval_query(q, f) for f in enumerate_families(cfg)
         ]
+
+
+def test_compiled_chains_merge_their_set_terms():
+    # every pair of the leaves that a chain merges (their children unite under
+    # `or` and intersect under `and`), alone and beside a term that is not merged
+    leaves = [kind(sex, day) for kind in (Exists, AllMatch)
+              for sex in (None, Sex.BOY, Sex.GIRL) for day in (None, 0, 1, 8)]
+    cfg = WorldConfig(2, 2)
+    families = enumerate_families(cfg)
+    for a, b in itertools.product(leaves, repeat=2):
+        for op in (And, Or):
+            for q in (op(a, b), op(op(a, ChildDayIs(0, 1)), b)):
+                test = compile_query(q, cfg)
+                assert [test(f) for f in families] == [eval_query(q, f) for f in families], q
 
 
 @settings(max_examples=40, deadline=None)
