@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedConfig,
     ZeroStatementMass,
 )
-from .model import DAY_NAMES, WorldConfig, family_str, week_children
+from .model import DAY_NAMES, WorldConfig, child_labels
 from .scenarios import BUILTIN_IDS, bind_builtin, sweep_formula, week_sweep
 
 EXIT_OK = 0
@@ -131,29 +131,50 @@ def _write_cases(table: CaseTable, head: str, suffix: dict, out, sep: str = "",
     `width`, and the suffix of its refined vector, joined by `sep`. The suffix
     holds the row's prior, emission and event, rendered once per vector.
 
-    Rows are written a prefix at a time: the text of each family's first n-1
-    children grows down `CaseTable.prefix_tree`, and a prefix's rows are one
-    `str.join` of its tails, each the last child padded to what is left of
-    `width` plus the suffix. Tails depend only on the prefix vector and that
-    padding; they are kept for reuse where the vector holds a class of two or
-    more children, since only there can a second prefix share the key."""
-    cfg = table.config
-    grow = table.prefix_tree(tuple(family_str((c,)) for c in week_children(cfg)))
-    level = [((), "")]
-    for _ in range(cfg.family_size - 1):
-        level = ((q, f + c + ",") for p, f in level for c, q in grow.get(p, ()))
+    Rows are written a prefix at a time: the text of each family's first n-2
+    children (at least one) grows down `CaseTable.prefix_tree`, and a prefix's
+    rows are one `str.join` of `rest`, what follows that text in each row: the
+    last two children, the last padded to what is left of `width`, and the
+    suffix. `rest` depends only on the prefix vector and that padding, and is
+    built from the lists of the prefix's one-child extensions. Each list is
+    kept for reuse where its vector holds a class of two or more children,
+    since only there can a second prefix share the key. An (n-2)-child prefix
+    whose vector holds no such class would read its list once, so its rows are
+    written one join per (n-1)-child prefix, as are the rows of a table of one
+    or two children."""
+    n = table.config.family_size
+    grow = table.prefix_tree(child_labels(table.config))
     shared = {k for k, m in Counter(table.child_class).items() if m > 1}
     kept: dict[tuple, list[str]] = {}
+
+    def rest(p: tuple, pad: int) -> list[str]:
+        """What follows the text of a prefix of vector `p` in each of its
+        rows, where `pad` is what is left of `width` after that text."""
+        got = kept.get((p, pad))
+        if got is None:
+            if len(p) == n - 1:
+                got = [c.ljust(pad) + suffix[q] for c, q in grow.get(p, ())]
+            else:
+                got = []
+                for c, q in grow.get(p, ()):
+                    c += ","
+                    got += [c + t for t in rest(q, width and pad - len(c))]
+            if not shared.isdisjoint(p):
+                kept[p, pad] = got
+        return got
+
+    level = [((), "")]
+    for _ in range(n - 2):
+        level = ((q, f + c + ",") for p, f in level for c, q in grow.get(p, ()))
+    if n > 1:  # a prefix whose vector cannot recur grows by one more child
+        level = (pf for p, f in level for pf in (
+            ((p, f),) if not shared.isdisjoint(p)
+            else ((q, f + c + ",") for c, q in grow.get(p, ()))))
     lead = ""
     for p, f in level:
         pad = width and width - len(f)  # no padding in csv or JSON
-        tails = kept.get((p, pad))
-        if tails is None:
-            tails = [c.ljust(pad) + suffix[q] for c, q in grow.get(p, ())]
-            if not shared.isdisjoint(p):
-                kept[p, pad] = tails
         f = head + f
-        out.write(lead + f + (sep + f).join(tails))
+        out.write(lead + f + (sep + f).join(rest(p, pad)))
         lead = sep
 
 
@@ -209,8 +230,8 @@ def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
     # the columns `_emit_rows` pads, each as wide as its widest cell; a refined
     # vector's widest family joins the widest child of each of its classes
     longest: dict[int, int] = {}
-    for c, k in zip(week_children(cfg), table.child_class):
-        longest[k] = max(longest.get(k, 0), len(family_str((c,))))
+    for label, k in zip(child_labels(cfg), table.child_class):
+        longest[k] = max(longest.get(k, 0), len(label))
     widths = [max([len(h)] + [len(cell[i]) for cell in cells.values()])
               for i, h in enumerate(header[1:3])]
     family = max([len(header[0])] + [sum(map(longest.__getitem__, vec)) + len(vec) - 1

@@ -61,6 +61,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import model
 from .engine import (
@@ -250,6 +251,8 @@ class ProtocolAst:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# The last group takes any character no token starts with, so the matches
+# tile the source and `tokenize` scans it with one `finditer`.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
@@ -258,40 +261,39 @@ _TOKEN_RE = re.compile(
     | (?P<int>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op><=|>=|[{}();,=<>/])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "string" | "op" | "eof"
     text: str
-    span: SourceSpan
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise DslSyntaxError(
-                f"unexpected character {source[pos]!r}", SourceSpan(line, col)
-            )
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, SourceSpan(line, col)))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(line, col)))
+    line, line_start = 1, 0  # the current line and the index it starts at
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, start = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise DslSyntaxError(f"unexpected character {text!r}",
+                                 SourceSpan(line, start - line_start + 1))
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, text, line, start - line_start + 1))
+        if kind == "ws" or kind == "string":  # the only tokens that can hold a newline
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rfind("\n") + 1
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 

@@ -86,6 +86,13 @@ def week_children(cfg: WorldConfig) -> tuple[Child, ...]:
     return tuple(Child(sex, day) for sex in (Sex.BOY, Sex.GIRL) for day in range(cfg.week_length))
 
 
+@functools.lru_cache(maxsize=8)
+def child_labels(cfg: WorldConfig) -> tuple[str, ...]:
+    """`family_str` of each one-child family of `week_children(cfg)`, in that
+    order, rendered once for each of the last few worlds."""
+    return tuple(family_str((c,)) for c in week_children(cfg))
+
+
 def enumerate_families(cfg: WorldConfig) -> list[Family]:
     """All (2d)^n families, lexicographic by (child index, sex, day)."""
     return list(itertools.product(week_children(cfg), repeat=cfg.family_size))

@@ -690,15 +690,33 @@ def _per_row_writer(table, head, suffix, out, sep="", width=0):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
-def test_case_writer_keeps_no_tails_when_every_child_is_its_own_class(fmt, monkeypatch):
-    # an event that tests every day puts each child in a class of its own, so
-    # no prefix vector repeats and a kept tail would never be read again
-    d = 60
+@pytest.mark.parametrize("children", [3, 4])
+@pytest.mark.parametrize("proc, say, event", [
+    ("gn_dn", "claim(boy,tue)", "all(boy)"),
+    # a girl born on a Wednesday is a class of her own: the prefixes of her
+    # alone hold no shared class and are written a child later
+    ("classic_coinflip", "atleastone(boy)", "exists(girl,wed) or count(boy) >= 2"),
+])
+def test_case_writer_writes_the_per_row_bytes_where_classes_are_shared(proc, say, event,
+                                                                        children, fmt,
+                                                                        monkeypatch):
+    argv = ["eval", os.path.join(PROC_DIR, f"{proc}.proc"), "--say", say, "--event", event,
+            "--children", str(children), "--format", fmt]
+    mine = run_cli(*argv)
+    monkeypatch.setattr(cli, "_write_cases", _per_row_writer)
+    per_row = run_cli(*argv)
+    assert mine[0] == per_row[0] == 0
+    _assert_same_lines(mine[1], per_row[1])
+
+
+def _assert_own_classes_write_as_per_row(children, d, fmt, monkeypatch):
+    """With an event that tests every day, so each child is a class of its
+    own, the writer writes the per-row bytes and peaks no higher."""
     argv = ["eval", os.path.join(PROC_DIR, "classic_coinflip.proc"), "--say", "atleastone(boy)",
             "--event", " or ".join(f"exists(d{k})" for k in range(d)),
-            "--week-days", str(d), "--format", fmt]
+            "--week-days", str(d), "--children", str(children), "--format", fmt]
     args = build_parser().parse_args(argv)
-    cfg = WorldConfig(d, 2)
+    cfg = WorldConfig(d, children)
     rep = posterior(*_target(args, cfg, builtin=False))
     assert len(set(rep.case_table.child_class)) == 2 * d
 
@@ -716,6 +734,20 @@ def test_case_writer_keeps_no_tails_when_every_child_is_its_own_class(fmt, monke
     monkeypatch.setattr(cli, "_write_cases", _per_row_writer)
     per_row = peak()
     assert mine[1] == per_row[1], "the writers wrote different bytes"
-    # both peak while the prefix tree is built (4.4 MB); keeping every tail
-    # would add 0.5 to 1.2 MB, and the allocator's noise is a few hundred bytes
+    # both peak while the prefix tree is built (4.4 MB at n=2, d=60); keeping
+    # every list would add 0.5 to 1.2 MB there, and the allocator's noise is a
+    # few hundred bytes
     assert mine[0] <= per_row[0] + 4096, (mine[0], per_row[0])
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_case_writer_keeps_no_tails_when_every_child_is_its_own_class(fmt, monkeypatch):
+    # no prefix vector repeats, so a kept tail would never be read again
+    _assert_own_classes_write_as_per_row(2, 60, fmt, monkeypatch)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_case_writer_writes_a_child_later_when_every_child_is_its_own_class(fmt, monkeypatch):
+    # no one-child prefix holds a shared class, so the rows are written one
+    # join per two-child prefix and no list is kept
+    _assert_own_classes_write_as_per_row(3, 8, fmt, monkeypatch)

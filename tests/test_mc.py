@@ -453,6 +453,22 @@ def test_redraw_cap_below_a_block_names_the_first_run_that_exceeds_it(cap):
                 == _outcome(_reference_posterior, *args, redraw_cap=cap)), seed
 
 
+def test_redraw_cap_checks_two_matches_of_a_block_just_over_the_cap_apart():
+    # P(yes) = 1/3000 and 2 trials: seed 1's first two matches are draws 134
+    # and 3,859 of its first block, cap + 2 apart for cap 3,723. The run of 134
+    # before them is within the cap and the 3,724 between them is the one above
+    # it, so the span guard (`final - first > cap + 1`) must measure the gaps
+    kernel = compile_protocol(parse("procedure p { flip 1/3000 { say yes; } else { reject; } }"),
+                              WorldConfig(1, 1))
+    args = (kernel, YesNo(True), Always(), 2, 1)
+    for sample in (sample_posterior, _reference_posterior):
+        with pytest.raises(DegenerateProtocol) as exc:
+            sample(*args, redraw_cap=3_723)
+        assert str(exc.value).startswith("3724 consecutive draws without a statement match")
+    assert sample_posterior(*args, redraw_cap=3_724) == _reference_posterior(*args,
+                                                                          redraw_cap=3_724)
+
+
 @pytest.mark.parametrize("sid, trials", [("bc-tc", 20_000), ("gn-dn", 40_000)])
 def test_a_shard_classifies_its_draws_in_blocks(sid, trials):
     # the chunk's 2^18 family draws (2 MiB) are the one chunk-sized array, and
