@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from . import dsl, mc
+from . import dsl
 from .engine import CaseTable, PosteriorReport, YesNo, posterior, render_statement
 from .errors import (
     DayOutOfRange,
@@ -316,6 +316,8 @@ def cmd_posterior(args, out):
 
 
 def cmd_mc(args, out):
+    from . import mc  # numpy, which only `mc` needs, takes as long to import as the rest
+
     cfg = _world(args)
     builtin = args.target in BUILTIN_IDS or not (
         args.target.endswith(".proc") or args.say is not None or args.event is not None)

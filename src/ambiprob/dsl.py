@@ -55,9 +55,11 @@ from __future__ import annotations
 
 import codecs
 import itertools
+import math
 import re
 import warnings
-from collections.abc import Callable, Iterable, Mapping
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -759,7 +761,8 @@ class _Lowering:
         self.fell_through = False
         # shares[m]: each child's share of a pick among m matching children
         self.shares = [None] + [Fraction(1, m) for m in range(1, cfg.family_size + 1)]
-        # one Claim per (sex, day) for every say, so that equal claims are one object
+        # each (sex, day) a say has claimed, with its Claim: a lookup here is
+        # cheaper than the interning constructor, once per class vector
         self.claims: dict[tuple, Claim] = {}
 
     def fall_through(self, f, w, row) -> None:
@@ -888,6 +891,22 @@ def _bind(ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fractio
     return bound
 
 
+def _families_of(cfg: WorldConfig, child_class: tuple[int, ...],
+                 vectors: Iterable[tuple[int, ...]]) -> Iterator[Family]:
+    """Each family whose class vector is in `vectors`, lazily, in
+    `enumerate_families` order: a prefix grows only by the children whose
+    class leads on to one of `vectors`."""
+    leads: dict[tuple, set[int]] = {}  # prefix -> the classes that may follow it
+    for vec in vectors:
+        for i, k in enumerate(vec):
+            leads.setdefault(vec[:i], set()).add(k)
+    kids = list(zip(week_children(cfg), child_class))
+    level = [((), ())]
+    for _ in range(cfg.family_size):
+        level = ((p + (k,), f + (c,)) for p, f in level for c, k in kids if k in leads.get(p, ()))
+    return (f for _, f in level)
+
+
 def compile_protocol(
     ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fraction] = _UNBOUND,
     statement: Statement | None = None,
@@ -932,15 +951,16 @@ def compile_protocol(
             body(f, _ONE, row)
             table[vec] = row
     if lowering.empty_picks:  # every family of a failing class fails
-        rep = [children[i] for i in child_class]
-        failed = [f for f, r in zip(itertools.product(children, repeat=n),
-                                    itertools.product(rep, repeat=n))
-                  if r in lowering.empty_picks]
-        shown = ", ".join(map(family_str, failed[:5]))
+        index = {children[i]: i for i in names}
+        failed = [tuple(map(index.__getitem__, f)) for f in lowering.empty_picks]
+        size = Counter(child_class)
+        count = sum(math.prod(map(size.__getitem__, vec)) for vec in failed)
+        shown = ", ".join(map(family_str, itertools.islice(
+            _families_of(cfg, child_class, failed), 5)))
         raise EmptyPick(
-            f"pick matches no child in {len(failed)} reachable "
+            f"pick matches no child in {count} reachable "
             f"families (e.g. {shown}); guard the pick or use an explicit reject",
-            families=failed,
+            families=_families_of(cfg, child_class, failed),
             span=next(iter(lowering.empty_picks.values())).span,
         )
     if lowering.fell_through:

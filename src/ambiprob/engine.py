@@ -4,6 +4,10 @@ A protocol is a per-family distribution over structured statements; weight not
 assigned to any statement is reject mass. Posteriors are exact Bayes quotients
 over the (pre-filter renormalized) uniform prior.
 
+Statements are interned: each type's constructor returns one shared object
+per field values, so a row lookup hashes and compares a statement by identity,
+in C, as it does `Sex`. Copies and pickles rebuild through the constructor.
+
 A kernel is a class table: families the procedure cannot tell apart share one
 row, stored once under their class vector. The vectors in the table are the
 support; every support family weighs the same, so `posterior` and `marginal`
@@ -39,7 +43,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -66,37 +70,78 @@ from .model import (
 # Statements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Claim:
+_POOL: dict[tuple, Statement] = {}  # (type, *field values) -> the one such statement
+
+
+def _intern(cls: type, *values) -> Statement:
+    """The one statement of type cls with these field values, made on first use."""
+    key = (cls, *values)
+    st = _POOL.get(key)
+    if st is None:
+        st = object.__new__(cls)
+        for f, v in zip(fields(cls), values):
+            object.__setattr__(st, f.name, v)
+        st = _POOL.setdefault(key, st)
+    return st
+
+
+class _Interned:
+    """Base of the statement types: a copy or a pickle rebuilds through the
+    constructor, so it is the pooled object too."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Claim(_Interned):
     """"I have a son/daughter born on <day>"; day None means day unmentioned."""
 
     sex: Sex
     day: int | None = None
 
+    def __new__(cls, sex: Sex, day: int | None = None):
+        return _intern(cls, sex, day)
 
-@dataclass(frozen=True)
-class AtLeastOne:
+
+@dataclass(frozen=True, eq=False, init=False)
+class AtLeastOne(_Interned):
     sex: Sex
 
+    def __new__(cls, sex: Sex):
+        return _intern(cls, sex)
 
-@dataclass(frozen=True)
-class TwoOfAKind:
+
+@dataclass(frozen=True, eq=False, init=False)
+class TwoOfAKind(_Interned):
     sex: Sex
 
+    def __new__(cls, sex: Sex):
+        return _intern(cls, sex)
 
-@dataclass(frozen=True)
-class ProudOf:
+
+@dataclass(frozen=True, eq=False, init=False)
+class ProudOf(_Interned):
     sex: Sex
 
+    def __new__(cls, sex: Sex):
+        return _intern(cls, sex)
 
-@dataclass(frozen=True)
-class YesNo:
+
+@dataclass(frozen=True, eq=False, init=False)
+class YesNo(_Interned):
     answer: bool
 
+    def __new__(cls, answer: bool):
+        return _intern(cls, answer)
 
-@dataclass(frozen=True)
-class Text:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Text(_Interned):
     label: str
+
+    def __new__(cls, label: str):
+        return _intern(cls, label)
 
 
 Statement = Claim | AtLeastOne | TwoOfAKind | ProudOf | YesNo | Text

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class AmbiprobError(Exception):
     """Base class for all library errors."""
@@ -53,8 +55,18 @@ class InvalidFlipProbability(DslError):
 
 
 class EmptyPick(DslError):
-    """A `pick` whose filter matches no child in some reachable family."""
+    """A `pick` whose filter matches no child in some reachable family.
+    `families` lists those families; an iterable given for it is read on
+    first use, so a large list is built only for a caller that asks."""
 
     def __init__(self, message, families=(), span=None):
-        self.families = tuple(families)
+        self._families = families
         super().__init__(message, span)
+
+    @functools.cached_property
+    def families(self) -> tuple:
+        return tuple(self._families)
+
+    def __reduce__(self):
+        # a lazy walk does not pickle, so the list is built for it
+        return type(self), self.args, {"_families": self.families, "span": self.span}

@@ -1,14 +1,17 @@
 """Builtin disclosure procedures with their known answers.
 
 Each builtin is one `.proc` file in `procs/` plus one row of `_BUILTINS`: its
-description, canonical statement and query, and the closed form of its answer.
-`build_scenario` compiles the file with the target day bound to its `day`
-parameter and p to its `prob` parameter, and owns their defaults: p is 1/2, and
-the target day is Tuesday on a 7-day week. No other week has a default target
-day, so there a builtin with a `day` parameter needs one (DayOutOfRange), while
-a day-neutral builtin states its claims of day 0. The closed forms are for
-two-children families, so any other family size raises UnsupportedConfig; the
-week length is free, so the week-length sweep can generalize d=7.
+description, the closed form of its answer, and its canonical statement, an
+engine statement built from the target day and the week's default day. Every
+builtin's query is `AllMatch(Sex.BOY)`, so binding a builtin parses no text
+but its `.proc` file, once per process. `build_scenario` compiles the file
+with the target day bound to its `day` parameter and p to its `prob`
+parameter, and owns their defaults: p is 1/2, and the target day is Tuesday on
+a 7-day week. No other week has a default target day, so there a builtin with
+a `day` parameter needs one (DayOutOfRange), while a day-neutral builtin
+states its claims of day 0. The closed forms are for two-children families,
+so any other family size raises UnsupportedConfig; the week length is free, so
+the week-length sweep can generalize d=7.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import dsl
-from .engine import ProtocolKernel, Statement, posterior
+from .engine import AtLeastOne, Claim, ProtocolKernel, Statement, YesNo, posterior
 from .errors import DayOutOfRange, UnsupportedConfig
-from .model import QueryPredicate, WorldConfig
+from .model import AllMatch, QueryPredicate, Sex, WorldConfig
 
 
 @dataclass(frozen=True)
@@ -39,15 +42,14 @@ class Scenario:
 @dataclass(frozen=True)
 class _Builtin:
     file: str
-    # canonical statement in the protocol language; {day} is the target day,
-    # {default_day} the week's default day
-    statement: str
+    # (target day, the week's default day) -> canonical statement
+    statement: Callable[[int, int], Statement]
     answer: Callable[[int, Fraction], Fraction]  # (week length d, p) -> posterior
     description: str
 
 
 # Every builtin asks the same question: are both children boys?
-_QUERY = "all(boy)"
+_QUERY = AllMatch(Sex.BOY)
 
 
 def _default_day(cfg: WorldConfig) -> int:
@@ -62,43 +64,45 @@ def sweep_formula(d: int) -> Fraction:
 # Stable ids, in order; part of the CLI contract.
 _BUILTINS = {
     "any-answer": _Builtin(
-        "any_answer.proc", "atleastone(boy)", lambda d, p: p,
+        "any_answer.proc", lambda day, default: AtLeastOne(Sex.BOY), lambda d, p: p,
         "tunable procedure hitting any posterior in [0, 1]",
     ),
     "bc-dn": _Builtin(
-        "bc_dn.proc", "claim(boy,d{default_day})", lambda d, p: Fraction(1, 3),
+        "bc_dn.proc", lambda day, default: Claim(Sex.BOY, default), lambda d, p: Fraction(1, 3),
         "boy-centered, day-neutral: no-son families sent home; a son's day is stated",
     ),
     "bc-tc": _Builtin(
-        "bc_tc.proc", "claim(boy,d{day})", lambda d, p: sweep_formula(d),
+        "bc_tc.proc", lambda day, default: Claim(Sex.BOY, day), lambda d, p: sweep_formula(d),
         "boy-centered, day-centered: kept only if a son was born on the target day",
     ),
     "brag": _Builtin(
-        "brag.proc", "atleastone(boy)", lambda d, p: Fraction(0),
+        "brag.proc", lambda day, default: AtLeastOne(Sex.BOY), lambda d, p: Fraction(0),
         "always mentions as many boys as he can",
     ),
     "classic-coinflip": _Builtin(
-        "classic_coinflip.proc", "atleastone(boy)", lambda d, p: Fraction(1, 2),
+        "classic_coinflip.proc", lambda day, default: AtLeastOne(Sex.BOY),
+        lambda d, p: Fraction(1, 2),
         "random family; a coin decides which sex gets the 'at least one' sentence",
     ),
     "classic-selection": _Builtin(
-        "classic_selection.proc", "atleastone(boy)", lambda d, p: Fraction(1, 3),
+        "classic_selection.proc", lambda day, default: AtLeastOne(Sex.BOY),
+        lambda d, p: Fraction(1, 3),
         "pick a family known to have a boy; it reports 'at least one is a boy'",
     ),
     "deemphasize": _Builtin(
-        "deemphasize.proc", "atleastone(boy)", lambda d, p: Fraction(1),
+        "deemphasize.proc", lambda day, default: AtLeastOne(Sex.BOY), lambda d, p: Fraction(1),
         "plays down the number of boys",
     ),
     "gn-dn": _Builtin(
-        "gn_dn.proc", "claim(boy,d{default_day})", lambda d, p: Fraction(1, 2),
+        "gn_dn.proc", lambda day, default: Claim(Sex.BOY, default), lambda d, p: Fraction(1, 2),
         "gender-neutral, day-neutral: a coin picks the child described",
     ),
     "gn-tc": _Builtin(
-        "gn_tc.proc", "claim(boy,d{day})", lambda d, p: Fraction(1, 2),
+        "gn_tc.proc", lambda day, default: Claim(Sex.BOY, day), lambda d, p: Fraction(1, 2),
         "gender-neutral, day-centered: kept only if a child was born on the target day",
     ),
     "yesno": _Builtin(
-        "yesno.proc", "yes", lambda d, p: sweep_formula(d),
+        "yesno.proc", lambda day, default: YesNo(True), lambda d, p: sweep_formula(d),
         "unambiguous yes/no question about a son born on the target day",
     ),
 }
@@ -145,13 +149,11 @@ def bind_builtin(
                                 f"week; the default, Tuesday, needs a 7-day week")
         day = _default_day(cfg)
     p = Fraction(1, 2) if p is None else p
-    # bound before the statement is read, so a bad day is a DayOutOfRange
+    # bound before the statement is built, so a bad day is a DayOutOfRange
     values = dsl._bind(ast, cfg, {prm.name: day if prm.kind == "day" else p
                                   for prm in ast.params})
-    statement = builtin.statement.format(day=day, default_day=_default_day(cfg))
-    return Binding(ast, values, dsl.parse_statement_text(statement, cfg),
-                   dsl.parse_event_text(_QUERY, cfg), builtin.answer(cfg.week_length, Fraction(p)),
-                   builtin.description)
+    return Binding(ast, values, builtin.statement(day, _default_day(cfg)), _QUERY,
+                   builtin.answer(cfg.week_length, Fraction(p)), builtin.description)
 
 
 def build_scenario(

@@ -2,6 +2,8 @@ import codecs
 import glob
 import math
 import os
+import pickle
+import time
 import warnings
 from fractions import Fraction
 
@@ -329,6 +331,33 @@ def test_empty_pick_counts_each_family_once(src, cfg, n_failed):
     # the span is the first pick that failed
     first = src.index("pick c")
     assert (exc.value.span.line, exc.value.span.column) == (1, first + 1)
+
+
+def test_empty_pick_counts_its_families_without_walking_them():
+    # 12^6 = 2,985,984 families with no Tuesday child: counted by class
+    # vector, the first five named, and the list built only when read
+    src = "procedure p { pick v where day(v)=tue; say claim(sex(v)); }"
+    start = time.perf_counter()
+    with pytest.raises(EmptyPick) as exc:
+        compile_protocol(parse(src), WorldConfig(7, 6))
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == (
+        "1:15: pick matches no child in 2985984 reachable families (e.g. "
+        "B@0,B@0,B@0,B@0,B@0,B@0, B@0,B@0,B@0,B@0,B@0,B@2, B@0,B@0,B@0,B@0,B@0,B@3, "
+        "B@0,B@0,B@0,B@0,B@0,B@4, B@0,B@0,B@0,B@0,B@0,B@5); "
+        "guard the pick or use an explicit reject")
+    assert "families" not in vars(exc.value)
+    # read at a smaller size, the list is every failing family in enumeration order
+    with pytest.raises(EmptyPick) as exc:
+        compile_protocol(parse(src), WorldConfig(7, 3))
+    assert exc.value.families == tuple(
+        f for f in enumerate_families(WorldConfig(7, 3)) if all(c.day != TUE for c in f))
+    # and it pickles, the lazy list read for it
+    with pytest.raises(EmptyPick) as exc:
+        compile_protocol(parse(src), WorldConfig(7, 3))
+    copied = pickle.loads(pickle.dumps(exc.value))
+    assert (str(copied), copied.span, copied.families) == \
+        (str(exc.value), exc.value.span, exc.value.families)
 
 
 def test_constant_flip_marginal():

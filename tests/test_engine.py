@@ -1,14 +1,20 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from ambiprob import engine, mc, model
+from ambiprob.dsl import parse_event_text, parse_statement_text
 from ambiprob.engine import (
     AtLeastOne,
     Claim,
     ProtocolKernel,
+    ProudOf,
     REJECT,
     Text,
+    TwoOfAKind,
     YesNo,
     _case_order,
     marginal,
@@ -32,7 +38,7 @@ from ambiprob.model import (
     enumerate_families,
     family_str,
 )
-from ambiprob.scenarios import build_scenario, sweep_formula, week_sweep
+from ambiprob.scenarios import BUILTIN_IDS, bind_builtin, build_scenario, sweep_formula, week_sweep
 
 TUE = 1
 CFG = WorldConfig(7, 2)
@@ -413,3 +419,88 @@ def test_classes_name_each_class_by_its_first_child():
     child_class, names = engine._classes(CFG, set(), within)
     assert child_class == (0, 0, 0, 3, 3, 3, 3, 7, 7, 7, 7, 7, 7, 7)
     assert names == (0, 3, 7)
+
+
+# ---------------------------------------------------------------------------
+# Statement identity: one object per type and field values
+# ---------------------------------------------------------------------------
+
+STATEMENTS = [Claim(Sex.BOY, TUE), Claim(Sex.GIRL), AtLeastOne(Sex.BOY), TwoOfAKind(Sex.GIRL),
+              ProudOf(Sex.BOY), YesNo(False), Text('a "quoted" label')]
+
+
+def test_every_spelling_of_a_statement_is_one_object():
+    assert Claim(Sex.BOY, 1) is Claim(Sex.BOY, day=1) is Claim(sex=Sex.BOY, day=1)
+    assert Claim(Sex.BOY) is Claim(Sex.BOY, None) is Claim(sex=Sex.BOY) is Claim(Sex.BOY, day=None)
+    assert Claim(Sex.BOY) is not Claim(Sex.BOY, 0)
+    assert AtLeastOne(Sex.GIRL) is AtLeastOne(sex=Sex.GIRL)
+    assert TwoOfAKind(Sex.GIRL) is TwoOfAKind(sex=Sex.GIRL)
+    assert ProudOf(Sex.GIRL) is ProudOf(sex=Sex.GIRL)
+    assert YesNo(True) is YesNo(answer=True) is not YesNo(False)
+    assert Text("x") is Text(label="x") is not Text("y")
+    # compared and hashed by identity, in C, as Sex is
+    for cls in (Claim, AtLeastOne, TwoOfAKind, ProudOf, YesNo, Text):
+        assert (cls.__eq__, cls.__hash__) == (object.__eq__, object.__hash__)
+
+
+@pytest.mark.parametrize("st", STATEMENTS, ids=repr)
+def test_copies_and_pickles_are_the_pooled_statement(st):
+    assert copy.copy(st) is st
+    assert copy.deepcopy(st) is st
+    assert copy.deepcopy({st: Fraction(1, 2)}) == {st: Fraction(1, 2)}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(st, protocol)) is st
+    assert dataclasses.replace(st) is st
+    # copying rebuilds through the constructor and writes into no pooled object
+    assert (Claim(None, None).sex, Claim(None, None).day) == (None, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.sex = Sex.GIRL
+
+
+def test_replace_returns_the_pooled_statement_of_its_fields():
+    assert dataclasses.replace(Claim(Sex.GIRL, 3), sex=Sex.BOY) is Claim(Sex.BOY, 3)
+    assert dataclasses.replace(Claim(Sex.BOY, 3), day=None) is Claim(Sex.BOY)
+    assert dataclasses.replace(YesNo(True), answer=False) is YesNo(False)
+
+
+def test_statements_of_one_sex_stay_distinct_keys_of_one_row():
+    row = {AtLeastOne(Sex.BOY): Fraction(1, 4), TwoOfAKind(Sex.BOY): Fraction(1, 4),
+           ProudOf(Sex.BOY): Fraction(1, 8)}
+    assert len(row) == 3
+    m = marginal(ProtocolKernel.from_rows(CFG, {f: row for f in enumerate_families(CFG)}))
+    assert m == {AtLeastOne(Sex.BOY): Fraction(1, 4), TwoOfAKind(Sex.BOY): Fraction(1, 4),
+                 ProudOf(Sex.BOY): Fraction(1, 8), REJECT: Fraction(3, 8)}
+
+
+def test_a_freshly_built_claim_finds_its_marginal_entry():
+    # as the benchmark's marginal check looks it up: a statement built after
+    # the kernel, from the package's own types
+    m = marginal(build_scenario("gn-dn", WorldConfig(30, 2), day=3).kernel)
+    for fresh in (Claim(Sex.BOY, 3), Claim(sex=Sex.BOY, day=3),
+                  pickle.loads(pickle.dumps(Claim(Sex.BOY, 3))),
+                  dataclasses.replace(Claim(Sex.GIRL, 3), sex=Sex.BOY)):
+        assert m.get(fresh) == Fraction(1, 60)
+
+
+# each builtin's canonical statement as the text it was once parsed from; {day}
+# is the target day, {default} the week's default day
+FORMER_STATEMENTS = {
+    "any-answer": "atleastone(boy)", "bc-dn": "claim(boy,d{default})",
+    "bc-tc": "claim(boy,d{day})", "brag": "atleastone(boy)",
+    "classic-coinflip": "atleastone(boy)", "classic-selection": "atleastone(boy)",
+    "deemphasize": "atleastone(boy)", "gn-dn": "claim(boy,d{default})",
+    "gn-tc": "claim(boy,d{day})", "yesno": "yes",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 30])
+def test_builtin_statements_are_the_parsed_statements_of_their_former_text(d):
+    cfg = WorldConfig(d, 2)
+    assert list(FORMER_STATEMENTS) == list(BUILTIN_IDS)
+    default = 1 if d == 7 else 0
+    for day in sorted({0, 1 % d, d - 1}):
+        for sid, text in FORMER_STATEMENTS.items():
+            b = bind_builtin(sid, cfg, day=day)
+            said = parse_statement_text(text.format(day=day, default=default), cfg)
+            assert b.statement is said, (sid, day)
+            assert b.query == parse_event_text("all(boy)", cfg)
