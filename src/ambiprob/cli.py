@@ -8,23 +8,29 @@ or it is given --say or --event.
 Each compiles the kernel for its statement once: `run` and `eval` condition on
 it, and `mc` samples it.
 
+`COMMANDS` is the command line: per command a handler, a help line and rows
+(name, dest, convert, default, help), where a name without `-` is a positional
+and a `convert` of None a switch. `parse_args` reads argv in one pass as
+argparse did (`--flag=value`, unambiguous prefixes, the last repeat wins, `--`
+ends the flags, a flag's value is the next argument whatever it is) and sets
+every dest of the table, so a flag a command does not take reads as None.
+
 Exit codes: 0 ok, 5 a cross-check disagreed (the Monte Carlo with the exact
 answer, or a `sweep` row with (2d-1)/(4d-1)); `EXIT_CODES` maps each error to
 2 usage, 3 undefined conditional, 4 protocol-language error or 6 degenerate
-protocol.
+protocol. A usage error, argv's own included, is one `ambiprob:` line.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import json
 import re
 import sys
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import dsl
 from .engine import CaseTable, PosteriorReport, YesNo, posterior, render_statement
@@ -83,16 +89,21 @@ def _parse_day(text: str, cfg: WorldConfig) -> int:
 
 
 def _int_at_least(low: int):
-    """An argparse type: an int no smaller than `low`."""
+    """An int no smaller than `low`."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise CliError(f"must be >= {low}, got {value}")
         return value
+    return parse
+
+
+def _choice(*names: str):
+    def parse(text: str) -> str:
+        if text not in names:
+            raise CliError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+        return text
     return parse
 
 
@@ -258,10 +269,7 @@ def _check_outcome_space(d: int, n: int, remedy: str) -> None:
 
 
 def _world(args) -> WorldConfig:
-    try:
-        cfg = WorldConfig(week_length=args.week_days, family_size=args.children)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    cfg = WorldConfig(week_length=args.week_days, family_size=args.children)
     _check_outcome_space(cfg.week_length, cfg.family_size, "lower --week-days or --children")
     return cfg
 
@@ -280,8 +288,7 @@ def _target(args, cfg: WorldConfig, builtin: bool):
         if args.target not in BUILTIN_IDS:
             raise CliError(f"unknown scenario id {args.target!r}; see `ambiprob list`")
         day = None if args.day is None else _parse_day(args.day, cfg)
-        p = None if args.p is None else _parse_fraction(args.p)
-        b = bind_builtin(args.target, cfg, day=day, p=p)
+        b = bind_builtin(args.target, cfg, day=day, p=args.p)
         return dsl.compile_protocol(b.ast, cfg, b.values, b.statement), b.statement, b.query
     if args.say is None or args.event is None:
         raise CliError("--say and --event are required for .proc targets")
@@ -377,75 +384,107 @@ def cmd_sweep(args, out):
     return EXIT_OK if all_match else EXIT_DISAGREE
 
 
-# One parser per process: parse_args does not change it.
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ambiprob",
-        description="Exact disclosure-procedure analysis of the Two-Children "
-        "and Tuesday-Child puzzles, with a Monte Carlo cross-check.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an argument a command cannot run without
 
-    def command(name, func, about):
-        p = sub.add_parser(name, help=about)
-        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-        # a target flag a command does not take reads as absent
-        p.set_defaults(func=func, say=None, event=None, day=None, p=None)
-        return p
+_FORMAT = ("--format", "format", _choice("table", "csv", "json"), "table", "table, csv or json")
+_WORLD = (("--week-days", "week_days", _int_at_least(1), 7, "days in a week"),
+          ("--children", "children", _int_at_least(1), 2, "children in a family"))
+_BUILTIN = (("--day", "day", str, None, "target day, e.g. wed or d3 (default tue on a 7-day week)"),
+            ("--p", "p", _parse_fraction, None, "posterior of the any-answer scenario (default 1/2)"))
+_DECIMAL = ("--decimal", "decimal", None, False, "also show 6-digit decimal approximations")
 
-    def world(p):
-        p.add_argument("--week-days", type=int, default=7, metavar="D")
-        p.add_argument("--children", type=int, default=2, metavar="N")
+# Each command's arguments in the order in which argparse named them in its messages.
+COMMANDS = {
+    "list": (cmd_list, "list builtin scenarios", (_FORMAT,)),
+    "run": (cmd_posterior, "exact posterior of a builtin scenario", (
+        _FORMAT, ("scenario", "target", str, REQUIRED, "builtin scenario id"),
+        *_WORLD, *_BUILTIN, _DECIMAL)),
+    "eval": (cmd_posterior, "evaluate a .proc file", (
+        _FORMAT, ("file", "target", str, REQUIRED, "procedure file"),
+        ("--say", "say", str, REQUIRED, 'statement, e.g. "claim(boy,tue)" (required)'),
+        ("--event", "event", str, REQUIRED, 'event predicate, e.g. "all(boy)" (required)'),
+        *_WORLD, _DECIMAL)),
+    "mc": (cmd_mc, "Monte Carlo cross-check", (
+        _FORMAT, ("target", "target", str, REQUIRED, "scenario id or .proc file"),
+        ("--say", "say", str, None, "statement (required for .proc targets)"),
+        ("--event", "event", str, None, "event predicate (required for .proc targets)"),
+        ("--trials", "trials", _int_at_least(1), 1_000_000, "trials to draw"),
+        ("--seed", "seed", _int_at_least(0), 42, "seed of the random stream"),
+        ("--shards", "shards", _int_at_least(1), 1, "streams the trials are split over"),
+        *_WORLD, *_BUILTIN)),
+    "sweep": (cmd_sweep, "week-length sweep against (2d-1)/(4d-1)", (
+        _FORMAT, ("d_min", "d_min", int, REQUIRED, "shortest week"),
+        ("d_max", "d_max", int, REQUIRED, "longest week"))),
+}
+_ABSENT = dict.fromkeys(arg[1] for _, _, spec in COMMANDS.values() for arg in spec)
 
-    def builtin(p):  # read only when a builtin scenario is built
-        p.add_argument("--day", help="target day (wed, d3, ...; default Tuesday on a 7-day week)")
-        p.add_argument("--p", help="posterior for the any-answer scenario (default one half)")
 
-    def decimal(p):  # read only by the posterior report
-        p.add_argument("--decimal", action="store_true",
-                       help="also show 6-digit decimal approximations")
+def parse_args(argv) -> SimpleNamespace:
+    """Read argv against `COMMANDS` (see the module docstring); -h/--help
+    gives a namespace whose handler writes the help, built only then."""
+    argv = iter(argv)
+    command = next(argv, None)
+    if command in ("-h", "--help"):
+        return SimpleNamespace(func=_help, command=None)
+    if command not in COMMANDS:
+        raise CliError("the following arguments are required: command" if command is None else
+                       f"argument command: invalid choice: {command!r} "
+                       f"(choose from {', '.join(map(repr, COMMANDS))})")
+    func, _, spec = COMMANDS[command]
+    flags = {arg[0]: arg for arg in spec if arg[0][0] == "-"}
+    values = {**_ABSENT, **{arg[1]: arg[3] for arg in spec}, "command": command, "func": func}
+    given, positional, extra = [], [], []
+    for text in argv:
+        if text == "--":
+            positional += argv
+        elif text[:1] != "-" or text == "-" or text[1:].isdigit():
+            positional.append(text)
+        else:
+            name, eq, value = text.partition("=")
+            name = "--help" if name == "-h" else name
+            hits = [name] if name in flags else [f for f in (*flags, "--help") if f.startswith(name)]
+            if len(hits) > 1:
+                raise CliError(f"ambiguous option: {name} could match {', '.join(hits)}")
+            arg = flags.get(hits[0]) if hits else None
+            if hits == ["--help"]:
+                return SimpleNamespace(func=_help, command=command)
+            if arg is None or eq and arg[2] is None:  # unknown, or a switch given a value
+                extra.append(text)
+            elif arg[2] is None or eq or (value := next(argv, None)) is not None:
+                given.append((arg, value))
+            else:
+                raise CliError(f"argument {arg[0]}: expected one argument")
+    todo = [arg for arg in spec if arg[0][0] != "-"]
+    for arg, text in given + list(zip(todo, positional)):
+        try:
+            values[arg[1]] = True if arg[2] is None else arg[2](text)
+        except ValueError:  # int() is the one converter that raises it
+            raise CliError(f"argument {arg[0]}: invalid int value: {text!r}") from None
+        except CliError as exc:
+            raise CliError(f"argument {arg[0]}: {exc}") from None
+    if missing := [arg[0] for arg in spec if values[arg[1]] is REQUIRED]:
+        raise CliError(f"the following arguments are required: {', '.join(missing)}")
+    if extra := extra + positional[len(todo):]:
+        raise CliError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(**values)
 
-    command("list", cmd_list, "list builtin scenarios")
 
-    p_run = command("run", cmd_posterior, "exact posterior of a builtin scenario")
-    p_run.add_argument("target", metavar="scenario")
-    world(p_run)
-    builtin(p_run)
-    decimal(p_run)
-
-    p_eval = command("eval", cmd_posterior, "evaluate a .proc file")
-    p_eval.add_argument("target", metavar="file")
-    p_eval.add_argument("--say", required=True, help='statement, e.g. "claim(boy,tue)"')
-    p_eval.add_argument("--event", required=True, help='event predicate, e.g. "all(boy)"')
-    world(p_eval)
-    decimal(p_eval)
-
-    p_mc = command("mc", cmd_mc, "Monte Carlo cross-check")
-    p_mc.add_argument("target", help="scenario id or .proc file")
-    p_mc.add_argument("--say", help="statement (required for .proc targets)")
-    p_mc.add_argument("--event", help="event predicate (required for .proc targets)")
-    p_mc.add_argument("--trials", type=_int_at_least(1), default=1_000_000)
-    p_mc.add_argument("--seed", type=_int_at_least(0), default=42)
-    p_mc.add_argument("--shards", type=_int_at_least(1), default=1)
-    world(p_mc)
-    builtin(p_mc)
-
-    p_sweep = command("sweep", cmd_sweep, "week-length sweep against (2d-1)/(4d-1)")
-    p_sweep.add_argument("d_min", type=int)
-    p_sweep.add_argument("d_max", type=int)
-
-    return parser
+def _help(args, out) -> int:
+    """Write the help of `args.command`, or of every command, from `COMMANDS`."""
+    for command in [args.command] if args.command else COMMANDS:
+        _, about, spec = COMMANDS[command]
+        usage = " ".join([command, "[options]", *(a[0] for a in spec if a[0][0] != "-")])
+        out.write(f"usage: ambiprob {usage}\n\n{about}\n\n")
+        _emit_rows(["argument", "help"], [("-h, --help", "show this help message and exit"),
+                                          *((a[0], a[4]) for a in spec)], "table", out)
+        out.write("\n")
+    return EXIT_OK
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args, out)
     except tuple(EXIT_CODES) as exc:
         print(f"ambiprob: {exc}", file=sys.stderr)

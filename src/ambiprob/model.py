@@ -74,22 +74,22 @@ def family_str(f: Family) -> str:
     return ",".join([f"{c.sex._value_}@{c.day}" for c in f])
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def week_children(cfg: WorldConfig) -> tuple[Child, ...]:
     """The 2d children each birth position ranges over, by (sex, day).
 
     `enumerate_families` is their n-fold product, in this order. The tuple is
-    kept for the last few worlds, so the families that the compiler, the
-    engine and the sampler build for one world share their `Child` objects,
-    and a dict lookup of an equal family finds each child equal by identity.
+    kept for the last 32 worlds, so the families and compiled tests that the
+    compiler, the engine and the sampler build for one world share its `Child`
+    objects, and a lookup of an equal family finds each child by identity.
     """
     return tuple(Child(sex, day) for sex in (Sex.BOY, Sex.GIRL) for day in range(cfg.week_length))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def child_labels(cfg: WorldConfig) -> tuple[str, ...]:
     """`family_str` of each one-child family of `week_children(cfg)`, in that
-    order, rendered once for each of the last few worlds."""
+    order, rendered once for each of the last 32 worlds."""
     return tuple(family_str((c,)) for c in week_children(cfg))
 
 
@@ -217,11 +217,10 @@ def eval_query(q: QueryPredicate, f: Family) -> bool:
 
 
 def _matching_children(cfg: WorldConfig, sex: Sex | None, day: int | None) -> frozenset[Child]:
-    """The children of cfg's families that match; a day outside the week
+    """The children of `week_children(cfg)` that match; a day outside the week
     matches none of them."""
-    sexes = Sex if sex is None else (sex,)
-    days = range(cfg.week_length) if day is None else (day,)
-    return frozenset(Child(s, d) for s in sexes for d in days)
+    return frozenset(c for c in week_children(cfg)
+                     if (sex is None or c.sex is sex) and (day is None or c.day == day))
 
 
 def _chain(q: And | Or) -> list[QueryPredicate]:

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import itertools
@@ -13,7 +12,7 @@ import pytest
 
 import ambiprob
 from ambiprob import cli, dsl, mc
-from ambiprob.cli import EXIT_CODES, _emit_rows, _target, build_parser, main
+from ambiprob.cli import COMMANDS, EXIT_CODES, _emit_rows, _target, main, parse_args
 from ambiprob.engine import posterior, render_statement
 from ambiprob.errors import AmbiprobError
 from ambiprob.model import WorldConfig, family_str, week_children
@@ -557,6 +556,67 @@ def test_usage_error_prints_one_complete_line(capsys):
     assert capsys.readouterr().err == "ambiprob: invalid day 'xyz' for a 7-day week\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("walk",), "argument command: invalid choice: 'walk' "
+                "(choose from 'list', 'run', 'eval', 'mc', 'sweep')"),
+    (("run", "bc-tc", "--bogus"), "unrecognized arguments: --bogus"),
+    (("mc", "bc-tc", "--trials"), "argument --trials: expected one argument"),
+    (("run", "bc-tc", "--week-days", "seven"), "argument --week-days: invalid int value: 'seven'"),
+    (("mc", "bc-tc", "--trials", "many"), "argument --trials: invalid int value: 'many'"),
+    (("sweep", "1", "x"), "argument d_max: invalid int value: 'x'"),
+    (("mc", "bc-tc", "--trials", "0"), "argument --trials: must be >= 1, got 0"),
+    (("mc", "bc-tc", "--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+    (("run", "bc-tc", "--format", "xml"),
+     "argument --format: invalid choice: 'xml' (choose from 'table', 'csv', 'json')"),
+    (("eval", "p.proc", "--event", "all(boy)"), "the following arguments are required: --say"),
+    (("eval", "p.proc"), "the following arguments are required: --say, --event"),
+    (("sweep", "3"), "the following arguments are required: d_max"),
+    (("mc", "bc-tc", "--s", "3"), "ambiguous option: --s could match --say, --seed, --shards"),
+])
+def test_every_usage_error_is_one_line(argv, message, capsys):
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == f"ambiprob: {message}\n"
+
+
+FLAGS = {
+    "list": ["--format"],
+    "run": ["--format", "--week-days", "--children", "--day", "--p", "--decimal"],
+    "eval": ["--format", "--say", "--event", "--week-days", "--children", "--decimal"],
+    "mc": ["--format", "--say", "--event", "--trials", "--seed", "--shards", "--week-days",
+           "--children", "--day", "--p"],
+    "sweep": ["--format"],
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *FLAGS])
+def test_help_names_every_flag_and_exits_0(command, flag, capsys):
+    code, text = run_cli(*[command] * (command is not None), flag)
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert text.startswith("usage: ambiprob ")
+    # the program's own help is the help of every command
+    names = [*FLAGS, *itertools.chain(*FLAGS.values())] if command is None else FLAGS[command]
+    assert [name for name in [flag, *names] if name not in text] == []
+    assert set(FLAGS) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "gn-dn", "--week-days=30"),
+    ("run", "gn-dn", "--week", "30"),
+    ("run", "--week-days", "30", "--", "gn-dn"),
+    ("run", "gn-dn", "--week-days", "7", "--week-days", "30"),
+])
+def test_argparse_spellings_still_read_as_argparse_read_them(argv):
+    assert run_cli(*argv) == run_cli("run", "gn-dn", "--week-days", "30")
+
+
+def test_repeated_format_keeps_the_last():
+    want = run_cli("run", "bc-tc", "--format", "csv")
+    assert want[0] == 0 and want[1].startswith("family,prior")
+    assert run_cli("run", "bc-tc", "--format", "json", "--format", "csv") == want
+
+
 def test_unbound_variable_before_a_syntax_error_exits_4(tmp_path, capsys):
     proc = tmp_path / "p.proc"
     proc.write_text("procedure p {\n  if sex(c) = boy { say yes; }\n  say\n}\n")
@@ -573,7 +633,7 @@ def test_zero_mass_names_the_statement_as_the_language_writes_it(capsys):
     )
 
 
-def test_main_builds_its_parser_once_and_calls_stay_independent(capsys, monkeypatch):
+def test_main_calls_stay_independent_and_import_no_argparse(capsys):
     # each call writes what it writes in a process of its own
     calls = (["run", "bc-tc", "--decimal"], ["run", "bc-tc", "--bogus"], ["run", "bc-tc"])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ambiprob.__file__)))
@@ -583,20 +643,18 @@ def test_main_builds_its_parser_once_and_calls_stay_independent(capsys, monkeypa
         for argv in calls
     ]
     assert [p.returncode for p in alone] == [0, 2, 0]
-
-    # building the parser adds its subcommands once
-    built = []
-
-    def add_subparsers(self, real=argparse.ArgumentParser.add_subparsers, **kwargs):
-        built.append(self)
-        return real(self, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", add_subparsers)
     for argv, p in zip(calls, alone):
         code = main(argv)
         got = capsys.readouterr()
         assert (code, got.out, got.err) == (p.returncode, p.stdout, p.stderr)
-    assert len(built) <= 1
+
+    # argv is read from the table, so neither the import nor a usage error
+    # loads argparse
+    probe = ("import sys; from ambiprob import cli; cli.main(['run', 'bc-tc', '--bogus']); "
+             "sys.exit('argparse' in sys.modules)")
+    p = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                       timeout=120)
+    assert (p.returncode, p.stderr) == (0, "ambiprob: unrecognized arguments: --bogus\n")
 
 
 def _generic_report(argv, fmt, decimal):
@@ -604,7 +662,7 @@ def _generic_report(argv, fmt, decimal):
     rows: `_emit_rows`' column padding, `csv.writer` or `json.dumps`."""
     cfg = WorldConfig(int(argv[argv.index("--week-days") + 1]) if "--week-days" in argv else 7,
                       int(argv[argv.index("--children") + 1]) if "--children" in argv else 2)
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     rep = posterior(*_target(args, cfg, builtin=args.command == "run"))
     stmt = render_statement(rep.statement, cfg)
     cells = [(family_str(r.family), str(r.prior), str(r.emission), "1" if r.event else "0")
@@ -715,7 +773,7 @@ def _assert_own_classes_write_as_per_row(children, d, fmt, monkeypatch):
     argv = ["eval", os.path.join(PROC_DIR, "classic_coinflip.proc"), "--say", "atleastone(boy)",
             "--event", " or ".join(f"exists(d{k})" for k in range(d)),
             "--week-days", str(d), "--children", str(children), "--format", fmt]
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     cfg = WorldConfig(d, children)
     rep = posterior(*_target(args, cfg, builtin=False))
     assert len(set(rep.case_table.child_class)) == 2 * d
