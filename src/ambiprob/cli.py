@@ -9,10 +9,10 @@ Each compiles the kernel for its statement once: `run` and `eval` condition on
 it, and `mc` samples it.
 
 `COMMANDS` is the command line: per command a handler, a help line and rows
-(name, dest, convert, default, help), where a name without `-` is a positional
-and a `convert` of None a switch. `parse_args` reads argv in one pass as
-argparse did (`--flag=value`, unambiguous prefixes, the last repeat wins, `--`
-ends the flags, a flag's value is the next argument whatever it is) and sets
+(name, dest, convert, default, help); a name without `-` is a positional, a
+`convert` of None a switch. `parse_args` reads argv in one pass by argparse's
+rules (`--flag=value`, a flag's value is the next argument whatever it is,
+unambiguous prefixes, the last repeat wins, `--` ends the flags) and sets
 every dest of the table, so a flag a command does not take reads as None.
 
 Exit codes: 0 ok, 5 a cross-check disagreed (the Monte Carlo with the exact
@@ -269,9 +269,8 @@ def _check_outcome_space(d: int, n: int, remedy: str) -> None:
 
 
 def _world(args) -> WorldConfig:
-    cfg = WorldConfig(week_length=args.week_days, family_size=args.children)
-    _check_outcome_space(cfg.week_length, cfg.family_size, "lower --week-days or --children")
-    return cfg
+    _check_outcome_space(args.week_days, args.children, "lower --week-days or --children")
+    return WorldConfig(week_length=args.week_days, family_size=args.children)
 
 
 def _target(args, cfg: WorldConfig, builtin: bool):
@@ -393,7 +392,7 @@ _BUILTIN = (("--day", "day", str, None, "target day, e.g. wed or d3 (default tue
             ("--p", "p", _parse_fraction, None, "posterior of the any-answer scenario (default 1/2)"))
 _DECIMAL = ("--decimal", "decimal", None, False, "also show 6-digit decimal approximations")
 
-# Each command's arguments in the order in which argparse named them in its messages.
+# A usage error that names several arguments names them in row order.
 COMMANDS = {
     "list": (cmd_list, "list builtin scenarios", (_FORMAT,)),
     "run": (cmd_posterior, "exact posterior of a builtin scenario", (
