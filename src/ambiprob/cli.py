@@ -190,9 +190,18 @@ def _write_cases(table: CaseTable, head: str, suffix: dict, out, sep: str = "",
 
 
 def _cells(table: CaseTable):
-    """Each refined vector's prior, emission and event ("1" or "0") text."""
+    """Each refined vector's prior, emission and event ("1" or "0") text.
+
+    The vectors share a handful of emission objects, so each is rendered
+    once, found by identity: hashing a `Fraction` costs more than `str`."""
     prior = str(table.prior)
-    return {vec: (prior, str(e), "1" if holds else "0") for vec, (e, holds) in table.vectors.items()}
+    cells, rendered = {}, {}
+    for vec, (e, holds) in table.vectors.items():
+        cell = rendered.get((id(e), holds))
+        if cell is None:
+            cell = rendered[id(e), holds] = (prior, str(e), "1" if holds else "0")
+        cells[vec] = cell
+    return cells
 
 
 def _write_json_report(rep: PosteriorReport, stmt: str, decimal: bool, out) -> None:

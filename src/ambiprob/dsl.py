@@ -25,7 +25,8 @@ resolves every child variable by name: a variable no pick binds is an
 `UnboundVariable` at the statement (or `require`) that uses it.
 
 A `say` holds the engine's statement (`AtLeastOne`, `YesNo`, `Text`, ...)
-from parsing on, and `and`/`or`/`not` are the engine's `And`/`Or`/`Not`. Only
+from parsing on, and `and`/`or`/`not` are the engine's `And`/`Or`/`Not`: a
+chain such as `a and b and c` is one `And` of three terms. Only
 the leaves that may need binding are the language's own: `PExists`, `PAll`,
 `PCount`, `PChildTest` and `EClaim`, whose day may be a parameter and whose
 sex and day may read a picked child. A statement has one spelling,
@@ -532,16 +533,16 @@ class _Parser:
         return PChildTest(var, "day", day=day)
 
     def pred(self) -> Pred:
-        left = self.pred_and()
+        terms = [self.pred_and()]
         while self.accept("or"):
-            left = Or(left, self.pred_and())
-        return left
+            terms.append(self.pred_and())
+        return terms[0] if len(terms) == 1 else Or(*terms)
 
     def pred_and(self) -> Pred:
-        left = self.pred_atom()
+        terms = [self.pred_atom()]
         while self.accept("and"):
-            left = And(left, self.pred_atom())
-        return left
+            terms.append(self.pred_atom())
+        return terms[0] if len(terms) == 1 else And(*terms)
 
     def pred_atom(self) -> Pred:
         tok = self.cur
@@ -686,10 +687,8 @@ def pred_to_query(p: Pred, cfg: WorldConfig, bound: Bound = _UNBOUND,
             return ChildSexIs(at[v], s)
         case PChildTest(var=v, kind="day", day=d) if v in at:
             return ChildDayIs(at[v], _day_value(d, cfg, bound))
-        case And(left=a, right=b):
-            return And(pred_to_query(a, cfg, bound, at), pred_to_query(b, cfg, bound, at))
-        case Or(left=a, right=b):
-            return Or(pred_to_query(a, cfg, bound, at), pred_to_query(b, cfg, bound, at))
+        case And(terms=ts) | Or(terms=ts):
+            return type(p)(*[pred_to_query(t, cfg, bound, at) for t in ts])
         case Not(inner=i):
             return Not(pred_to_query(i, cfg, bound, at))
     raise TypeError(f"not a predicate with every child variable bound: {p!r}")
@@ -932,10 +931,8 @@ def compile_protocol(
     """
     bound = _bind(ast, cfg, values)
     lowering = _Lowering(cfg, bound, statement)
-    pre_filter: QueryPredicate | None = None
-    for p in ast.requires:
-        q = lowering.query(p)
-        pre_filter = q if pre_filter is None else And(pre_filter, q)
+    requires = [lowering.query(p) for p in ast.requires]
+    pre_filter = None if not requires else requires[0] if len(requires) == 1 else And(*requires)
     body = lowering.block(ast.body, lowering.fall_through)
 
     children = week_children(cfg)
@@ -1021,10 +1018,10 @@ def _render_pred(p: Pred, parent_prec: int = 0) -> str:
         case PChildTest(var=v, kind=kind, sex=s, day=d):
             value = _render_sex(s) if kind == "sex" else _render_day(d)
             text, prec = f"{kind}({v}) = {value}", 3
-        case And(left=a, right=b):
-            text, prec = f"{_render_pred(a, 2)} and {_render_pred(b, 3)}", 2
-        case Or(left=a, right=b):
-            text, prec = f"{_render_pred(a, 1)} or {_render_pred(b, 2)}", 1
+        case And(terms=ts):  # a term is never a chain of its own kind
+            text, prec = " and ".join([_render_pred(t, 2) for t in ts]), 2
+        case Or(terms=ts):
+            text, prec = " or ".join([_render_pred(t, 1) for t in ts]), 1
         case Not(inner=i):
             text, prec = f"not {_render_pred(i, 3)}", 3
         case _:

@@ -1,10 +1,12 @@
 """Outcome space for n-children families: enumeration, uniform prior, and an
 event-predicate language evaluated by exhaustive enumeration.
 
-`eval_query` is the reference interpreter of that language. Hot loops test a
-predicate on every family, so they call `compile_query` instead: it turns the
-predicate into a one-argument test once, and that test agrees with
-`eval_query` on every family of the world it was compiled for.
+`And` and `Or` take any number of terms and flatten their own kind, so a
+chain of one connective is one node however long it is, and nothing recurses
+along it. `eval_query` is the reference interpreter of that language. Hot
+loops test a predicate on every family, so they call `compile_query` instead:
+it turns the predicate into a one-argument test once, and that test agrees
+with `eval_query` on every family of the world it was compiled for.
 
 All probability is exact: weights are `fractions.Fraction` throughout, and no
 floating point appears in this module.
@@ -147,16 +149,26 @@ class AllMatch:
     day: int | None = None
 
 
-@dataclass(frozen=True)
-class And:
-    left: "QueryPredicate"
-    right: "QueryPredicate"
+@dataclass(frozen=True, init=False)
+class _Chain:
+    """A chain of one connective over any number of terms, kept flat: a term
+    of the chain's own kind gives its terms in its place, so
+    ``And(a, And(b, c)) == And(a, b, c)``."""
+
+    terms: tuple["QueryPredicate", ...]
+
+    def __init__(self, *terms: "QueryPredicate"):
+        kind = type(self)
+        object.__setattr__(self, "terms", tuple(
+            u for t in terms for u in (t.terms if type(t) is kind else (t,))))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "QueryPredicate"
-    right: "QueryPredicate"
+class And(_Chain):
+    """Every term holds."""
+
+
+class Or(_Chain):
+    """Some term holds."""
 
 
 @dataclass(frozen=True)
@@ -180,8 +192,8 @@ def _leaves(q):
     todo = [q]
     while todo:
         q = todo.pop()
-        if isinstance(q, (And, Or)):
-            todo += (q.right, q.left)
+        if isinstance(q, _Chain):
+            todo += reversed(q.terms)
         elif isinstance(q, Not):
             todo.append(q.inner)
         else:
@@ -207,46 +219,38 @@ def eval_query(q: QueryPredicate, f: Family) -> bool:
             return sum(_child_matches(c, s, d) for c in f) >= k
         case AllMatch(sex=s, day=d):
             return all(_child_matches(c, s, d) for c in f)
-        case And(left=a, right=b):
-            return eval_query(a, f) and eval_query(b, f)
-        case Or(left=a, right=b):
-            return eval_query(a, f) or eval_query(b, f)
+        case And(terms=ts):
+            return all(eval_query(t, f) for t in ts)
+        case Or(terms=ts):
+            return any(eval_query(t, f) for t in ts)
         case Not(inner=p):
             return not eval_query(p, f)
     raise TypeError(f"not a query predicate: {q!r}")
 
 
 def _matching_children(cfg: WorldConfig, sex: Sex | None, day: int | None) -> frozenset[Child]:
-    """The children of `week_children(cfg)` that match; a day outside the week
-    matches none of them."""
-    return frozenset(c for c in week_children(cfg)
-                     if (sex is None or c.sex is sex) and (day is None or c.day == day))
-
-
-def _chain(q: And | Or) -> list[QueryPredicate]:
-    """The terms of the chain of q's connective at q, left to right; a loop,
-    as the parser folds a chain into a tree as deep as it is long."""
-    kind = type(q)
-    terms, todo = [], [q]
-    while todo:
-        p = todo.pop()
-        if type(p) is kind:
-            todo += (p.right, p.left)
-        else:
-            terms.append(p)
-    return terms
+    """The children of `week_children(cfg)` that match, sliced from it (its
+    boys come first, each sex in day order); a day outside the week matches
+    none of them."""
+    children, d = week_children(cfg), cfg.week_length
+    if sex is not None:
+        children = children[:d] if sex is Sex.BOY else children[d:]
+    if day is not None:
+        children = children[day::d] if 0 <= day < d else ()
+    return frozenset(children)
 
 
 def _compile_chain(q: And | Or, cfg: WorldConfig) -> Callable[[Family], bool]:
-    """One test for a chain of `Or` or of `And`: under `or` its `Exists` terms
-    merge into one `isdisjoint` on the union of the children they match, and
-    under `and` its `AllMatch` terms into one `issuperset` on the
-    intersection; the other terms are tested with `any`/`all` over a tuple."""
+    """One test for an `Or` or an `And` over its terms: under `or` its
+    `Exists` terms merge into one `isdisjoint` on the union of the children
+    they match, and under `and` its `AllMatch` terms into one `issuperset` on
+    the intersection; the other terms are tested with `any`/`all` over a
+    tuple."""
     is_or = type(q) is Or
     merged = Exists if is_or else AllMatch
     children = None  # the children the merged terms match
     tests = []
-    for term in _chain(q):
+    for term in q.terms:
         if type(term) is merged:
             m = _matching_children(cfg, term.sex, term.day)
             children = m if children is None else (children | m if is_or else children & m)
@@ -275,7 +279,7 @@ def compile_query(q: QueryPredicate, cfg: WorldConfig) -> Callable[[Family], boo
 
     `Exists`, `AllMatch` and `CountAtLeast` become set operations on the
     frozenset of cfg's children that match, so they run in C with no Python
-    call per child. A chain of one connective is one test (`_compile_chain`).
+    call per child. An `And` or `Or` is one test over its terms (`_compile_chain`).
     """
     match q:
         case Always():

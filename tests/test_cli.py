@@ -498,8 +498,6 @@ def test_options_a_command_would_ignore_exit_2(argv, capsys):
 
 
 NOT_3000 = "not " * 3000 + "all(boy)"
-AND_3000 = " and ".join(["all(boy)"] * 3000)
-AND_1000 = " and ".join(["all(boy)"] * 1000)
 DEEP_EVENT = "event is nested too deeply to compile"
 DEEP_PROC = "{proc} is nested too deeply to compile"
 
@@ -507,16 +505,10 @@ DEEP_PROC = "{proc} is nested too deeply to compile"
 @pytest.mark.parametrize("command, body, event, message", [
     ("eval", "say yes;", NOT_3000, DEEP_EVENT),
     ("mc", "say yes;", NOT_3000, DEEP_EVENT),
-    ("eval", "say yes;", AND_3000, DEEP_EVENT),
-    ("mc", "say yes;", AND_3000, DEEP_EVENT),
-    # a flat chain: `pred_to_query` recurses once per `and` operand
-    ("eval", "say yes;", AND_1000, DEEP_EVENT),
-    ("mc", "say yes;", AND_1000, DEEP_EVENT),
     ("eval", "if all(boy) { " * 2000 + "say yes; " + "} " * 2000, "all(boy)", DEEP_PROC),
     # recurses through the lowered closure chain, not the parser
     ("eval", "if all(boy) { } " * 1200 + "say yes;", "all(boy)", DEEP_PROC),
-], ids=["eval-not-3000", "mc-not-3000", "eval-and-3000", "mc-and-3000", "eval-and-1000",
-        "mc-and-1000", "eval-nested-if-2000", "eval-if-row-1200"])
+], ids=["eval-not-3000", "mc-not-3000", "eval-nested-if-2000", "eval-if-row-1200"])
 def test_procedure_text_nested_too_deeply_exits_4(command, body, event, message, tmp_path,
                                                   capsys):
     proc = tmp_path / "p.proc"
@@ -527,14 +519,41 @@ def test_procedure_text_nested_too_deeply_exits_4(command, body, event, message,
     assert capsys.readouterr().err == f"ambiprob: {message.format(proc=proc)}\n"
 
 
+def _chain(terms, op, length):
+    """`length` terms, cycling through `terms`, joined by `op`."""
+    return f" {op} ".join(itertools.islice(itertools.cycle(terms), length))
+
+
+# A chain is one node however long it is, so its length is not depth: each
+# chain gives the answer of its first 900 terms, a length that compiled even
+# while the parser folded a chain into a tree as deep as it was long.
+@pytest.mark.parametrize("op, terms", [("and", ("exists(boy)", "not exists(girl, mon)")),
+                                       ("or", ("all(girl)", "exists(boy, sun)"))],
+                         ids=["and", "or"])
 @pytest.mark.parametrize("command", ["eval", "mc"])
-def test_a_900_term_event_still_runs(command, tmp_path):
+def test_a_flat_chain_of_any_length_gives_the_answer_of_its_cut(command, op, terms, tmp_path):
     proc = tmp_path / "p.proc"
-    proc.write_text("procedure p { say yes; }\n")
-    event = " and ".join(["all(boy)"] * 900)
-    trials = ("--trials", "10") if command == "mc" else ()
-    code, text = run_cli(command, str(proc), "--say", "yes", "--event", event, *trials)
-    assert code == 0 and text
+    proc.write_text("procedure p {\n  pick c;\n"
+                    "  if sex(c) = boy { say claim(boy, day(c)); } else { say yes; }\n}\n")
+    trials = ("--trials", "200") if command == "mc" else ()
+    cut, full = (run_cli(command, str(proc), "--say", "yes", "--event", _chain(terms, op, n),
+                         *trials) for n in (900, 100_000))
+    assert cut[0] == 0 and ("posterior" if command == "eval" else "estimate") in cut[1]
+    assert full == cut
+
+
+def test_a_procedure_with_long_chains_gives_the_answer_of_its_cut(tmp_path):
+    def run(n):
+        proc = tmp_path / f"p{n}.proc"
+        proc.write_text(
+            f"procedure p {{\n  require {_chain(('exists(boy, tue)', 'count(girl) >= 2'), 'or', n)};\n"
+            f"  pick c;\n  if {_chain(('sex(c) = boy', 'not day(c) = mon'), 'and', n)} "
+            "{ say claim(boy, day(c)); } else { say yes; }\n}\n")
+        return run_cli("eval", str(proc), "--say", "yes", "--event", "exists(girl)")
+
+    cut, full = run(900), run(10_000)
+    assert cut[0] == 0 and "posterior" in cut[1]
+    assert full == cut
 
 
 def _subclasses(kind):

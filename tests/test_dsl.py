@@ -21,6 +21,7 @@ from ambiprob.dsl import (
     If,
     PAll,
     ParamRef,
+    PCount,
     PExists,
     Pick,
     Reject,
@@ -461,6 +462,20 @@ def test_pred_precedence_round_trip():
     flat = "procedure p { if not all(girl) or all(boy) and exists(girl) { say yes; } else { say no; } }"
     ast2 = parse(flat)
     assert parse(render(ast2)) == ast2
+
+
+def test_a_chain_is_one_node_and_renders_flat():
+    a, b, c = PExists(Sex.BOY), PAll(Sex.GIRL), PCount(Sex.BOY, ">=", 1)
+    assert And(a, And(b, c)) == And(And(a, b), c) == And(a, b, c)
+    assert Or(a, Or(b, c)).terms == (a, b, c)
+    src = ("procedure p { if exists(boy) and (all(girl) or count(boy) >= 1) "
+           "and not (exists(boy) and all(girl)) { say yes; } }")
+    ast = parse(src)
+    assert ast.body[0].pred == And(a, Or(b, c), Not(And(a, b)))
+    # an `or` inside an `and`, and an `and` under `not`, keep their parentheses
+    assert ("if exists(boy) and (all(girl) or count(boy) >= 1) "
+            "and not (exists(boy) and all(girl)) {") in render(ast)
+    assert parse(render(ast)) == ast
 
 
 def test_parse_statement_text():
@@ -995,7 +1010,8 @@ def test_procedures_compiled_for_their_statement_condition_like_the_full_kernel(
         else:
             with open(os.path.join(PROC_DIR, f"{name}.proc")) as fh:
                 source = fh.read().replace("tue", "d0")  # a day in every week
-        events = CLASS_EVENTS + (ChildDayIs(n - 1, d - 1), And(ChildSexIs(0, Sex.BOY), Exists(day=0)))
+        events = (*CLASS_EVENTS.values(), ChildDayIs(n - 1, d - 1),
+                  And(ChildSexIs(0, Sex.BOY), Exists(day=0)))
         _check_compiled_for_each_statement(parse(source), cfg, {}, lambda: events,
                                            reference=cfg.n_outcomes <= 216)  # the reference is slow
 

@@ -397,15 +397,16 @@ def test_tested_days_are_the_days_a_test_compares_with():
 
 
 def test_tested_days_walk_deep_events_without_recursion():
-    # a 100,000-deep not chain and a 100,000-term left-deep and: far past
-    # the interpreter's recursion limit
+    # a 100,000-deep not chain and a 100,000-deep tree of and in or in and:
+    # far past the interpreter's recursion limit (a chain of one connective
+    # is one flat node, so the connectives alternate to nest)
     q = ChildDayIs(0, TUE)
     for _ in range(100_000):
         q = Not(q)
     assert engine._tested_days(q) == {TUE}
     q = Exists(Sex.BOY, 0)
     for day in range(1, 100_000):
-        q = And(q, Exists(day=day % 7) if day % 2 else BOTH_BOYS)
+        q = (And if day % 2 else Or)(q, Exists(day=day % 7) if day % 2 else BOTH_BOYS)
     assert engine._tested_days(q) == set(range(7))
 
 

@@ -71,12 +71,15 @@ BUILTIN_PS = (Fraction(0), Fraction(1, 12), Fraction(13, 27), Fraction(1))
 CHILD_WEEKS = (1, 3, 7)
 CLASS_WEEKS = (1, 7, 30)
 # all(boy), exists(girl, wed) and not exists(tue) or count(boy) >= 1; on a
-# week shorter than 7 days, wed and tue are days outside it
-CLASS_EVENTS = (
-    AllMatch(Sex.BOY),
-    Exists(Sex.GIRL, 2),
-    Or(Not(Exists(day=1)), CountAtLeast(1, Sex.BOY)),
-)
+# week shorter than 7 days, wed and tue are days outside it. Each is labelled
+# by its repr when the digests were recorded, before `And`/`Or` held their
+# terms in one field.
+CLASS_EVENTS = {
+    "AllMatch(sex=<Sex.BOY: 'B'>, day=None)": AllMatch(Sex.BOY),
+    "Exists(sex=<Sex.GIRL: 'G'>, day=2)": Exists(Sex.GIRL, 2),
+    "Or(left=Not(inner=Exists(sex=None, day=1)), right=CountAtLeast(k=1, sex=<Sex.BOY: 'B'>, "
+    "day=None))": Or(Not(Exists(day=1)), CountAtLeast(1, Sex.BOY)),
+}
 
 # Procedures whose tests read picked children; {mid} and {last} are the days
 # d//2 and d-1 of the week they are compiled for.
@@ -217,7 +220,7 @@ def _kernel_texts(compile_kernel, cfg: WorldConfig) -> tuple[str, str]:
 def _classes_text(kernel) -> str:
     """The kernel's classes, its vectors in table order and each event's refinement."""
     lines = [f"child_class={kernel.child_class!r}", f"vectors={list(kernel.table)!r}"]
-    lines += [f"{q!r}: {_refine(kernel, q)!r}" for q in CLASS_EVENTS]
+    lines += [f"{label}: {_refine(kernel, q)!r}" for label, q in CLASS_EVENTS.items()]
     return "\n".join(lines)
 
 
