@@ -5,35 +5,45 @@ It samples the table, not the procedure, so it checks the Bayes quotient that
 "sent home" step is a genuine rejection loop on sampled families: a family
 with no kernel row is redrawn. In-run reject mass triggers a redraw of the
 whole run. The generator is numpy's PCG64 (a published, seedable algorithm).
-Each shard draws its families 2^18 at a time (a chunk) and each chunk's u values
-2^14 at a time (a block), and classifies one block at a time, so its temporaries
-stay cache-sized. numpy's bounded draws take their values from the generator in
-turn, so a chunk's blocks draw what one draw per chunk would, and results are
-bit-identical for identical (seed, config, protocol, trial count, shards). A
-shard stops at the block that holds its last needed match. The redraw cap is
-checked at each match, against the run of misses that the match ends, and at
-the end of a chunk only if the chunk had no match; the first run above the cap
+
+Emission probabilities are exact rationals; sampling scales them to a common
+integer denominator, so no floating-point comparison enters the draw itself.
+A trial is a family and an integer u below that denominator, and its code
+says whether it emits another statement, is rejected in-run, is sent home,
+matches the statement, or matches where the event holds. `_compile_tables`
+gives each line of the class table three thresholds, and once per
+`sample_posterior` call, shared by every shard, `_sampling_tables` turns them
+into one of two layouts:
+
+- A code table over every (family, u) pair, where families x denominator is
+  at most `_TABLE_MAX` (2^22 entries, 4 MiB). A trial is one draw X below that
+  product, standing for family X // denom and u = X % denom, and one `take`
+  gives its code.
+- Per-family bounds beyond it: a block draws its families, then their u
+  values. A draw matches when u minus
+  its family's `lo`, read unsigned, is below its `width`, and its family's
+  emitted mass `tot` (-1: sent home), kept only where a family is sent home or
+  a line rejects in-run, gives the other codes. A family keeps one event byte
+  and 4 bytes per bound, or 8 when the denominator does not fit int32.
+
+With a denominator of 1, X is the family index and a u draw takes nothing
+from the generator, so both layouts draw the same stream. A shard draws and
+classifies 2^14 trials at a time (a block), so its temporaries stay
+cache-sized, and stops at the block that holds its last needed match: it
+draws nothing beyond it. From a block's codes on, both layouts share one path:
+the match positions, the redraw cap and the counters. Identical (seed,
+config, protocol, trial count, shards) give bit-identical results. The redraw
+cap is checked at each match, against the run of misses that the match ends,
+and at the end of a block that had no match; the first run above the cap
 raises DegenerateProtocol and is named in its message. A block's runs between
 matches are measured only when its first and last match lie more than the cap
 apart, as only then can one of them exceed it.
 
-Emission probabilities are exact rationals; sampling scales them to a common
-integer denominator, so no floating-point comparison enters the draw itself.
-Each draw is a family index and an integer u below that denominator.
-`_compile_tables` gives each line of the class table three thresholds, and once
-per `sample_posterior` call, shared by every shard, `_family_bounds` turns them
-into bounds per family: a draw matches when u minus the family's `lo`, read
-unsigned, is below its `width` (one subtraction and one comparison). Whether
-any family is sent home and whether any line rejects in-run is decided once per
-table. With neither, every draw is a trial and no counting pass runs; otherwise
-one lookup of the family's emitted mass (-1: sent home) per draw gives both
-counts. A family keeps one event byte plus 4 bytes for `lo`, for `width` and,
-where counts are needed, for its mass: 9 or 13 bytes, or 8 bytes per bound when
-the denominator does not fit int32. So a draw costs O(1) time and memory
-whatever the number of distinct statements, and the sampler builds no list of
-families: the tables are streamed from the product of the week's children. The
-common denominator must fit in int64; a kernel whose denominators have a larger
-LCM raises `OverflowError`.
+A draw costs O(1) time and memory whatever the number of distinct
+statements, and the sampler builds no list of families: the tables are
+streamed from the product of the week's children. The common denominator must
+fit in int64; a kernel whose denominators have a larger LCM raises
+`OverflowError`.
 """
 
 from __future__ import annotations
@@ -50,9 +60,15 @@ from .engine import ProtocolKernel, Statement, posterior, render_statement
 from .errors import DegenerateProtocol, ZeroStatementMass
 from .model import QueryPredicate, compile_query, week_children
 
-_CHUNK = 1 << 18  # family draws per chunk
 _BLOCK = 1 << 14  # draws classified at a time, so temporaries stay in cache
-# McResult's counters, summed over a shard's chunks and over the shards.
+_TABLE_MAX = 1 << 22  # (family, u) pairs a code table may hold: 4 MiB
+# A draw's code: a trial that emits another statement, a run rejected in-run,
+# a family sent home, a statement match, and a match where the event holds.
+# The code table starts from zeros (_MISS); on the two-draw path, `u >= tot`
+# read as uint8 is _MISS or _REJECT, and a sent-home family (tot -1) adds 1 to
+# its _REJECT to make _HOME.
+_MISS, _REJECT, _HOME, _MATCH, _HIT = range(5)
+# McResult's counters, summed over a shard's blocks and over the shards.
 _COUNTERS = ("trials", "rejected_families", "rejected_runs", "hits", "statement_matches")
 
 
@@ -131,29 +147,64 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     return event, which, lo, hi, tot, denom
 
 
+class _Codes(NamedTuple):
+    """The code of every (family, u) pair, at index family * denom + u: a
+    draw X below its length is one trial, family X // denom and u = X % denom."""
+
+    table: np.ndarray
+
+    def block(self, rng):
+        return self.table.take(rng.integers(0, self.table.shape[0], size=_BLOCK))
+
+
 class _Bounds(NamedTuple):
-    """The per-family tables every shard of one call classifies against.
+    """Per-family bounds, for a sample whose code table would exceed `_TABLE_MAX`.
 
     A draw u of family f matches when ``u - lo[f]``, read unsigned, is below
     ``width[f] = hi - lo``: a u below `lo` wraps past every width. `tot[f]` is
-    the family's emitted mass, -1 if it is sent home. `home` and `rejects`
-    say whether any family is sent home and whether any line rejects in-run;
-    with neither, `tot` is None and every draw is a trial. When the common
-    denominator fits int32, so do the tables and the draws of u.
+    the family's emitted mass, -1 if it is sent home, or None when no family
+    is sent home and no line rejects in-run. When the common denominator fits
+    int32, so do the tables and the draws of u.
     """
 
     event: np.ndarray
     lo: np.ndarray
     width: np.ndarray
     tot: np.ndarray | None
-    home: bool
-    rejects: bool
     denom: int
 
+    def block(self, rng):
+        """A block's families, then its u values, classified into codes."""
+        fam = rng.integers(0, self.lo.shape[0], size=_BLOCK)
+        u = rng.integers(0, self.denom, size=_BLOCK, dtype=self.lo.dtype)
+        matched = (u - self.lo.take(fam)).view(self.width.dtype) < self.width.take(fam)
+        if self.tot is None:
+            other = _MISS
+        else:  # a sent-home family's -1 is below every u
+            t = self.tot.take(fam)
+            other = (u >= t).view(np.uint8) + (t < 0)
+        return np.where(matched, _MATCH + self.event.take(fam), other)
 
-def _family_bounds(event, which, lo, hi, tot, denom) -> _Bounds:
-    """`_Bounds` from `_compile_tables`' per-line tables."""
+
+def _sampling_tables(event, which, lo, hi, tot, denom) -> _Codes | _Bounds:
+    """The tables every shard of one call draws from, built from
+    `_compile_tables`' per-line tables: the code table where it has at most
+    `_TABLE_MAX` entries, per-family bounds otherwise."""
+    n_fam = which.shape[0]
     sent_home = lo.shape[0] - 1  # the line of a family with no row
+    event = event.view(np.uint8)
+    if n_fam * denom <= _TABLE_MAX:
+        # each line's codes over u twice, the second where the event holds (row
+        # 2 * line + event): marks where a match ([lo, hi)) and a reject ([tot,
+        # denom)) start and end, summed along u in place, modulo 256
+        both = np.zeros((lo.shape[0], 2, denom), np.uint8)
+        match = np.array([_MATCH, _HIT], np.uint8)
+        for bound, step in ((lo, match), (hi, -match), (tot, np.uint8(_REJECT))):
+            at = np.flatnonzero(bound < denom)
+            both[at, :, bound[at]] += step
+        np.cumsum(both, axis=2, out=both)
+        both[sent_home] = _HOME
+        return _Codes(both.reshape(-1, denom).take(2 * which + event, axis=0).ravel())
     home = int(which.max()) == sent_home
     rejects = bool((tot[:sent_home] < denom).any())
     small = denom <= np.iinfo(np.int32).max
@@ -166,7 +217,7 @@ def _family_bounds(event, which, lo, hi, tot, denom) -> _Bounds:
         tot = tot.take(which)
     else:
         tot = None
-    return _Bounds(event, lo, width, tot, home, rejects, denom)
+    return _Bounds(event, lo, width, tot, denom)
 
 
 def _cap_exceeded(run):
@@ -176,62 +227,45 @@ def _cap_exceeded(run):
     )
 
 
-def _run_shard(rng, event, lo, width, tot, home, rejects, denom, n_matches, cap):
-    n_fam = lo.shape[0]
+def _run_shard(rng, tables, n_matches, cap):
     counters = dict.fromkeys(_COUNTERS, 0)
     misses = 0  # draws without a statement match since the last match
     while True:
-        chunk = rng.integers(0, n_fam, size=_CHUNK)  # each draw's family
-        matched = False
-        for start in range(0, _CHUNK, _BLOCK):
-            fam = chunk[start:start + _BLOCK]
-            # the block's u values continue the chunk's stream: split bounded
-            # draws equal one draw of their total size, in int32 as in int64
-            u = rng.integers(0, denom, size=_BLOCK, dtype=lo.dtype)
-            needed = n_matches - counters["statement_matches"]
-            # the block ends at the last match the shard needs
-            off = (u - lo.take(fam)).view(width.dtype)
-            at = np.flatnonzero(off < width.take(fam))[:needed]
-            last = at.size == needed
-
-            if at.size:
-                first, final = int(at[0]), int(at[-1])
-                end = final + 1 if last else _BLOCK
-                # the runs of misses that the matches end: the first, with the
-                # misses carried in, and those between matches only if the
-                # block's matches are far enough apart for one to exceed the cap
-                if misses + first > cap:
-                    raise _cap_exceeded(misses + first)
-                if final - first > cap + 1:
-                    gaps = np.diff(at) - 1
-                    over = np.flatnonzero(gaps > cap)
-                    if over.size:
-                        raise _cap_exceeded(int(gaps[over[0]]))
-                misses = end - 1 - final
-                matched = True
-            else:
-                end = _BLOCK
-                misses += _BLOCK
-
-            n_home, n_emitted = 0, end
-            if tot is not None:
-                t = tot.take(fam[:end])
-                if home:
-                    n_home = int(np.count_nonzero(t < 0))
-                    n_emitted -= n_home
-                if rejects:  # a sent-home family's -1 is below every u
-                    n_emitted = int(np.count_nonzero(u[:end] < t))
-            counters["rejected_families"] += n_home
-            counters["rejected_runs"] += end - n_home - n_emitted  # in-run rejects
-            counters["trials"] += n_emitted
-            counters["statement_matches"] += at.size
-            counters["hits"] += int(np.count_nonzero(event.take(fam.take(at))))
-            if last:
-                return counters
-        # a chunk without a match only lengthens the carried run
-        if not matched and misses > cap:
-            raise _cap_exceeded(misses)
-        del chunk, fam  # so the next chunk is not drawn beside this one
+        codes = tables.block(rng)
+        needed = n_matches - counters["statement_matches"]
+        # the block ends at the last match the shard needs
+        at = np.flatnonzero(codes >= _MATCH)[:needed]
+        last = at.size == needed
+        if at.size:
+            first, final = int(at[0]), int(at[-1])
+            end = final + 1 if last else _BLOCK
+            # the runs of misses that the matches end: the first, with the
+            # misses carried in, and those between matches only if the
+            # block's matches are far enough apart for one to exceed the cap
+            if misses + first > cap:
+                raise _cap_exceeded(misses + first)
+            if final - first > cap + 1:
+                gaps = np.diff(at) - 1
+                over = np.flatnonzero(gaps > cap)
+                if over.size:
+                    raise _cap_exceeded(int(gaps[over[0]]))
+            misses = end - 1 - final
+        else:
+            # a block without a match only lengthens the carried run
+            end = _BLOCK
+            misses += _BLOCK
+            if misses > cap:
+                raise _cap_exceeded(misses)
+        head = codes[:end]
+        n_home = int(np.count_nonzero(head == _HOME))
+        n_rejected = int(np.count_nonzero(head == _REJECT))
+        counters["rejected_families"] += n_home
+        counters["rejected_runs"] += n_rejected
+        counters["trials"] += end - n_home - n_rejected
+        counters["statement_matches"] += at.size
+        counters["hits"] += int(np.count_nonzero(codes.take(at) == _HIT))
+        if last:
+            return counters
 
 
 def sample_posterior(
@@ -253,7 +287,7 @@ def sample_posterior(
         raise ValueError("n_trials must be >= 1")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    tables = _family_bounds(*_compile_tables(kernel, s, q))
+    tables = _sampling_tables(*_compile_tables(kernel, s, q))
 
     # A spawned stream depends only on its index, so shards beyond n_trials,
     # which would get no trials, need no stream.
@@ -263,7 +297,7 @@ def sample_posterior(
     for i, seq in enumerate(seqs):
         quota = base + (1 if i < rem else 0)
         rng = np.random.Generator(np.random.PCG64(seq))
-        part = _run_shard(rng, *tables, quota, redraw_cap)
+        part = _run_shard(rng, tables, quota, redraw_cap)
         for key, value in part.items():
             totals[key] += value
 

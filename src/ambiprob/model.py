@@ -245,12 +245,12 @@ def _compile_chain(q: And | Or, cfg: WorldConfig) -> Callable[[Family], bool]:
     `Exists` terms merge into one `isdisjoint` on the union of the children
     they match, and under `and` its `AllMatch` terms into one `issuperset` on
     the intersection; the other terms are tested with `any`/`all` over a
-    tuple."""
+    tuple. A repeated term is compiled once, as `and` and `or` are idempotent."""
     is_or = type(q) is Or
     merged = Exists if is_or else AllMatch
     children = None  # the children the merged terms match
     tests = []
-    for term in q.terms:
+    for term in dict.fromkeys(q.terms):
         if type(term) is merged:
             m = _matching_children(cfg, term.sex, term.day)
             children = m if children is None else (children | m if is_or else children & m)

@@ -477,7 +477,8 @@ def test_unreadable_proc_or_negative_seed_exits_cleanly(argv, code, message, tmp
     (tmp_path / "folder.proc").mkdir()
     (tmp_path / "latin1.proc").write_bytes(b'procedure p { say text("\xff"); }\n')
     (tmp_path / "empty.proc").write_text("procedure p { require count(boy) >= 3; say yes; }\n")
-    # one statement match in 10^12 draws: the 10^7 redraw cap runs out first
+    # one statement match in 10^12 draws: the 10^7 redraw cap runs out first,
+    # on the two-draw path (196 families x 10^12 exceed the code table's bound)
     (tmp_path / "rare.proc").write_text(
         "procedure p { flip 1/1000000000000 { say yes; } else { reject; } }\n")
     monkeypatch.chdir(tmp_path)

@@ -369,9 +369,9 @@ def test_conditioning_the_sampler_and_the_sweep_never_walk_families(monkeypatch)
         assert posterior(sc.kernel, s, q).posterior == Fraction(answer)
     sc = build_scenario("classic-coinflip", WorldConfig(100, 2))
     report = mc.agreement_check(sc.kernel, sc.canonical_statement, sc.canonical_query, 2000, 1)
-    assert report.result == mc.McResult(trials=3999, rejected_families=0, rejected_runs=0,
-                                        hits=1012, statement_matches=2000, estimate=0.506,
-                                        stderr=0.01117953487404552, seed=1, shards=1)
+    assert report.result == mc.McResult(trials=3948, rejected_families=0, rejected_runs=0,
+                                        hits=996, statement_matches=2000, estimate=0.498,
+                                        stderr=0.011180250444422075, seed=1, shards=1)
     assert (report.exact, report.passed) == (Fraction(1, 2), True)
     assert week_sweep(range(1, 6)) == [(d, sweep_formula(d)) for d in range(1, 6)]
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ambiprob import model
 from ambiprob.engine import (
     AtLeastOne,
     CaseRow,
@@ -132,6 +133,25 @@ def test_compiled_chains_merge_their_set_terms():
             for q in (op(a, b), op(op(a, ChildDayIs(0, 1)), b)):
                 test = compile_query(q, cfg)
                 assert [test(f) for f in families] == [eval_query(q, f) for f in families], q
+
+
+def test_a_chain_compiles_each_distinct_term_once(monkeypatch):
+    # `and` is idempotent: 100,000 terms of two distinct ones compile two tests
+    a, b = ChildSexIs(0, Sex.BOY), ChildDayIs(1, 2)
+    compiled = []
+
+    def counting(q, cfg, real=model.compile_query):
+        compiled.append(q)
+        return real(q, cfg)
+
+    monkeypatch.setattr(model, "compile_query", counting)
+    cfg = WorldConfig(3, 2)
+    test = compile_query(And(*[a, b] * 50_000), cfg)
+    assert compiled == [a, b]
+    pair = compile_query(And(a, b), cfg)
+    families = enumerate_families(cfg)
+    assert [test(f) for f in families] == [pair(f) for f in families]
+    assert any(pair(f) for f in families) and not all(pair(f) for f in families)
 
 
 @settings(max_examples=40, deadline=None)
