@@ -266,6 +266,53 @@ def test_golden_results_are_bit_identical(run, expected):
     assert run() == expected
 
 
+def _any_answer_d365():
+    sc = build_scenario("any-answer", WorldConfig(365, 2), p=Fraction(1, 12))
+    return sample_posterior(sc.kernel, sc.canonical_statement, sc.canonical_query,
+                            20000, 1, shards=3)
+
+
+def _flip(text, trials, seed, shards):
+    kernel = compile_protocol(parse(text), CFG)
+    return sample_posterior(kernel, YesNo(True), BOTH_BOYS, trials, seed, shards=shards)
+
+
+# Full results on the two-draw path (a block draws its families, then their u
+# values), recorded before its per-family bounds gave way to per-line ones.
+# any-answer's 532,900 families x 24 and the wide flip's 196 x 9,000,000,057
+# pass the code-table bound; the last entry, which sends families home and
+# rejects in-run, takes the path because no code table is allowed.
+TWO_DRAW_GOLDEN = [
+    pytest.param(
+        _any_answer_d365,
+        McResult(trials=20000, rejected_families=0, rejected_runs=59968, hits=1668,
+                 statement_matches=20000, estimate=0.0834,
+                 stderr=0.001955050382982495, seed=1, shards=3),
+        id="any-answer-d365-p1/12",
+    ),
+    pytest.param(
+        lambda: _flip(WIDE_FLIPS[1].values[0], 150_000, 3, 3),
+        McResult(trials=200553, rejected_families=0, rejected_runs=100121, hits=37760,
+                 statement_matches=150000, estimate=0.2517333333333333,
+                 stderr=0.0011206059736357593, seed=3, shards=3),
+        id="wide-flip-above-2^32",
+    ),
+    pytest.param(
+        lambda: _flip(HOME_AND_REJECT[0].values[0], 30000, 7, 2),
+        McResult(trials=30000, rejected_families=30138, rejected_runs=60222, hits=9884,
+                 statement_matches=30000, estimate=0.3294666666666667,
+                 stderr=0.002713659166895149, seed=7, shards=2),
+        id="require-flip-home-and-reject",
+    ),
+]
+
+
+@pytest.mark.parametrize("run, expected", TWO_DRAW_GOLDEN)
+def test_two_draw_golden_results_are_bit_identical(run, expected, monkeypatch):
+    monkeypatch.setattr(mc, "_TABLE_MAX", 0)
+    assert run() == expected
+
+
 # Bounds of a draw below 2^31, one that Lemire's method rejects about 30% of
 # the time, and one above 2^32, which numpy draws on its 64-bit path.
 BOUNDS = [12, 3_000_000_019, 9_000_000_057]
