@@ -60,7 +60,7 @@ import math
 import re
 import warnings
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -78,6 +78,7 @@ from .engine import (
     Text,
     TwoOfAKind,
     YesNo,
+    _case_order,
     _classes,
     _tested_days,
     render_statement,
@@ -890,22 +891,6 @@ def _bind(ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fractio
     return bound
 
 
-def _families_of(cfg: WorldConfig, child_class: tuple[int, ...],
-                 vectors: Iterable[tuple[int, ...]]) -> Iterator[Family]:
-    """Each family whose class vector is in `vectors`, lazily, in
-    `enumerate_families` order: a prefix grows only by the children whose
-    class leads on to one of `vectors`."""
-    leads: dict[tuple, set[int]] = {}  # prefix -> the classes that may follow it
-    for vec in vectors:
-        for i, k in enumerate(vec):
-            leads.setdefault(vec[:i], set()).add(k)
-    kids = list(zip(week_children(cfg), child_class))
-    level = [((), ())]
-    for _ in range(cfg.family_size):
-        level = ((p + (k,), f + (c,)) for p, f in level for c, k in kids if k in leads.get(p, ()))
-    return (f for _, f in level)
-
-
 def compile_protocol(
     ast: ProtocolAst, cfg: WorldConfig, values: Mapping[str, int | Fraction] = _UNBOUND,
     statement: Statement | None = None,
@@ -952,12 +937,12 @@ def compile_protocol(
         failed = [tuple(map(index.__getitem__, f)) for f in lowering.empty_picks]
         size = Counter(child_class)
         count = sum(math.prod(map(size.__getitem__, vec)) for vec in failed)
-        shown = ", ".join(map(family_str, itertools.islice(
-            _families_of(cfg, child_class, failed), 5)))
+        shown = ", ".join(family_str(f) for _, f in itertools.islice(
+            _case_order(cfg, child_class, failed), 5))
         raise EmptyPick(
             f"pick matches no child in {count} reachable "
             f"families (e.g. {shown}); guard the pick or use an explicit reject",
-            families=_families_of(cfg, child_class, failed),
+            families=(f for _, f in _case_order(cfg, child_class, failed)),
             span=next(iter(lowering.empty_picks.values())).span,
         )
     if lowering.fell_through:

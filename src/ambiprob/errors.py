@@ -56,8 +56,9 @@ class InvalidFlipProbability(DslError):
 
 class EmptyPick(DslError):
     """A `pick` whose filter matches no child in some reachable family.
-    `families` lists those families; an iterable given for it is read on
-    first use, so a large list is built only for a caller that asks."""
+    `families` lists those families in `family_str` order, the order of a
+    `CaseTable`'s rows; an iterable given for it is read on first use, so a
+    large list is built only for a caller that asks."""
 
     def __init__(self, message, families=(), span=None):
         self._families = families

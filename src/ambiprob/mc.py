@@ -12,19 +12,17 @@ A trial is a family and an integer u below that denominator, and its code
 says whether it emits another statement, is rejected in-run, is sent home,
 matches the statement, or matches where the event holds. `_compile_tables`
 gives each line of the class table three thresholds, and once per
-`sample_posterior` call, shared by every shard, `_sampling_tables` turns them
-into one of two layouts:
+`sample_posterior` call, shared by every shard, `_sampling_tables` picks one
+of two layouts:
 
 - A code table over every (family, u) pair, where families x denominator is
   at most `_TABLE_MAX` (2^22 entries, 4 MiB). A trial is one draw X below that
   product, standing for family X // denom and u = X % denom, and one `take`
   gives its code.
-- Per-family bounds beyond it: a block draws its families, then their u
-  values. A draw matches when u minus
-  its family's `lo`, read unsigned, is below its `width`, and its family's
-  emitted mass `tot` (-1: sent home), kept only where a family is sent home or
-  a line rejects in-run, gives the other codes. A family keeps one event byte
-  and 4 bytes per bound, or 8 when the denominator does not fit int32.
+- `_compile_tables`' own tables beyond it: a block draws its families, then
+  their u values, and reads each draw's thresholds from its family's line
+  through `which`. The u values are int64, whatever the denominator, and a
+  family keeps no bytes beyond its event and its line.
 
 With a denominator of 1, X is the family index and a u draw takes nothing
 from the generator, so both layouts draw the same stream. A shard draws and
@@ -65,7 +63,7 @@ _TABLE_MAX = 1 << 22  # (family, u) pairs a code table may hold: 4 MiB
 # A draw's code: a trial that emits another statement, a run rejected in-run,
 # a family sent home, a statement match, and a match where the event holds.
 # The code table starts from zeros (_MISS); on the two-draw path, `u >= tot`
-# read as uint8 is _MISS or _REJECT, and a sent-home family (tot -1) adds 1 to
+# read as uint8 is _MISS or _REJECT, and a sent-home family (tot 0) adds 1 to
 # its _REJECT to make _HOME.
 _MISS, _REJECT, _HOME, _MATCH, _HIT = range(5)
 # McResult's counters, summed over a shard's blocks and over the shards.
@@ -93,15 +91,41 @@ class AgreementReport:
     passed: bool
 
 
-def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
-    """Integer sampling tables over a common denominator: per family, the
-    event and the line of its row in the kernel's table (one past the last
-    line: no row, sent home); per line, the thresholds `lo`/`hi`/`tot`.
+class _Bounds(NamedTuple):
+    """Integer sampling tables over a common denominator, and the two-draw
+    layout of a sample whose code table would exceed `_TABLE_MAX`.
+
+    Per family, `event` and `which`, the line of its row in the kernel's table
+    (the last line: no row, sent home); per line, the thresholds `lo`, `hi`
+    and `tot`. A block draws its families, then their u values: a draw u in
+    [lo, hi) of its family's line matches, and u >= tot rejects in-run. The
+    sent-home line's thresholds are 0, so each of its draws is a reject that
+    the sent-home test lifts to _HOME.
+    """
+
+    event: np.ndarray
+    which: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    tot: np.ndarray
+    denom: int
+
+    def block(self, rng):
+        """A block's families, then its u values, classified into codes."""
+        fam = rng.integers(0, self.which.shape[0], size=_BLOCK)
+        u = rng.integers(0, self.denom, size=_BLOCK)
+        line = self.which.take(fam)
+        matched = (self.lo.take(line) <= u) & (u < self.hi.take(line))
+        other = (u >= self.tot.take(line)).view(np.uint8) + (line == self.lo.shape[0] - 1)
+        return np.where(matched, _MATCH + self.event.view(np.uint8).take(fam), other)
+
+
+def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> _Bounds:
+    """The kernel's `_Bounds` for statement `s` and event `q`.
 
     With statements ordered by first appearance over the table, `lo` is the
     emitted mass of the statements before the target, `hi` adds the target's
-    mass and `tot` is the total emitted mass; a draw u in [lo, hi) emits the
-    target and u >= tot rejects in-run.
+    mass and `tot` is the total emitted mass.
     """
     cfg = k.config
     families = itertools.product(week_children(cfg), repeat=cfg.family_size)
@@ -144,7 +168,7 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate):
     which = np.fromiter(map(line.get, vectors, itertools.repeat(len(distinct))),
                         np.intp, cfg.n_outcomes)
     lo, hi, tot = (np.array(t + [0], dtype=np.int64) for t in (lo, hi, tot))
-    return event, which, lo, hi, tot, denom
+    return _Bounds(event, which, lo, hi, tot, denom)
 
 
 class _Codes(NamedTuple):
@@ -157,67 +181,23 @@ class _Codes(NamedTuple):
         return self.table.take(rng.integers(0, self.table.shape[0], size=_BLOCK))
 
 
-class _Bounds(NamedTuple):
-    """Per-family bounds, for a sample whose code table would exceed `_TABLE_MAX`.
-
-    A draw u of family f matches when ``u - lo[f]``, read unsigned, is below
-    ``width[f] = hi - lo``: a u below `lo` wraps past every width. `tot[f]` is
-    the family's emitted mass, -1 if it is sent home, or None when no family
-    is sent home and no line rejects in-run. When the common denominator fits
-    int32, so do the tables and the draws of u.
-    """
-
-    event: np.ndarray
-    lo: np.ndarray
-    width: np.ndarray
-    tot: np.ndarray | None
-    denom: int
-
-    def block(self, rng):
-        """A block's families, then its u values, classified into codes."""
-        fam = rng.integers(0, self.lo.shape[0], size=_BLOCK)
-        u = rng.integers(0, self.denom, size=_BLOCK, dtype=self.lo.dtype)
-        matched = (u - self.lo.take(fam)).view(self.width.dtype) < self.width.take(fam)
-        if self.tot is None:
-            other = _MISS
-        else:  # a sent-home family's -1 is below every u
-            t = self.tot.take(fam)
-            other = (u >= t).view(np.uint8) + (t < 0)
-        return np.where(matched, _MATCH + self.event.take(fam), other)
-
-
-def _sampling_tables(event, which, lo, hi, tot, denom) -> _Codes | _Bounds:
-    """The tables every shard of one call draws from, built from
-    `_compile_tables`' per-line tables: the code table where it has at most
-    `_TABLE_MAX` entries, per-family bounds otherwise."""
-    n_fam = which.shape[0]
-    sent_home = lo.shape[0] - 1  # the line of a family with no row
-    event = event.view(np.uint8)
-    if n_fam * denom <= _TABLE_MAX:
-        # each line's codes over u twice, the second where the event holds (row
-        # 2 * line + event): marks where a match ([lo, hi)) and a reject ([tot,
-        # denom)) start and end, summed along u in place, modulo 256
-        both = np.zeros((lo.shape[0], 2, denom), np.uint8)
-        match = np.array([_MATCH, _HIT], np.uint8)
-        for bound, step in ((lo, match), (hi, -match), (tot, np.uint8(_REJECT))):
-            at = np.flatnonzero(bound < denom)
-            both[at, :, bound[at]] += step
-        np.cumsum(both, axis=2, out=both)
-        both[sent_home] = _HOME
-        return _Codes(both.reshape(-1, denom).take(2 * which + event, axis=0).ravel())
-    home = int(which.max()) == sent_home
-    rejects = bool((tot[:sent_home] < denom).any())
-    small = denom <= np.iinfo(np.int32).max
-    signed, unsigned = (np.int32, np.uint32) if small else (np.int64, np.uint64)
-    width = (hi - lo).astype(unsigned).take(which)
-    lo = lo.astype(signed).take(which)
-    if home or rejects:
-        tot = tot.astype(signed)
-        tot[sent_home] = -1
-        tot = tot.take(which)
-    else:
-        tot = None
-    return _Bounds(event, lo, width, tot, denom)
+def _sampling_tables(t: _Bounds) -> _Codes | _Bounds:
+    """The tables every shard of one call draws from: the code table where it
+    has at most `_TABLE_MAX` entries, `_compile_tables`' own tables otherwise."""
+    denom = t.denom
+    if t.which.shape[0] * denom > _TABLE_MAX:
+        return t
+    # each line's codes over u twice, the second where the event holds (row
+    # 2 * line + event): marks where a match ([lo, hi)) and a reject ([tot,
+    # denom)) start and end, summed along u in place, modulo 256
+    both = np.zeros((t.lo.shape[0], 2, denom), np.uint8)
+    match = np.array([_MATCH, _HIT], np.uint8)
+    for bound, step in ((t.lo, match), (t.hi, -match), (t.tot, np.uint8(_REJECT))):
+        at = np.flatnonzero(bound < denom)
+        both[at, :, bound[at]] += step
+    np.cumsum(both, axis=2, out=both)
+    both[-1] = _HOME  # the sent-home line
+    return _Codes(both.reshape(-1, denom).take(2 * t.which + t.event, axis=0).ravel())
 
 
 def _cap_exceeded(run):
@@ -287,7 +267,7 @@ def sample_posterior(
         raise ValueError("n_trials must be >= 1")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    tables = _sampling_tables(*_compile_tables(kernel, s, q))
+    tables = _sampling_tables(_compile_tables(kernel, s, q))
 
     # A spawned stream depends only on its index, so shards beyond n_trials,
     # which would get no trials, need no stream.

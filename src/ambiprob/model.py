@@ -164,11 +164,17 @@ class _Chain:
 
 
 class And(_Chain):
-    """Every term holds."""
+    """Every term holds.
+
+    Build a long chain in one call, ``And(*terms)``: folding ``q = And(q, t)``
+    in a loop copies the terms at each step, in time quadratic in its length."""
 
 
 class Or(_Chain):
-    """Some term holds."""
+    """Some term holds.
+
+    Build a long chain in one call, ``Or(*terms)``: folding ``q = Or(q, t)``
+    in a loop copies the terms at each step, in time quadratic in its length."""
 
 
 @dataclass(frozen=True)

@@ -348,7 +348,8 @@ def test_empty_pick_counts_its_families_without_walking_them():
         "B@0,B@0,B@0,B@0,B@0,B@4, B@0,B@0,B@0,B@0,B@0,B@5); "
         "guard the pick or use an explicit reject")
     assert "families" not in vars(exc.value)
-    # read at a smaller size, the list is every failing family in enumeration order
+    # read at a smaller size, the list is every failing family in `family_str`
+    # order, which is enumeration order for a week of at most ten days
     with pytest.raises(EmptyPick) as exc:
         compile_protocol(parse(src), WorldConfig(7, 3))
     assert exc.value.families == tuple(
@@ -359,6 +360,23 @@ def test_empty_pick_counts_its_families_without_walking_them():
     copied = pickle.loads(pickle.dumps(exc.value))
     assert (str(copied), copied.span, copied.families) == \
         (str(exc.value), exc.value.span, exc.value.families)
+
+
+def test_empty_pick_lists_its_families_in_case_table_order():
+    # at d=12, `family_str` order puts day 10 before day 2, unlike
+    # enumeration order: the families are listed as a case table lists its rows
+    cfg = WorldConfig(12, 2)
+    with pytest.raises(EmptyPick) as exc:
+        compile_protocol(parse("procedure p { pick v where day(v)=d0; say yes; }"), cfg)
+    kernel = compile_protocol(
+        parse("procedure q { if exists(d0) { say no; } else { say yes; } }"), cfg)
+    rows = posterior(kernel, YesNo(True), parse_event_text("all(boy)", cfg)).case_table
+    assert exc.value.families == tuple(row.family for row in rows)
+    assert len(exc.value.families) == 22 * 22
+    assert exc.value.families != tuple(
+        f for f in enumerate_families(cfg) if all(c.day != 0 for c in f))
+    shown = ", ".join(map(family_str, exc.value.families[:5]))
+    assert f"(e.g. {shown})" in str(exc.value)
 
 
 def test_constant_flip_marginal():

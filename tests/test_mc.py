@@ -313,6 +313,26 @@ def test_two_draw_golden_results_are_bit_identical(run, expected, monkeypatch):
     assert run() == expected
 
 
+def test_the_two_draw_path_draws_from_the_compiled_tables():
+    # 532,900 families x 24 pass the code-table bound: the sample draws from
+    # `_compile_tables`' own arrays, with no per-family array built beside them
+    sc = build_scenario("any-answer", WorldConfig(365, 2), p=Fraction(1, 12))
+    compiled = _compile_tables(sc.kernel, sc.canonical_statement, sc.canonical_query)
+    tracemalloc.start()
+    try:
+        tables = _sampling_tables(compiled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(tables, _Bounds)
+    built = [t for t in compiled if isinstance(t, np.ndarray)]
+    arrays = [t for t in tables if isinstance(t, np.ndarray)]
+    assert len(arrays) == 5
+    for a in arrays:
+        assert any(np.shares_memory(a, b) for b in built)
+    assert peak < 64 << 10, peak
+
+
 # Bounds of a draw below 2^31, one that Lemire's method rejects about 30% of
 # the time, and one above 2^32, which numpy draws on its 64-bit path.
 BOUNDS = [12, 3_000_000_019, 9_000_000_057]
@@ -334,8 +354,9 @@ def test_split_bounded_draws_equal_one_draw(m, sizes):
 
 @pytest.mark.parametrize("m", [1, 2, 14, 3_000_019, 2**31 - 1])
 def test_int32_bounded_draws_equal_int64_draws(m):
-    # a common denominator that fits int32 has its u values drawn as int32;
-    # the results stay bit-identical only if they are int64's values and stream
+    # the two-draw path drew u as int32 where the common denominator fit int32,
+    # and now draws int64 for every denominator; its recorded results stayed
+    # bit-identical because both draw the same values from the same stream
     wide = np.random.Generator(np.random.PCG64(5))
     narrow = np.random.Generator(np.random.PCG64(5))
     for size in (1, 999, _BLOCK):
@@ -450,7 +471,7 @@ def test_sampler_matches_a_per_draw_reference_for_wide_denominators(text, shards
     # families times either denominator is far past the code-table bound
     kernel = compile_protocol(parse(text), CFG)
     args = (kernel, YesNo(True), BOTH_BOYS, 150_000, 3)
-    assert isinstance(_sampling_tables(*_compile_tables(*args[:3])), _Bounds)
+    assert isinstance(_sampling_tables(_compile_tables(*args[:3])), _Bounds)
     assert sample_posterior(*args, shards=shards) == _reference_posterior(*args, shards=shards)
 
 
@@ -474,9 +495,8 @@ def test_sampler_matches_a_per_draw_reference_on_both_sides_of_the_table_bound(
     kernel = compile_protocol(parse(text), cfg)
     args = (kernel, YesNo(True), Always(), 3000, 5)
     tables = _compile_tables(*args[:3])
-    which, denom = tables[1], tables[5]
-    assert isinstance(_sampling_tables(*tables), layout)
-    assert (which.shape[0] * denom <= mc._TABLE_MAX) == (layout is _Codes)
+    assert isinstance(_sampling_tables(tables), layout)
+    assert (tables.which.shape[0] * tables.denom <= mc._TABLE_MAX) == (layout is _Codes)
     assert sample_posterior(*args, shards=shards) == _reference_posterior(*args, shards=shards)
 
 
@@ -521,7 +541,7 @@ def test_the_two_draw_path_matches_a_per_draw_reference(case, shards, monkeypatc
     # with no code table allowed, every kernel draws its families, then its u values
     monkeypatch.setattr(mc, "_TABLE_MAX", 0)
     args = _sample_args(case)
-    assert isinstance(_sampling_tables(*_compile_tables(*args)), _Bounds)
+    assert isinstance(_sampling_tables(_compile_tables(*args)), _Bounds)
     args += (3000, 7)
     assert sample_posterior(*args, shards=shards) == _reference_posterior(*args, shards=shards)
 
@@ -532,7 +552,7 @@ def test_the_code_table_holds_each_pairs_code(case):
     args = _sample_args(case)
     tables = _compile_tables(*args)
     event, which, lo, hi, tot = (t.tolist() for t in tables[:5])
-    denom, sent_home = tables[5], len(lo) - 1
+    denom, sent_home = tables.denom, len(lo) - 1
     want = []
     for fam, line in enumerate(which):
         for u in range(denom):
@@ -542,7 +562,7 @@ def test_the_code_table_holds_each_pairs_code(case):
                 want.append("hit" if event[fam] else "match")
             else:
                 want.append("trial" if u < tot[line] else "reject")
-    codes = _sampling_tables(*tables)
+    codes = _sampling_tables(tables)
     assert isinstance(codes, _Codes)
     names = ["trial", "reject", "home", "match", "hit"]  # in code order
     assert [names[c] for c in codes.table.tolist()] == want
@@ -559,15 +579,14 @@ OVERDRAW = [
 @pytest.mark.parametrize("case, trials", OVERDRAW)
 def test_a_shard_draws_no_block_past_its_last_needed_match(case, trials):
     tables = _compile_tables(*_sample_args(case))
-    which, denom = tables[1], tables[5]
+    n_fam, denom = tables.which.shape[0], tables.denom
     seq = np.random.SeedSequence(5).spawn(1)[0]
     rng = np.random.Generator(np.random.PCG64(seq))
-    part = _run_shard(rng, _sampling_tables(*tables), trials, 10_000_000)
+    part = _run_shard(rng, _sampling_tables(tables), trials, 10_000_000)
     draws = part["trials"] + part["rejected_families"] + part["rejected_runs"]
     blocks = -(-draws // _BLOCK)
     assert blocks >= 2
     fresh = np.random.Generator(np.random.PCG64(seq))
-    n_fam = which.shape[0]
     for _ in range(blocks):
         if n_fam * denom <= mc._TABLE_MAX:
             fresh.integers(0, n_fam * denom, size=_BLOCK)
