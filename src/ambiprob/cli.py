@@ -18,7 +18,9 @@ every dest of the table, so a flag a command does not take reads as None.
 Exit codes: 0 ok, 5 a cross-check disagreed (the Monte Carlo with the exact
 answer, or a `sweep` row with (2d-1)/(4d-1)); `EXIT_CODES` maps each error to
 2 usage, 3 undefined conditional, 4 protocol-language error or 6 degenerate
-protocol. A usage error, argv's own included, is one `ambiprob:` line.
+protocol. A usage error, argv's own included, is one `ambiprob:` line, and
+each warning a command raises (a procedure path that falls through) is one
+`ambiprob: warning:` line, both on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import csv
 import json
 import re
 import sys
+import warnings
 from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -204,16 +207,17 @@ def _cells(table: CaseTable):
     return cells
 
 
+# The summary rows of a `run`/`eval` report, in every format, after its statement.
+_SUMMARY = ("statement_mass", "joint_mass", "posterior")
+
+
 def _write_json_report(rep: PosteriorReport, stmt: str, decimal: bool, out) -> None:
     """Write the bytes `json.dump(payload, out, indent=2)` would, without
     building the payload or running the pure-Python encoder. Family and
     `Fraction` strings need no escaping; the statement may (a text label)."""
-    out.write(
-        f'{{\n  "statement": {encode_basestring_ascii(stmt)},\n'
-        f'  "statement_mass": "{rep.statement_mass}",\n'
-        f'  "joint_mass": "{rep.joint_mass}",\n'
-        f'  "posterior": "{rep.posterior}",\n  "cases": ['
-    )
+    out.write(f'{{\n  "statement": {encode_basestring_ascii(stmt)},\n'
+              + "".join(f'  "{name}": "{getattr(rep, name)}",\n' for name in _SUMMARY)
+              + '  "cases": [')
     suffix = {vec: f'",\n      "prior": "{prior}",\n      "emission": "{em}",\n'
                    f'      "event": {"true" if ev == "1" else "false"}\n    }}'
               for vec, (prior, em, ev) in _cells(rep.case_table).items()}
@@ -242,8 +246,8 @@ def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
         _write_cases(table, quote, suffix, out)
         # the summary rows go through the same writer, which quotes a statement
         # that holds the delimiter
-        writer.writerows([("statement", stmt), ("statement_mass", rep.statement_mass),
-                          ("joint_mass", rep.joint_mass), ("posterior", rep.posterior)])
+        writer.writerow(("statement", stmt))
+        writer.writerows((name, getattr(rep, name)) for name in _SUMMARY)
         if args.decimal:
             writer.writerow(("posterior_decimal", json.dumps(float(rep.posterior))))
         return
@@ -262,9 +266,8 @@ def _print_report(rep: PosteriorReport, cfg: WorldConfig, args, out):
               f"{header[3]}\n")
     _write_cases(table, "", suffix, out, width=family)
     out.write(f"statement = {stmt}\n")
-    out.write(f"statement mass = {_frac_str(rep.statement_mass, args.decimal)}\n")
-    out.write(f"joint mass = {_frac_str(rep.joint_mass, args.decimal)}\n")
-    out.write(f"posterior = {_frac_str(rep.posterior, args.decimal)}\n")
+    for name in _SUMMARY:
+        out.write(f"{name.replace('_', ' ')} = {_frac_str(getattr(rep, name), args.decimal)}\n")
 
 
 def _check_outcome_space(d: int, n: int, remedy: str) -> None:
@@ -330,6 +333,11 @@ def cmd_posterior(args, out):
     return EXIT_OK
 
 
+# The fields of `mc`'s table and csv reports, in order; JSON holds every field.
+_MC_ROWS = ("estimate", "stderr", "exact", "tolerance", "statement_matches", "hits",
+            "rejected_families", "rejected_runs", "seed", "verdict")
+
+
 def cmd_mc(args, out):
     from . import mc  # numpy, which only `mc` needs, takes as long to import as the rest
 
@@ -339,41 +347,17 @@ def cmd_mc(args, out):
     report = mc.agreement_check(*_target(args, cfg, builtin=builtin),
                                 args.trials, args.seed, shards=args.shards)
     r = report.result
-    verdict = "PASS" if report.passed else "FAIL"
+    fields = {"estimate": r.estimate, "stderr": r.stderr, "exact": str(report.exact),
+              "tolerance": report.tolerance, "verdict": "PASS" if report.passed else "FAIL",
+              "trials": r.trials, "statement_matches": r.statement_matches, "hits": r.hits,
+              "rejected_families": r.rejected_families, "rejected_runs": r.rejected_runs,
+              "seed": r.seed, "shards": r.shards}
     if args.format == "json":
-        json.dump(
-            {
-                "estimate": r.estimate,
-                "stderr": r.stderr,
-                "exact": str(report.exact),
-                "tolerance": report.tolerance,
-                "verdict": verdict,
-                "trials": r.trials,
-                "statement_matches": r.statement_matches,
-                "hits": r.hits,
-                "rejected_families": r.rejected_families,
-                "rejected_runs": r.rejected_runs,
-                "seed": r.seed,
-                "shards": r.shards,
-            },
-            out,
-            indent=2,
-        )
+        json.dump(fields, out, indent=2)
         out.write("\n")
-    else:
-        rows = [
-            ["estimate", f"{r.estimate:.6f}"],
-            ["stderr", f"{r.stderr:.6f}"],
-            ["exact", str(report.exact)],
-            ["tolerance", f"{report.tolerance:.6f}"],
-            ["statement_matches", r.statement_matches],
-            ["hits", r.hits],
-            ["rejected_families", r.rejected_families],
-            ["rejected_runs", r.rejected_runs],
-            ["seed", r.seed],
-            ["verdict", verdict],
-        ]
-        _emit_rows(["field", "value"], rows, args.format, out)
+    else:  # a float to six places
+        shown = (f"{v:.6f}" if isinstance(v, float) else v for v in map(fields.get, _MC_ROWS))
+        _emit_rows(["field", "value"], zip(_MC_ROWS, shown), args.format, out)
     return EXIT_OK if report.passed else EXIT_DISAGREE
 
 
@@ -489,14 +473,20 @@ def _help(args, out) -> int:
     return EXIT_OK
 
 
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"ambiprob: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
-        return args.func(args, out)
-    except tuple(EXIT_CODES) as exc:
-        print(f"ambiprob: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn  # restored on leaving the block
+        try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            return args.func(args, out)
+        except tuple(EXIT_CODES) as exc:
+            print(f"ambiprob: {exc}", file=sys.stderr)
+            return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

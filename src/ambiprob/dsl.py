@@ -18,7 +18,9 @@ a day literal may, a `prob` parameter wherever a flip probability may.
 
 Compilation is exact: every flip branch and uniform pick is expanded
 symbolically into rational path weights; nothing is sampled. A path that falls
-off the end of the procedure is an implicit reject (with a warning).
+off the end of the procedure is an implicit reject (with a warning). A
+statement after a `say` or `reject` of its block can never run: it is a
+`DslSyntaxError` at its position.
 
 A `pick` binds its variable to the end of the enclosing block. The parser
 resolves every child variable by name: a variable no pick binds is an
@@ -371,18 +373,10 @@ class _Parser:
             self.stmt_span = self.advance().span
             requires.append(self.pred())
             self.expect(";")
-        body = []
-        while self.cur.text != "}":
-            if self.cur.text == "require":
-                raise DslSyntaxError(
-                    "'require' is only allowed before other statements",
-                    self.cur.span,
-                )
-            body.append(self.stmt())
-        self.expect("}")
+        body = self.stmts()
         if self.cur.kind != "eof":
             self.fail("end of input")
-        return ProtocolAst(name, tuple(requires), tuple(body), tuple(self.params.values()))
+        return ProtocolAst(name, tuple(requires), body, tuple(self.params.values()))
 
     def param(self) -> None:
         if self.cur.text not in ("day", "prob"):
@@ -413,11 +407,25 @@ class _Parser:
     def block(self) -> tuple[Stmt, ...]:
         self.expect("{")
         outer = self.scope
-        stmts = []
-        while self.cur.text != "}":
-            stmts.append(self.stmt())
-        self.expect("}")
+        stmts = self.stmts()
         self.scope = outer
+        return stmts
+
+    def stmts(self) -> tuple[Stmt, ...]:
+        """The statements of the body or a block, through its closing brace.
+        One after a `say` or `reject` of the block can never run: it is an
+        error at its position once it parses, so an error inside it wins."""
+        stmts, ended = [], None  # ended: the say or reject that ends the block
+        while self.cur.text != "}":
+            tok = self.cur
+            if tok.text == "require":
+                raise DslSyntaxError("'require' is only allowed before other statements", tok.span)
+            stmts.append(self.stmt())
+            if ended:
+                raise DslSyntaxError(f"unreachable statement after '{ended}'", tok.span)
+            if tok.text in ("say", "reject"):
+                ended = tok.text
+        self.expect("}")
         return tuple(stmts)
 
     def stmt(self) -> Stmt:

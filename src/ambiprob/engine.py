@@ -420,6 +420,12 @@ def statement_mass(k: ProtocolKernel, s: Statement) -> Fraction:
     return marginal(k).get(s, Fraction(0))
 
 
+def never_emitted(k: ProtocolKernel, s: Statement) -> ZeroStatementMass:
+    """The error `posterior` and the sampler raise for a statement `k` never emits."""
+    return ZeroStatementMass(
+        f"statement {render_statement(s, k.config)} is never emitted under this protocol")
+
+
 def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorReport:
     """Exact Bayes quotient P(q | s emitted), with its case table as a lazy
     `CaseTable`.
@@ -441,9 +447,7 @@ def posterior(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> PosteriorRe
     prior = Fraction(1, sum(counts))
     s_mass = _total(s_acc) * prior
     if s_mass == 0:
-        raise ZeroStatementMass(
-            f"statement {render_statement(s, k.config)} is never emitted under this protocol"
-        )
+        raise never_emitted(k, s)
     event = compile_query(q, k.config)
     children = week_children(k.config)
     child_class, parts = _refine(k, q) or (k.child_class, None)

@@ -18,7 +18,8 @@ of two layouts:
 - A code table over every (family, u) pair, where families x denominator is
   at most `_TABLE_MAX` (2^22 entries, 4 MiB). A trial is one draw X below that
   product, standing for family X // denom and u = X % denom, and one `take`
-  gives its code.
+  gives its code. The table is `_Bounds.codes`, the one classifier of a
+  trial, evaluated once per (line, event, u) and then taken per family.
 - `_compile_tables`' own tables beyond it: a block draws its families, then
   their u values, and reads each draw's thresholds from its family's line
   through `which`. The u values are int64, whatever the denominator, and a
@@ -54,17 +55,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import ProtocolKernel, Statement, posterior, render_statement
-from .errors import DegenerateProtocol, ZeroStatementMass
+from .engine import ProtocolKernel, Statement, never_emitted, posterior
+from .errors import DegenerateProtocol
 from .model import QueryPredicate, compile_query, week_children
 
 _BLOCK = 1 << 14  # draws classified at a time, so temporaries stay in cache
 _TABLE_MAX = 1 << 22  # (family, u) pairs a code table may hold: 4 MiB
 # A draw's code: a trial that emits another statement, a run rejected in-run,
 # a family sent home, a statement match, and a match where the event holds.
-# The code table starts from zeros (_MISS); on the two-draw path, `u >= tot`
-# read as uint8 is _MISS or _REJECT, and a sent-home family (tot 0) adds 1 to
-# its _REJECT to make _HOME.
+# `_Bounds.codes` alone assigns them: `u >= tot` read as uint8 is _MISS or
+# _REJECT, and the sent-home line (tot 0) adds 1 to its _REJECT to make _HOME.
 _MISS, _REJECT, _HOME, _MATCH, _HIT = range(5)
 # McResult's counters, summed over a shard's blocks and over the shards.
 _COUNTERS = ("trials", "rejected_families", "rejected_runs", "hits", "statement_matches")
@@ -110,14 +110,18 @@ class _Bounds(NamedTuple):
     tot: np.ndarray
     denom: int
 
+    def codes(self, line, hit, u):
+        """The codes of draws u on lines `line`, where `hit` (uint8) is 1 if
+        the event holds in the draw's family; the one classifier of a trial."""
+        matched = (self.lo.take(line) <= u) & (u < self.hi.take(line))
+        other = (u >= self.tot.take(line)).view(np.uint8) + (line == self.lo.shape[0] - 1)
+        return np.where(matched, _MATCH + hit, other)
+
     def block(self, rng):
         """A block's families, then its u values, classified into codes."""
         fam = rng.integers(0, self.which.shape[0], size=_BLOCK)
         u = rng.integers(0, self.denom, size=_BLOCK)
-        line = self.which.take(fam)
-        matched = (self.lo.take(line) <= u) & (u < self.hi.take(line))
-        other = (u >= self.tot.take(line)).view(np.uint8) + (line == self.lo.shape[0] - 1)
-        return np.where(matched, _MATCH + self.event.view(np.uint8).take(fam), other)
+        return self.codes(self.which.take(fam), self.event.view(np.uint8).take(fam), u)
 
 
 def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> _Bounds:
@@ -138,9 +142,7 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> _Boun
             break
         earlier.add(st)
     else:
-        raise ZeroStatementMass(
-            f"statement {render_statement(s, k.config)} is never emitted under this protocol"
-        )
+        raise never_emitted(k, s)
 
     denom = math.lcm(*{w.denominator for row in distinct for w in row.values()})
     if denom > np.iinfo(np.int64).max:
@@ -187,16 +189,17 @@ def _sampling_tables(t: _Bounds) -> _Codes | _Bounds:
     denom = t.denom
     if t.which.shape[0] * denom > _TABLE_MAX:
         return t
-    # each line's codes over u twice, the second where the event holds (row
-    # 2 * line + event): marks where a match ([lo, hi)) and a reject ([tot,
-    # denom)) start and end, summed along u in place, modulo 256
-    both = np.zeros((t.lo.shape[0], 2, denom), np.uint8)
-    match = np.array([_MATCH, _HIT], np.uint8)
-    for bound, step in ((t.lo, match), (t.hi, -match), (t.tot, np.uint8(_REJECT))):
-        at = np.flatnonzero(bound < denom)
-        both[at, :, bound[at]] += step
-    np.cumsum(both, axis=2, out=both)
-    both[-1] = _HOME  # the sent-home line
+    # each line's codes over u, then again where the event holds (row 2 *
+    # line + event), classified in slices of up to 8 blocks (`step` lines by
+    # _BLOCK values of u), so no temporary grows with the number of lines
+    both = np.empty((t.lo.shape[0], 2, denom), np.uint8)
+    hit = np.array([[0], [1]], np.uint8)
+    step = 8 * _BLOCK // min(denom, _BLOCK)
+    for r in range(0, both.shape[0], step):
+        line = np.arange(r, min(r + step, both.shape[0]))[:, None, None]
+        for u in range(0, denom, _BLOCK):
+            both[r:r + step, :, u:u + _BLOCK] = t.codes(
+                line, hit, np.arange(u, min(u + _BLOCK, denom)))
     return _Codes(both.reshape(-1, denom).take(2 * t.which + t.event, axis=0).ravel())
 
 

@@ -183,6 +183,26 @@ def test_eval_zero_mass_exits_3(tmp_path):
     assert code == 3
 
 
+def test_eval_dead_statement_exits_4_on_one_line(tmp_path, capsys):
+    # `say no` can never run, so the file is an error, not a statement never emitted
+    proc = tmp_path / "p.proc"
+    proc.write_text("procedure p { say yes; say no; }\n")
+    assert run_cli("eval", str(proc), "--say", "no", "--event", "all(boy)") == (4, "")
+    assert capsys.readouterr().err == "ambiprob: 1:24: unreachable statement after 'say'\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "mc"])
+def test_a_fall_through_warns_on_one_line(command, tmp_path, capsys):
+    proc = tmp_path / "p.proc"
+    proc.write_text("procedure p { if all(boy) { say yes; } }\n")
+    code, _ = run_cli(command, str(proc), "--say", "yes", "--event", "all(boy)",
+                      *(["--trials", "100"] if command == "mc" else []))
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "ambiprob: warning: procedure 'p': some execution paths end without say/reject; "
+        "treating them as reject\n")
+
+
 def test_mc_pass_and_determinism():
     code1, text1 = run_cli("mc", "bc-tc", "--trials", "50000", "--seed", "42")
     code2, text2 = run_cli("mc", "bc-tc", "--trials", "50000", "--seed", "42")
@@ -201,6 +221,27 @@ def test_mc_json_report():
     assert (payload["exact"], payload["verdict"]) == ("13/27", "PASS")
     # bc-tc says one statement, so every run that speaks matches it
     assert payload["statement_matches"] == payload["trials"] == 20000
+
+
+@pytest.mark.parametrize("argv", [
+    ("bc-tc", "--trials", "3000", "--seed", "5"),
+    ("brag", "--trials", "2000", "--seed", "1", "--shards", "3"),
+    (os.path.join(PROC_DIR, "gn_dn.proc"), "--say", "claim(boy,tue)", "--event", "all(boy)",
+     "--trials", "2000"),
+])
+def test_mc_formats_give_the_same_fields(argv):
+    # table and csv give the same (field, value) rows; JSON holds each value,
+    # which they show to six places where it is a float
+    reports = [run_cli("mc", *argv, "--format", fmt) for fmt in ("table", "csv", "json")]
+    assert [code for code, _ in reports] == [0, 0, 0]
+    table = [line.split() for line in reports[0][1].splitlines()]
+    rows = list(csv.reader(io.StringIO(reports[1][1])))
+    assert table == rows
+    assert rows[0] == ["field", "value"] and len(rows) == 11
+    payload = json.loads(reports[2][1])
+    for field, value in rows[1:]:
+        want = payload[field]
+        assert value == (f"{want:.6f}" if isinstance(want, float) else str(want))
 
 
 @pytest.mark.parametrize("argv, vectors", [

@@ -270,6 +270,30 @@ def test_require_must_come_first():
         parse("procedure p { say yes; require exists(boy); }")
 
 
+@pytest.mark.parametrize("src, message", [
+    ("procedure p { say yes; say no; }", "1:24: unreachable statement after 'say'"),
+    ("procedure p {\n  reject;\n  pick c;\n}", "3:3: unreachable statement after 'reject'"),
+    ("procedure p { if all(boy) { say yes; reject; } else { say no; } }",
+     "1:38: unreachable statement after 'say'"),
+    ("procedure p { flip 1/2 { reject; if all(boy) { say yes; } } else { say no; } }",
+     "1:34: unreachable statement after 'reject'"),
+    # the first statement that cannot run is named, not the last
+    ("procedure p { pick c; say claim(sex(c)); reject; say yes; }",
+     "1:42: unreachable statement after 'say'"),
+])
+def test_a_statement_after_a_say_or_reject_of_its_block_is_an_error(src, message):
+    with pytest.raises(DslSyntaxError) as info:
+        parse(src)
+    assert str(info.value) == message
+
+
+def test_a_statement_after_an_if_whose_every_arm_ends_still_parses():
+    # only a say or reject of the same block ends it; an if or flip whose
+    # every arm ends does not, though what follows it can never run either
+    ast = parse("procedure p { if all(boy) { say yes; } else { reject; } say no; }")
+    assert ast.body[-1] == Say(YesNo(False))
+
+
 def test_require_rejects_child_tests():
     with pytest.raises(UnboundVariable):
         parse("procedure p { require sex(c)=boy; say yes; }")

@@ -662,6 +662,24 @@ def test_a_shard_classifies_its_draws_in_blocks(sid, trials):
     assert peak < 256 << 10, peak
 
 
+def test_the_code_table_build_at_the_bound_peaks_below_17_mib():
+    # 2 families x 2^21: every line's codes twice (3 lines, 12 MiB), then the
+    # 4 MiB table taken from them per family; the codes are classified a slice
+    # at a time, so no temporary adds a table's size
+    text, cfg, _ = TABLE_BOUND[0].values
+    compiled = _compile_tables(compile_protocol(parse(text), cfg), YesNo(True), Always())
+    _sampling_tables(compiled)  # numpy's first-use allocations are not the build's
+    tracemalloc.start()
+    try:
+        tables = _sampling_tables(compiled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(tables, _Codes)
+    assert tables.table.nbytes == mc._TABLE_MAX
+    assert peak < 17 << 20, peak
+
+
 def test_table_build_keeps_no_family_list():
     # 40,000 families in 4 distinct rows: the tables are one bool and one
     # line index per family, with no list of the family tuples beside them
