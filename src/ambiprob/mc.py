@@ -11,38 +11,43 @@ integer denominator, so no floating-point comparison enters the draw itself.
 A trial is a family and an integer u below that denominator, and its code
 says whether it emits another statement, is rejected in-run, is sent home,
 matches the statement, or matches where the event holds. `_compile_tables`
-gives each line of the class table three thresholds, and once per
-`sample_posterior` call, shared by every shard, `_sampling_tables` picks one
-of two layouts:
+gives each distinct triple of thresholds of the class table one line, and
+once per `sample_posterior` call, shared by every shard, `_sampling_tables`
+picks one of three layouts:
 
 - A code table over every (family, u) pair, where families x denominator is
   at most `_TABLE_MAX` (2^22 entries, 4 MiB). A trial is one draw X below that
   product, standing for family X // denom and u = X % denom, and one `take`
-  gives its code. The table is `_Bounds.codes`, the one classifier of a
-  trial, evaluated once per (line, event, u) and then taken per family.
+  gives its code. The table is `_Bounds.codes`, evaluated once per (line,
+  event, u) and then taken per family.
 - `_compile_tables`' own tables beyond it: a block draws its families, then
   their u values, and reads each draw's thresholds from its family's line
   through `which`. The u values are int64, whatever the denominator, and a
   family keeps no bytes beyond its event and its line.
+- `_Wide`, where the denominator passes int64: the same two draws, but u is
+  read from a uniform x in [0, 1) whose first 63 bits are compared with each
+  threshold's first 63 bits. A draw whose bits equal an inexact threshold's
+  reads 63 more bits at a time, in plain Python, until it is decided: the lazy
+  comparison of Knuth & Yao, "The complexity of nonuniform random number
+  generation" (1976). So the draw is exact at any denominator.
 
-With a denominator of 1, X is the family index and a u draw takes nothing
-from the generator, so both layouts draw the same stream. A shard draws and
+`_classify` is the one classifier of a trial in all three. With a
+denominator of 1, X is the family index and a u draw takes nothing from the
+generator, so the first two layouts draw the same stream. A shard draws and
 classifies 2^14 trials at a time (a block), so its temporaries stay
 cache-sized, and stops at the block that holds its last needed match: it
-draws nothing beyond it. From a block's codes on, both layouts share one path:
-the match positions, the redraw cap and the counters. Identical (seed,
+draws nothing beyond it. From a block's codes on, every layout shares one
+path: the match positions, the redraw cap and the counters. Identical (seed,
 config, protocol, trial count, shards) give bit-identical results. The redraw
-cap is checked at each match, against the run of misses that the match ends,
-and at the end of a block that had no match; the first run above the cap
-raises DegenerateProtocol and is named in its message. A block's runs between
-matches are measured only when its first and last match lie more than the cap
-apart, as only then can one of them exceed it.
+cap, `_REDRAW_CAP` = 10,000,000 draws, is checked once per block: against the
+run of misses that the block's first match ends, or, in a block without a
+match, against the run carried past its end. A run between two matches of
+one block is shorter than a block, so it cannot exceed the cap. The first run
+above the cap raises DegenerateProtocol and is named in its message.
 
 A draw costs O(1) time and memory whatever the number of distinct
 statements, and the sampler builds no list of families: the tables are
-streamed from the product of the week's children. The common denominator must
-fit in int64; a kernel whose denominators have a larger LCM raises
-`OverflowError`.
+streamed from the product of the week's children.
 """
 
 from __future__ import annotations
@@ -61,9 +66,17 @@ from .model import QueryPredicate, compile_query, week_children
 
 _BLOCK = 1 << 14  # draws classified at a time, so temporaries stay in cache
 _TABLE_MAX = 1 << 22  # (family, u) pairs a code table may hold: 4 MiB
+# Draws in a row without a statement match that raise DegenerateProtocol. A
+# run between two matches of one block is shorter than a block, so with a cap
+# of at least one block only the runs that cross a block boundary can exceed it.
+_REDRAW_CAP = 10_000_000
+_INT64_MAX = (1 << 63) - 1
+# Bits of x that a wide-denominator draw reads at a time; the prefix of a
+# threshold t = denom is 2^63, which still fits uint64.
+_PREFIX = 63
 # A draw's code: a trial that emits another statement, a run rejected in-run,
 # a family sent home, a statement match, and a match where the event holds.
-# `_Bounds.codes` alone assigns them: `u >= tot` read as uint8 is _MISS or
+# `_classify` alone assigns them: `u >= tot` read as uint8 is _MISS or
 # _REJECT, and the sent-home line (tot 0) adds 1 to its _REJECT to make _HOME.
 _MISS, _REJECT, _HOME, _MATCH, _HIT = range(5)
 # McResult's counters, summed over a shard's blocks and over the shards.
@@ -91,16 +104,24 @@ class AgreementReport:
     passed: bool
 
 
+def _classify(home, hit, ge_lo, lt_hi, ge_tot):
+    """The codes of draws from their comparisons with their lines' thresholds
+    (`ge_lo` for u >= lo, and so on), where `home` is True on the sent-home
+    line and `hit` (uint8) is 1 if the event holds in the draw's family; the
+    one classifier of a trial."""
+    return np.where(ge_lo & lt_hi, _MATCH + hit, ge_tot.view(np.uint8) + home)
+
+
 class _Bounds(NamedTuple):
     """Integer sampling tables over a common denominator, and the two-draw
     layout of a sample whose code table would exceed `_TABLE_MAX`.
 
-    Per family, `event` and `which`, the line of its row in the kernel's table
-    (the last line: no row, sent home); per line, the thresholds `lo`, `hi`
-    and `tot`. A block draws its families, then their u values: a draw u in
-    [lo, hi) of its family's line matches, and u >= tot rejects in-run. The
-    sent-home line's thresholds are 0, so each of its draws is a reject that
-    the sent-home test lifts to _HOME.
+    Per family, `event` and `which`, its line (the last line: no row, sent
+    home); per line, the thresholds `lo`, `hi` and `tot`, int64, or Python
+    ints where the denominator passes int64. A block draws its families, then
+    their u values: a draw u in [lo, hi) of its family's line matches, and
+    u >= tot rejects in-run. The sent-home line's thresholds are 0, so each of
+    its draws is a reject that the sent-home test lifts to _HOME.
     """
 
     event: np.ndarray
@@ -111,11 +132,9 @@ class _Bounds(NamedTuple):
     denom: int
 
     def codes(self, line, hit, u):
-        """The codes of draws u on lines `line`, where `hit` (uint8) is 1 if
-        the event holds in the draw's family; the one classifier of a trial."""
-        matched = (self.lo.take(line) <= u) & (u < self.hi.take(line))
-        other = (u >= self.tot.take(line)).view(np.uint8) + (line == self.lo.shape[0] - 1)
-        return np.where(matched, _MATCH + hit, other)
+        """The codes of draws u on lines `line`, where `hit` is as for `_classify`."""
+        return _classify(line == self.lo.shape[0] - 1, hit, self.lo.take(line) <= u,
+                         u < self.hi.take(line), u >= self.tot.take(line))
 
     def block(self, rng):
         """A block's families, then its u values, classified into codes."""
@@ -127,9 +146,10 @@ class _Bounds(NamedTuple):
 def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> _Bounds:
     """The kernel's `_Bounds` for statement `s` and event `q`.
 
-    With statements ordered by first appearance over the table, `lo` is the
-    emitted mass of the statements before the target, `hi` adds the target's
-    mass and `tot` is the total emitted mass.
+    With statements ordered by first appearance over the table, a row's `lo`
+    is the emitted mass of the statements before the target, `hi` adds the
+    target's mass and `tot` is the total emitted mass. Rows with equal
+    thresholds share one line; the sent-home line comes last, apart.
     """
     cfg = k.config
     families = itertools.product(week_children(cfg), repeat=cfg.family_size)
@@ -145,13 +165,11 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> _Boun
         raise never_emitted(k, s)
 
     denom = math.lcm(*{w.denominator for row in distinct for w in row.values()})
-    if denom > np.iinfo(np.int64).max:
-        raise OverflowError(f"common denominator {denom} does not fit in int64")
-
     is_earlier = dict.fromkeys(earlier, True)
     is_earlier[s] = False
-    lo, hi, tot = [], [], []
-    for row in distinct:
+    lines: dict[tuple[int, int, int], int] = {}  # (lo, hi, tot) -> line
+    line = {}  # class vector -> line
+    for vector, row in k.table.items():
         before = target = total = 0
         for st, w in row.items():
             n, d = w.as_integer_ratio()
@@ -162,14 +180,12 @@ def _compile_tables(k: ProtocolKernel, s: Statement, q: QueryPredicate) -> _Boun
                 before += mass
             elif place is not None:
                 target = mass
-        lo.append(before)
-        hi.append(before + target)
-        tot.append(total)
-    line = dict(zip(k.table, itertools.count()))
+        line[vector] = lines.setdefault((before, before + target, total), len(lines))
     vectors = itertools.product(k.child_class, repeat=cfg.family_size)
-    which = np.fromiter(map(line.get, vectors, itertools.repeat(len(distinct))),
+    which = np.fromiter(map(line.get, vectors, itertools.repeat(len(lines))),
                         np.intp, cfg.n_outcomes)
-    lo, hi, tot = (np.array(t + [0], dtype=np.int64) for t in (lo, hi, tot))
+    dtype = np.int64 if denom <= _INT64_MAX else object
+    lo, hi, tot = (np.array([*t, 0], dtype) for t in zip(*lines))
     return _Bounds(event, which, lo, hi, tot, denom)
 
 
@@ -183,10 +199,66 @@ class _Codes(NamedTuple):
         return self.table.take(rng.integers(0, self.table.shape[0], size=_BLOCK))
 
 
-def _sampling_tables(t: _Bounds) -> _Codes | _Bounds:
-    """The tables every shard of one call draws from: the code table where it
-    has at most `_TABLE_MAX` entries, `_compile_tables`' own tables otherwise."""
+def _settle(rng, rems, denom):
+    """{j: whether x < t_j/denom} for the thresholds t_j that one draw ties
+    with, where rems[j] = t_j * 2^k - w * denom, in (0, denom), for the k bits
+    w of x read so far. Reads `_PREFIX` more bits of x at a time, shared by
+    the ties, until each is decided."""
+    below = {}
+    while rems:
+        w = int(rng.integers(0, 1 << _PREFIX, dtype=np.uint64))
+        for j, rem in list(rems.items()):
+            prefix, rem = divmod(rem << _PREFIX, denom)
+            if w != prefix or not rem:
+                below[j] = w < prefix
+                del rems[j]
+            else:
+                rems[j] = rem
+    return below
+
+
+class _Wide(NamedTuple):
+    """The two-draw layout of a denominator past int64.
+
+    u below denom is the integer part of x * denom, for x uniform in [0, 1),
+    so u < t exactly when x < t/denom. A block draws its families, then the
+    first `_PREFIX` bits w of each x, and compares w with each threshold's
+    prefix, floor(t * 2^_PREFIX / denom), kept per line in `prefix` as
+    uint64 (lo, hi, tot). A w above or below the prefix decides the
+    comparison; a w equal to an inexact prefix (a tie, chance 2^-_PREFIX) is
+    settled in plain Python by `_settle`, draw by draw in block order.
+    """
+
+    bounds: _Bounds
+    prefix: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def block(self, rng):
+        b = self.bounds
+        fam = rng.integers(0, b.which.shape[0], size=_BLOCK)
+        w = rng.integers(0, 1 << _PREFIX, size=_BLOCK, dtype=np.uint64)
+        line = b.which.take(fam)
+        at = [p.take(line) for p in self.prefix]
+        below = [w < p for p in at]
+        for i in np.flatnonzero((w == at[0]) | (w == at[1]) | (w == at[2])).tolist():
+            rems = {}
+            for j, t in enumerate((b.lo[line[i]], b.hi[line[i]], b.tot[line[i]])):
+                rem = (t << _PREFIX) - int(w[i]) * b.denom
+                if 0 < rem < b.denom:  # w is t's prefix, and t is inexact: a tie
+                    rems[j] = rem
+            for j, lt in _settle(rng, rems, b.denom).items():
+                below[j][i] = lt
+        return _classify(line == b.lo.shape[0] - 1, b.event.view(np.uint8).take(fam),
+                         ~below[0], below[1], ~below[2])
+
+
+def _sampling_tables(t: _Bounds) -> _Codes | _Bounds | _Wide:
+    """The tables every shard of one call draws from: `_Wide` where the
+    denominator passes int64, the code table where it has at most
+    `_TABLE_MAX` entries, `_compile_tables`' own tables otherwise."""
     denom = t.denom
+    if denom > _INT64_MAX:
+        return _Wide(t, tuple(np.array([(x << _PREFIX) // denom for x in col.tolist()],
+                                        np.uint64) for col in (t.lo, t.hi, t.tot)))
     if t.which.shape[0] * denom > _TABLE_MAX:
         return t
     # each line's codes over u, then again where the event holds (row 2 *
@@ -203,14 +275,7 @@ def _sampling_tables(t: _Bounds) -> _Codes | _Bounds:
     return _Codes(both.reshape(-1, denom).take(2 * t.which + t.event, axis=0).ravel())
 
 
-def _cap_exceeded(run):
-    return DegenerateProtocol(
-        f"{run} consecutive draws without a statement match "
-        "(cap exceeded); statement mass is zero or vanishingly small"
-    )
-
-
-def _run_shard(rng, tables, n_matches, cap):
+def _run_shard(rng, tables, n_matches):
     counters = dict.fromkeys(_COUNTERS, 0)
     misses = 0  # draws without a statement match since the last match
     while True:
@@ -219,26 +284,16 @@ def _run_shard(rng, tables, n_matches, cap):
         # the block ends at the last match the shard needs
         at = np.flatnonzero(codes >= _MATCH)[:needed]
         last = at.size == needed
-        if at.size:
-            first, final = int(at[0]), int(at[-1])
-            end = final + 1 if last else _BLOCK
-            # the runs of misses that the matches end: the first, with the
-            # misses carried in, and those between matches only if the
-            # block's matches are far enough apart for one to exceed the cap
-            if misses + first > cap:
-                raise _cap_exceeded(misses + first)
-            if final - first > cap + 1:
-                gaps = np.diff(at) - 1
-                over = np.flatnonzero(gaps > cap)
-                if over.size:
-                    raise _cap_exceeded(int(gaps[over[0]]))
-            misses = end - 1 - final
-        else:
-            # a block without a match only lengthens the carried run
-            end = _BLOCK
-            misses += _BLOCK
-            if misses > cap:
-                raise _cap_exceeded(misses)
+        # the run that the block's first match ends, or that a block without
+        # one lengthens: the one run of the block that can exceed the cap
+        run = misses + (int(at[0]) if at.size else _BLOCK)
+        if run > _REDRAW_CAP:
+            raise DegenerateProtocol(
+                f"{run} consecutive draws without a statement match "
+                "(cap exceeded); statement mass is zero or vanishingly small"
+            )
+        end = int(at[-1]) + 1 if last else _BLOCK
+        misses = _BLOCK - 1 - int(at[-1]) if at.size else run
         head = codes[:end]
         n_home = int(np.count_nonzero(head == _HOME))
         n_rejected = int(np.count_nonzero(head == _REJECT))
@@ -258,13 +313,12 @@ def sample_posterior(
     n_trials: int,
     seed: int,
     shards: int = 1,
-    redraw_cap: int = 10_000_000,
 ) -> McResult:
     """Empirical posterior from n_trials statement-matching runs.
 
     Raises ValueError if n_trials or shards is below 1, ZeroStatementMass if the
-    statement is never emitted, DegenerateProtocol if `redraw_cap` draws in a row
-    miss it, and OverflowError if the common denominator does not fit in int64.
+    statement is never emitted, and DegenerateProtocol if more than
+    `_REDRAW_CAP` (10,000,000) draws in a row miss it.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -280,7 +334,7 @@ def sample_posterior(
     for i, seq in enumerate(seqs):
         quota = base + (1 if i < rem else 0)
         rng = np.random.Generator(np.random.PCG64(seq))
-        part = _run_shard(rng, tables, quota, redraw_cap)
+        part = _run_shard(rng, tables, quota)
         for key, value in part.items():
             totals[key] += value
 
@@ -296,11 +350,10 @@ def agreement_check(
     n_trials: int,
     seed: int,
     shards: int = 1,
-    exact: Fraction | None = None,
 ) -> AgreementReport:
-    """Pass iff |estimate - exact| <= max(0.005, 5 * stderr)."""
-    if exact is None:
-        exact = posterior(kernel, s, q).posterior
+    """Pass iff |estimate - exact| <= max(0.005, 5 * stderr), where exact is
+    `posterior`'s answer."""
+    exact = posterior(kernel, s, q).posterior
     result = sample_posterior(kernel, s, q, n_trials, seed, shards=shards)
     tolerance = max(0.005, 5.0 * result.stderr)
     passed = abs(result.estimate - float(exact)) <= tolerance

@@ -608,8 +608,20 @@ def test_every_error_falls_under_exactly_one_exit_code_row():
     for kind in {*_subclasses(AmbiprobError), *EXIT_CODES}:
         rows = [row for row in EXIT_CODES if issubclass(kind, row)]
         assert len(rows) == 1, (kind, rows)
-    # the sampler's int64 limit is a known defect that propagates, not an exit code
+    # mc samples a denominator past int64 exactly (`mc._Wide`), so no
+    # OverflowError reaches the CLI and the table needs no row for it
     assert not any(issubclass(OverflowError, row) for row in EXIT_CODES)
+
+
+def test_mc_of_a_vanishing_statement_exits_6_on_one_line(tmp_path, capsys):
+    # P(yes) = 1e-9 per draw: the first run of misses passes the redraw cap of
+    # 10,000,000 draws at the end of its 611th block of 2^14 without a match
+    proc = tmp_path / "rare.proc"
+    proc.write_text("procedure p { flip 1/1000000000 { say yes; } else { reject; } }\n")
+    assert run_cli("mc", str(proc), "--say", "yes", "--event", "all(boy)") == (6, "")
+    assert capsys.readouterr().err == (
+        "ambiprob: 10010624 consecutive draws without a statement match (cap exceeded); "
+        "statement mass is zero or vanishingly small\n")
 
 
 def test_usage_error_prints_one_complete_line(capsys):
