@@ -4,9 +4,10 @@ A protocol is a per-family distribution over structured statements; weight not
 assigned to any statement is reject mass. Posteriors are exact Bayes quotients
 over the (pre-filter renormalized) uniform prior.
 
-Statements are interned: each type's constructor returns one shared object
-per field values, so a row lookup hashes and compares a statement by identity,
-in C, as it does `Sex`. Copies and pickles rebuild through the constructor.
+Statements, and the keys `REJECT` and `OTHER` that are not statements, are
+pooled by one rule, `_interned`: each call of their type returns one shared
+object per field values, so a row lookup hashes and compares a key by
+identity, in C, as it does `Sex`. Copies and pickles rebuild through the call.
 
 A kernel is a class table: families the procedure cannot tell apart share one
 row, stored once under their class vector. The vectors in the table are the
@@ -38,12 +39,13 @@ and `marginal` reports OTHER's mass as one entry.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 import operator
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
@@ -70,97 +72,75 @@ from .model import (
 # Statements
 # ---------------------------------------------------------------------------
 
-_POOL: dict[tuple, Statement] = {}  # (type, *field values) -> the one such statement
+_POOL: dict[tuple, object] = {}  # (class, *field values) -> the one such value
 
 
-def _intern(cls: type, *values) -> Statement:
-    """The one statement of type cls with these field values, made on first use."""
-    key = (cls, *values)
-    st = _POOL.get(key)
-    if st is None:
-        st = object.__new__(cls)
-        for f, v in zip(fields(cls), values):
-            object.__setattr__(st, f.name, v)
-        st = _POOL.setdefault(key, st)
-    return st
+def _interned(cls: type) -> type:
+    """Make cls a frozen dataclass whose every call returns the one pooled
+    value with those field values, made on first use, so its values compare
+    and hash by identity, in C, as `Sex` does. The dataclass's own __init__
+    binds the arguments into a new object, which joins the pool on a miss, so
+    a pooled value is never written again; a copy or a pickle rebuilds through
+    the call."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    bind, names = cls.__init__, cls.__match_args__
+
+    def new(klass, *args, **kwargs):
+        value = object.__new__(klass)
+        bind(value, *args, **kwargs)
+        return _POOL.setdefault((klass, *map(value.__getattribute__, names)), value)
+
+    cls.__signature__ = inspect.signature(cls)  # the fields, as help() shows them
+    cls.__new__ = staticmethod(new)
+    cls.__init__ = lambda self, *args, **kwargs: None  # `new` has bound them
+    cls.__reduce__ = lambda self: (type(self), tuple(map(self.__getattribute__, names)))
+    return cls
 
 
-class _Interned:
-    """Base of the statement types: a copy or a pickle rebuilds through the
-    constructor, so it is the pooled object too."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class Claim(_Interned):
+@_interned
+class Claim:
     """"I have a son/daughter born on <day>"; day None means day unmentioned."""
 
     sex: Sex
     day: int | None = None
 
-    def __new__(cls, sex: Sex, day: int | None = None):
-        return _intern(cls, sex, day)
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class AtLeastOne(_Interned):
+@_interned
+class AtLeastOne:
     sex: Sex
 
-    def __new__(cls, sex: Sex):
-        return _intern(cls, sex)
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class TwoOfAKind(_Interned):
+@_interned
+class TwoOfAKind:
     sex: Sex
 
-    def __new__(cls, sex: Sex):
-        return _intern(cls, sex)
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class ProudOf(_Interned):
+@_interned
+class ProudOf:
     sex: Sex
 
-    def __new__(cls, sex: Sex):
-        return _intern(cls, sex)
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class YesNo(_Interned):
+@_interned
+class YesNo:
     answer: bool
 
-    def __new__(cls, answer: bool):
-        return _intern(cls, answer)
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class Text(_Interned):
+@_interned
+class Text:
     label: str
-
-    def __new__(cls, label: str):
-        return _intern(cls, label)
 
 
 Statement = Claim | AtLeastOne | TwoOfAKind | ProudOf | YesNo | Text
 
 
+@_interned
 class _Key:
-    """A distinguished key of a row or of `marginal` that is not a statement;
-    it copies and pickles as itself."""
+    """A distinguished key of a row or of `marginal` that is not a statement."""
 
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
+    name: str
 
     def __repr__(self):
-        return self._name
-
-    def __reduce__(self):
-        return self._name
+        return self.name
 
 
 # the mass that no statement takes

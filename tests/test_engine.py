@@ -1,15 +1,17 @@
 import copy
 import dataclasses
+import inspect
 import pickle
 from fractions import Fraction
 
 import pytest
 
 from ambiprob import engine, mc, model
-from ambiprob.dsl import parse_event_text, parse_statement_text
+from ambiprob.dsl import compile_protocol, parse_event_text, parse_statement_text
 from ambiprob.engine import (
     AtLeastOne,
     Claim,
+    OTHER,
     ProtocolKernel,
     ProudOf,
     REJECT,
@@ -481,6 +483,59 @@ def test_a_freshly_built_claim_finds_its_marginal_entry():
                   pickle.loads(pickle.dumps(Claim(Sex.BOY, 3))),
                   dataclasses.replace(Claim(Sex.GIRL, 3), sex=Sex.BOY)):
         assert m.get(fresh) == Fraction(1, 60)
+
+
+# ---------------------------------------------------------------------------
+# REJECT and OTHER: keys that are not statements, pooled by the same rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, key", [("REJECT", REJECT), ("OTHER", OTHER)])
+def test_reject_and_other_copy_and_pickle_as_themselves(name, key):
+    assert repr(key) == name
+    assert copy.copy(key) is key
+    assert copy.deepcopy(key) is key
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(key, protocol)) is key
+    assert dataclasses.replace(key) is key
+    assert (type(key).__eq__, type(key).__hash__) == (object.__eq__, object.__hash__)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        key.name = "ACCEPT"
+
+
+def test_a_pickled_marginal_finds_its_reject_and_other_entries():
+    full = marginal(build_scenario("gn-dn", CFG).kernel)
+    b = bind_builtin("gn-dn", CFG)
+    lumped = marginal(compile_protocol(b.ast, CFG, b.values, b.statement))
+    assert OTHER in lumped
+    for m in (full, lumped):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(m, protocol))
+            assert list(back.items()) == list(m.items())
+            assert back[REJECT] == m[REJECT]
+        assert copy.deepcopy(m)[REJECT] == m[REJECT]
+
+
+POOLED = [Claim(Sex.BOY, TUE), AtLeastOne(Sex.BOY), TwoOfAKind(Sex.GIRL), ProudOf(Sex.BOY),
+          YesNo(True), Text("t"), REJECT, OTHER]
+
+
+@pytest.mark.parametrize("value", POOLED, ids=repr)
+def test_a_missing_field_or_an_unknown_keyword_is_a_type_error(value):
+    cls = type(value)
+    assert list(inspect.signature(cls).parameters) == [f.name for f in dataclasses.fields(cls)]
+    with pytest.raises(TypeError):
+        cls()
+    with pytest.raises(TypeError):
+        cls(*dataclasses.astuple(value), extra=1)
+    with pytest.raises(TypeError):
+        cls(*dataclasses.astuple(value), 1, 2)
+    assert cls(*dataclasses.astuple(value)) is value
+
+
+def test_a_call_writes_into_no_pooled_value():
+    boy_tue = Claim(Sex.BOY, 1)
+    assert Claim(Sex.BOY, True) is boy_tue  # True == 1: the pooled claim, not a new one
+    assert type(boy_tue.day) is int
 
 
 # each builtin's canonical statement as the text it was once parsed from; {day}

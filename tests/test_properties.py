@@ -3,14 +3,17 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambiprob import model
+from ambiprob.dsl import compile_protocol
 from ambiprob.engine import (
     AtLeastOne,
     CaseRow,
     Claim,
+    OTHER,
     ProtocolKernel,
     REJECT,
     marginal,
@@ -38,6 +41,7 @@ from ambiprob.model import (
     restrict_prior,
     uniform_prior,
 )
+from ambiprob.scenarios import BUILTIN_IDS, bind_builtin
 
 WORLDS = [WorldConfig(1, 2), WorldConfig(2, 2), WorldConfig(7, 2)]
 
@@ -296,3 +300,43 @@ def test_per_class_posterior_matches_explicit_prior(k, q, rnd):
     assert (rep.statement_mass, rep.joint_mass, rep.posterior) == (s_mass, joint, joint / s_mass)
     assert tuple(rep.case_table) == cases
     assert len(rep.case_table) == len(cases)
+
+
+def _check_total_probability_over_what_is_said(k, q):
+    """Sum P(s and q) over every key of `marginal` but REJECT (every statement,
+    and OTHER), add P(q and an in-run reject), and compare with P(q) over the
+    support: the law of total probability over what is said, exactly. The
+    right side, and the reject term, come from the per-family rows."""
+    said = sum((posterior(k, s, q).joint_mass for s in marginal(k) if s is not REJECT),
+               Fraction(0))
+    support = len(k.rows)
+    holds = [row for f, row in k.rows.items() if eval_query(q, f)]
+    rejected = sum((1 - sum(row.values(), Fraction(0)) for row in holds), Fraction(0)) / support
+    assert said + rejected == Fraction(len(holds), support)
+
+
+TOTAL_PROBABILITY_EVENTS = [AllMatch(sex=Sex.BOY), Exists(Sex.GIRL, 3),
+                            Not(CountAtLeast(1, Sex.BOY, 5))]
+
+
+@pytest.mark.parametrize("d", [7, 12])
+@pytest.mark.parametrize("sid", BUILTIN_IDS)
+def test_total_probability_over_what_is_said_for_each_builtin(sid, d):
+    # the full kernel, and the kernel compiled for the builtin's statement,
+    # where a claim of a day it does not tell apart is OTHER
+    cfg = WorldConfig(d, 2)
+    b = bind_builtin(sid, cfg, day=3)
+    full = compile_protocol(b.ast, cfg, b.values)
+    lumped = compile_protocol(b.ast, cfg, b.values, b.statement)
+    assert (OTHER in marginal(lumped)) == (sid in ("bc-dn", "gn-dn"))
+    for k in (full, lumped):
+        for q in TOTAL_PROBABILITY_EVENTS:
+            _check_total_probability_over_what_is_said(k, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernels(), st.sampled_from([None, Exists(Sex.BOY), Not(AllMatch(sex=Sex.BOY))]), queries)
+def test_total_probability_over_what_is_said(k, pre, q):
+    rows = {f: row for f, row in k.rows.items() if pre is None or eval_query(pre, f)}
+    _check_total_probability_over_what_is_said(
+        ProtocolKernel.from_rows(k.config, rows, pre_filter=pre), q)
