@@ -37,13 +37,28 @@ generator, so the first two layouts draw the same stream. A shard draws and
 classifies 2^14 trials at a time (a block), so its temporaries stay
 cache-sized, and stops at the block that holds its last needed match: it
 draws nothing beyond it. From a block's codes on, every layout shares one
-path: the match positions, the redraw cap and the counters. Identical (seed,
-config, protocol, trial count, shards) give bit-identical results. The redraw
-cap, `_REDRAW_CAP` = 10,000,000 draws, is checked once per block: against the
-run of misses that the block's first match ends, or, in a block without a
-match, against the run carried past its end. A run between two matches of
-one block is shorter than a block, so it cannot exceed the cap. The first run
-above the cap raises DegenerateProtocol and is named in its message.
+path: `np.count_nonzero` counts each block's sent-home, rejected, hit and
+matching codes, and `argmax` on the match mask and on its reverse gives its
+first and last match. Only the block that holds the shard's last needed
+match lists its matches, to cut the block there. Identical (seed, config,
+protocol, trial count, shards) give bit-identical results. The redraw cap,
+`_REDRAW_CAP` = 10,000,000 draws, is checked once per block: against the run
+of misses that the block's first match ends, or, in a block without a match,
+against the run carried past its end. A run between two matches of one block
+is shorter than a block, so it cannot exceed the cap. The first run above the
+cap raises DegenerateProtocol and is named in its message.
+
+A shard draws its bounded integers through `_Stream`, which draws what
+`Generator.integers` draws, value for value, and leaves the generator in the
+same state (`test_split_bounded_draws_equal_one_draw` checks both). A bound
+n of at most 2^32 is drawn from the bit generator's raw 64-bit words, split
+into 32-bit halves, low half first, as PCG64's `next32` gives them. A half h
+gives (h * n) >> 32, and is skipped where (h * n) mod 2^32 is below
+2^32 mod n: Lemire's method, "Fast Random Integer Generation in an
+Interval" (ACM TOMACS, 2019), which numpy runs one half at a time and
+`_Stream` runs over a whole block. A half left over at the end of a draw is
+carried into the shard's next draw. A bound above 2^32 is drawn by the
+Generator itself, whose 64-bit path leaves the carried half alone.
 
 A draw costs O(1) time and memory whatever the number of distinct
 statements, and the sampler builds no list of families: the tables are
@@ -102,6 +117,61 @@ class AgreementReport:
     exact: Fraction
     tolerance: float
     passed: bool
+
+
+class _Stream:
+    """A shard's Generator, whose `integers` draws what `Generator.integers`
+    draws, for low = 0 and a 64-bit integer dtype: by Lemire's method over
+    32-bit halves of raw words where the bound is at most 2^32 (see the
+    module docstring), by the Generator itself above it. `close` hands the
+    carried half back to the bit generator, as PCG64 would have buffered it.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+        state = rng.bit_generator.state
+        # PCG64's buffer: the high half of the last word split into halves,
+        # and 1 while that half is still to be drawn
+        self.half, self.carried = state["uinteger"], state["has_uint32"]
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        n = high - low
+        if n > 1 << 32:
+            return self.rng.integers(low, high, size=size, dtype=dtype)
+        if size is None:
+            return self.integers(low, high, 1, dtype)[0]
+        if n == 1:  # numpy draws nothing
+            return np.zeros(size, dtype)
+        skip = (1 << 32) % n
+        parts = []
+        while size:
+            m = self._halves(size)
+            m *= n
+            keep = m.astype(np.uint32) >= skip  # (h * n) mod 2^32 >= skip
+            kept = int(np.count_nonzero(keep))
+            # the extra half is left over where the halves before it suffice
+            self.carried = int(kept - int(keep[-1]) >= size)
+            m >>= 32
+            parts.append((m if kept == m.size else m[keep])[:size])
+            size -= parts[-1].size
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts)).view(dtype)
+
+    def _halves(self, k):
+        """The stream's next k halves, as uint64, or k + 1 where k is odd and
+        no half is carried: the carried half, then the halves of whole words."""
+        raw = self.rng.bit_generator.random_raw((k - self.carried + 1) // 2)
+        m = np.empty(self.carried + 2 * raw.size, np.uint64)
+        m[:self.carried] = self.half
+        m[self.carried:] = raw.astype("<u8", copy=False).view("<u4")  # low half first
+        self.half, self.carried = int(m[-1]), 0
+        return m
+
+    def close(self):
+        """Leave the bit generator in the state numpy's own draws would."""
+        bits = self.rng.bit_generator
+        state = bits.state
+        state["uinteger"], state["has_uint32"] = self.half, self.carried
+        bits.state = state
 
 
 def _classify(home, hit, ge_lo, lt_hi, ge_tot):
@@ -276,33 +346,37 @@ def _sampling_tables(t: _Bounds) -> _Codes | _Bounds | _Wide:
 
 
 def _run_shard(rng, tables, n_matches):
+    stream = _Stream(rng)
     counters = dict.fromkeys(_COUNTERS, 0)
     misses = 0  # draws without a statement match since the last match
     while True:
-        codes = tables.block(rng)
+        codes = tables.block(stream)
+        match = codes >= _MATCH
+        n_match = int(np.count_nonzero(match))
         needed = n_matches - counters["statement_matches"]
-        # the block ends at the last match the shard needs
-        at = np.flatnonzero(codes >= _MATCH)[:needed]
-        last = at.size == needed
         # the run that the block's first match ends, or that a block without
         # one lengthens: the one run of the block that can exceed the cap
-        run = misses + (int(at[0]) if at.size else _BLOCK)
+        run = misses + (int(match.argmax()) if n_match else _BLOCK)
         if run > _REDRAW_CAP:
             raise DegenerateProtocol(
                 f"{run} consecutive draws without a statement match "
                 "(cap exceeded); statement mass is zero or vanishingly small"
             )
-        end = int(at[-1]) + 1 if last else _BLOCK
-        misses = _BLOCK - 1 - int(at[-1]) if at.size else run
-        head = codes[:end]
-        n_home = int(np.count_nonzero(head == _HOME))
-        n_rejected = int(np.count_nonzero(head == _REJECT))
+        last = n_match >= needed
+        if last:  # the block ends at the last match the shard needs
+            codes = codes[:np.flatnonzero(match)[needed - 1] + 1]
+            n_match = needed
+        else:
+            misses = int(match[::-1].argmax()) if n_match else run  # after the last match
+        n_home = int(np.count_nonzero(codes == _HOME))
+        n_rejected = int(np.count_nonzero(codes == _REJECT))
         counters["rejected_families"] += n_home
         counters["rejected_runs"] += n_rejected
-        counters["trials"] += end - n_home - n_rejected
-        counters["statement_matches"] += at.size
-        counters["hits"] += int(np.count_nonzero(codes.take(at) == _HIT))
+        counters["trials"] += codes.size - n_home - n_rejected
+        counters["statement_matches"] += n_match
+        counters["hits"] += int(np.count_nonzero(codes == _HIT))
         if last:
+            stream.close()
             return counters
 
 

@@ -467,22 +467,44 @@ def test_the_two_draw_path_draws_from_the_compiled_tables():
     assert peak < 64 << 10, peak
 
 
-# Bounds of a draw below 2^31, one that Lemire's method rejects about 30% of
-# the time, and one above 2^32, which numpy draws on its 64-bit path.
-BOUNDS = [12, 3_000_000_019, 9_000_000_057]
+# Bounds of a draw that takes nothing from the stream, one below 2^31, one
+# that Lemire's method rejects about 30% of the time, the two largest that
+# numpy draws from 32-bit halves, and one above 2^32, which numpy draws on its
+# 64-bit path.
+BOUNDS = [1, 12, 3_000_000_019, 2**32 - 1, 2**32, 9_000_000_057]
 
 
 @pytest.mark.parametrize("m", BOUNDS)
 @pytest.mark.parametrize("sizes", [(1, 2, 5, 17, 999, 4), (3, 3, 3), (_BLOCK,) * 16])
 def test_split_bounded_draws_equal_one_draw(m, sizes):
-    # the sampler draws block by block; a kernel whose common denominator is 1
-    # draws the family indices that one draw of 2^18 gives only if split
-    # draws continue one stream
+    # the sampler draws block by block through `mc._Stream`; a kernel whose
+    # common denominator is 1 draws the family indices that one draw of 2^18
+    # gives only if split draws continue one stream, carried half included
     whole = np.random.Generator(np.random.PCG64(5))
     split = np.random.Generator(np.random.PCG64(5))
     one = whole.integers(0, m, size=sum(sizes))
-    parts = np.concatenate([split.integers(0, m, size=k) for k in sizes])
+    stream = mc._Stream(split)
+    parts = np.concatenate([stream.integers(0, m, size=k) for k in sizes])
+    stream.close()
+    assert parts.dtype == one.dtype
     assert np.array_equal(one, parts)
+    assert whole.bit_generator.state == split.bit_generator.state
+
+    # after a draw that leaves a half buffered, with a scalar draw and a
+    # 63-bit draw (`_Wide`'s and `_settle`'s) after each part
+    def interleaved(gen):
+        return [v for k in sizes for v in (gen.integers(0, m, size=k), gen.integers(0, m),
+                                           gen.integers(0, 1 << 63, dtype=np.uint64))]
+
+    whole, split = (np.random.Generator(np.random.PCG64(6)) for _ in range(2))
+    for rng in whole, split:
+        rng.integers(0, 12)
+    want = interleaved(whole)
+    stream = mc._Stream(split)
+    got = interleaved(stream)
+    stream.close()
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert whole.bit_generator.state == split.bit_generator.state
 
 
@@ -748,6 +770,59 @@ def test_a_shard_draws_no_block_past_its_last_needed_match(case, trials):
     assert rng.bit_generator.state == fresh.bit_generator.state
 
 
+def _count_per_draw(blocks, n_matches, cap):
+    """`_run_shard`'s counters over given blocks of codes, one code at a time."""
+    counters = dict.fromkeys(mc._COUNTERS, 0)
+    misses = 0
+
+    def check(run):
+        if run > cap:
+            raise DegenerateProtocol(
+                f"{run} consecutive draws without a statement match (cap exceeded); "
+                "statement mass is zero or vanishingly small"
+            )
+
+    names = {mc._HOME: "rejected_families", mc._REJECT: "rejected_runs"}
+    for codes in blocks:
+        matched = False
+        for code in codes.tolist():
+            counters[names.get(code, "trials")] += 1
+            if code < mc._MATCH:
+                misses += 1
+                continue
+            check(misses)
+            matched, misses = True, 0
+            counters["statement_matches"] += 1
+            counters["hits"] += code == mc._HIT
+            if counters["statement_matches"] == n_matches:
+                return counters
+        if not matched:
+            check(misses)
+    raise AssertionError("the blocks ran out")
+
+
+def _coded(seed, matches):
+    """A block of misses, in-run rejects and families sent home, with a
+    statement match or a hit at each of the positions `matches`."""
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(mc._MISS, mc._MATCH, size=_BLOCK).astype(np.uint8)
+    codes[matches] = rng.integers(mc._MATCH, mc._HIT + 1, size=len(matches))
+    return codes
+
+
+NONE, FIRST, LAST = _coded(1, []), _coded(2, [0]), _coded(3, [_BLOCK - 1])
+MANY = _coded(4, [0, 1, 700, 9_000, _BLOCK - 2, _BLOCK - 1])
+# (blocks, matches the shard needs): the last needed match is the only one of
+# its block, at index 0 of a block of many, in the middle of one, or the last
+# of one at _BLOCK - 1
+COUNTED = [
+    pytest.param([NONE, FIRST, NONE, LAST], 2, id="only-first-and-only-last"),
+    pytest.param([NONE, LAST, MANY], 2, id="many-needed-at-0"),
+    pytest.param([FIRST, MANY], 4, id="many-needed-in-the-middle"),
+    pytest.param([LAST, NONE, FIRST, MANY], 8, id="many-needed-at-the-end"),
+]
+
+
 def _outcome(sample, *args, **kwargs):
     try:
         return sample(*args, **kwargs)
@@ -766,6 +841,25 @@ def test_redraw_cap_names_the_first_run_that_exceeds_it(cap, monkeypatch):
     for seed in range(6):
         args = (kernel, YesNo(True), Always(), 50, seed)
         assert _outcome(sample_posterior, *args) == _outcome(_reference_posterior, *args), seed
+
+
+@pytest.mark.parametrize("blocks, n_matches", COUNTED)
+def test_a_shard_counts_each_blocks_codes_as_a_per_draw_count_does(blocks, n_matches,
+                                                                     monkeypatch):
+    # the seeded goldens reach a block's edges only by chance; here the codes
+    # are given, and the counters, or the first run above the cap, are those
+    # of a count one code at a time
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = rng.bit_generator.state
+    outcomes = []
+    for cap in (_BLOCK - 2, _BLOCK - 1, _BLOCK, 2 * _BLOCK, 3 * _BLOCK):
+        monkeypatch.setattr(mc, "_REDRAW_CAP", cap)
+        codes = iter(blocks)
+        tables = SimpleNamespace(block=lambda stream: next(codes))
+        outcomes.append(_outcome(_run_shard, rng, tables, n_matches))
+        assert outcomes[-1] == _outcome(_count_per_draw, blocks, n_matches, cap), cap
+    assert isinstance(outcomes[0], str) and isinstance(outcomes[-1], dict)
+    assert rng.bit_generator.state == state  # the blocks drew nothing
 
 
 @pytest.mark.parametrize("sid, trials", [("bc-tc", 20_000), ("gn-dn", 40_000)])
